@@ -13,19 +13,26 @@ approach directions defines, which is what the checked constants assume.
 functions the two agree to O(h); they differ at kinks, where the one-sided
 form is the faithful limsup.  Out-of-grid neighbors count as 0, consistent
 with extending compactly supported functions by zero.
+
+Every grid check is a functional of two rearrangements, f* and |grad f|*.
+``PreparedFunction`` builds each of them (and the mass functions and the
+gradient modulus behind them) at most once per function, so checkers that
+share a function share one sort per rearrangement.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .measure import GridFunction, grid_to_mass, lp_norm
+from .measure import GridFunction, MassFunction, grid_to_mass, lp_norm
 from .rearrangement import StepProfile, decreasing_rearrangement, power_segment_integral
 from .report import CheckReport
 from .isoperimetry import euclidean_profile
 
 __all__ = [
     "GRADIENT_MODES",
+    "PreparedFunction",
+    "prepare",
     "metric_gradient_modulus",
     "polya_szego_lhs",
     "polya_szego_compare",
@@ -75,6 +82,56 @@ def metric_gradient_modulus(f: GridFunction, mode: str = "metric_max") -> GridFu
             "gradient support touches the domain boundary; keep function "
             "support at least two cells inside"
         ) from exc
+
+
+class PreparedFunction:
+    """A grid function with its rearrangement artifacts, each built on first use.
+
+    ``mass`` and ``profile`` are the distribution of |f| and its decreasing
+    rearrangement; ``grad(mode)``, ``grad_mass(mode)`` and
+    ``grad_profile(mode)`` are the same chain for the gradient modulus in
+    one gradient mode.  Every artifact is built at most once and is
+    bit-identical to building it directly from ``grid``.
+    """
+
+    __slots__ = ("grid", "_cache")
+
+    def __init__(self, grid: GridFunction):
+        self.grid = grid
+        self._cache = {}
+
+    def _cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    @property
+    def mass(self) -> MassFunction:
+        return self._cached("mass", lambda: grid_to_mass(self.grid))
+
+    @property
+    def profile(self) -> StepProfile:
+        return self._cached("profile", lambda: decreasing_rearrangement(self.mass))
+
+    def grad(self, mode: str = "metric_max") -> GridFunction:
+        return self._cached(("grad", mode), lambda: metric_gradient_modulus(self.grid, mode))
+
+    def grad_mass(self, mode: str = "metric_max") -> MassFunction:
+        return self._cached(("grad_mass", mode), lambda: grid_to_mass(self.grad(mode)))
+
+    def grad_profile(self, mode: str = "metric_max") -> StepProfile:
+        return self._cached(
+            ("grad_profile", mode), lambda: decreasing_rearrangement(self.grad_mass(mode))
+        )
+
+    def keep_profile_only(self) -> None:
+        """Build the profile if needed, then drop every other cached artifact."""
+        self._cache = {"profile": self.profile}
+
+
+def prepare(f) -> PreparedFunction:
+    """``f`` itself if already prepared, else a fresh PreparedFunction of it."""
+    return f if isinstance(f, PreparedFunction) else PreparedFunction(f)
 
 
 def has_profile_jump(s: StepProfile, rel_threshold: float = 0.25) -> bool:
@@ -132,7 +189,7 @@ def polya_szego_lhs(
 
 
 def polya_szego_compare(
-    f: GridFunction,
+    f: GridFunction | PreparedFunction,
     n: int,
     p: float,
     gradient_mode: str = "metric_max",
@@ -147,19 +204,19 @@ def polya_szego_compare(
     true rearranged-derivative integral is infinite and the interpolant value
     has no refinement limit.
     """
-    if n != f.dim:
+    pf = prepare(f)
+    grid = pf.grid
+    if n != grid.dim:
         raise ValueError("n must equal the grid dimension")
     params = {
         "n": n,
         "p": p,
         "gradient_mode": gradient_mode,
         "weight": weight,
-        "grid": "x".join(str(e) for e in f.extents),
-        "spacing": f.spacing,
+        "grid": "x".join(str(e) for e in grid.extents),
+        "spacing": grid.spacing,
     }
-    profile = decreasing_rearrangement(grid_to_mass(f))
-    modulus = metric_gradient_modulus(f, gradient_mode)
-    rhs = lp_norm(grid_to_mass(modulus), p)
+    rhs = lp_norm(pf.grad_mass(gradient_mode), p)
     if rhs == 0.0:
         # constant-zero input: ratio defined as 0
         return CheckReport(
@@ -170,6 +227,7 @@ def polya_szego_compare(
             constant_used=1.0,
             tolerance=tolerance,
         )
+    profile = pf.profile
     lhs = polya_szego_lhs(profile, n, p, weight)
     params["jump_flag"] = has_profile_jump(profile, jump_threshold)
     report = CheckReport(

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .measure import GridFunction, MassFunction, grid_to_mass, lp_norm, support_measure
+from .measure import GridFunction, MassFunction, lp_norm, support_measure
 from .rearrangement import (
     StepProfile,
     decreasing_rearrangement,
@@ -24,7 +25,13 @@ from .rearrangement import (
     powered_profile,
     power_segment_integral,
 )
-from .gradient import _axis_slices, metric_gradient_modulus, polya_szego_compare
+from .gradient import (
+    PreparedFunction,
+    _axis_slices,
+    metric_gradient_modulus,
+    polya_szego_compare,
+    prepare,
+)
 from .isoperimetry import ProfileHandle, euclidean_profile, phi_from_profile
 from .report import CheckReport
 
@@ -132,13 +139,6 @@ def _ratio(lhs, rhs):
     return out
 
 
-def _function_profiles(f: GridFunction, gradient_mode: str):
-    profile = decreasing_rearrangement(grid_to_mass(f))
-    grad = metric_gradient_modulus(f, gradient_mode)
-    grad_profile = decreasing_rearrangement(grid_to_mass(grad))
-    return profile, grad_profile
-
-
 def _default_tgrid(f: GridFunction, params: InequalityParams) -> np.ndarray:
     spec = params.t_grid or TGridSpec(
         TGRID_FLOOR_CELLS * f.cell_measure, f.domain_measure
@@ -190,18 +190,19 @@ def _trivial_pass(report_id, params_dict, constant, params):
 
 
 def check_s_phi_p(
-    f: GridFunction,
+    f: GridFunction | PreparedFunction,
     phi: ProfileHandle,
     params: InequalityParams,
     gradient_mode: str = "metric_max",
 ) -> CheckReport:
     p = params.p
-    mass = grid_to_mass(f)
+    pf = prepare(f)
+    mass = pf.mass
     norm_p = lp_norm(mass, p)
-    doc = _grid_params(f, params, gradient_mode)
+    doc = _grid_params(pf.grid, params, gradient_mode)
     if norm_p == 0.0:
         return _trivial_pass("s_phi_p", doc, 1.0, params)
-    grad_norm = lp_norm(grid_to_mass(metric_gradient_modulus(f, gradient_mode)), p)
+    grad_norm = lp_norm(pf.grad_mass(gradient_mode), p)
     if grad_norm == 0.0:
         raise ValueError("nonzero function with zero gradient: malformed input")
     supp = support_measure(mass)
@@ -216,22 +217,22 @@ def check_s_phi_p(
 
 
 def check_oscillation_p(
-    f: GridFunction,
+    f: GridFunction | PreparedFunction,
     phi: ProfileHandle,
     params: InequalityParams,
     gradient_mode: str = "metric_max",
     capture_trace: bool = False,
 ) -> CheckReport:
     p = params.p
-    doc = _grid_params(f, params, gradient_mode)
+    pf = prepare(f)
+    doc = _grid_params(pf.grid, params, gradient_mode)
     constant = params.oscillation_constant
     doc["constant_formula"] = "2^((k+1)/p - 1)"
-    if not np.any(f.values):
+    if not np.any(pf.grid.values):
         return _trivial_pass("oscillation_p", doc, constant, params)
-    profile, grad_profile = _function_profiles(f, gradient_mode)
-    fp = powered_profile(profile, p)
-    gp = powered_profile(grad_profile, p)
-    t = _default_tgrid(f, params)
+    fp = powered_profile(pf.profile, p)
+    gp = powered_profile(pf.grad_profile(gradient_mode), p)
+    t = _default_tgrid(pf.grid, params)
     phi_t = phi(t)
     lhs = (maximal_average(fp, t) ** (1.0 / p) - fp.value(t) ** (1.0 / p)) / phi_t
     rhs = maximal_average(gp, t) ** (1.0 / p)
@@ -249,7 +250,7 @@ def check_oscillation_p(
 
 
 def check_derivative_p(
-    f: GridFunction,
+    f: GridFunction | PreparedFunction,
     phi: ProfileHandle,
     params: InequalityParams,
     gradient_mode: str = "metric_max",
@@ -272,17 +273,17 @@ def check_derivative_p(
     if form not in ("integrated", "pointwise"):
         raise ValueError(f"unknown form {form!r}")
     p = params.p
-    doc = _grid_params(f, params, gradient_mode)
+    pf = prepare(f)
+    doc = _grid_params(pf.grid, params, gradient_mode)
     doc["form"] = form
     constant = params.derivative_constant
     base = params.derivative_base_constant
     doc["base_constant"] = base
-    if not np.any(f.values):
+    if not np.any(pf.grid.values):
         return _trivial_pass("derivative_p", doc, constant, params)
-    profile, grad_profile = _function_profiles(f, gradient_mode)
-    fp = powered_profile(profile, p)
-    gp = powered_profile(grad_profile, p)
-    t = _default_tgrid(f, params)
+    fp = powered_profile(pf.profile, p)
+    gp = powered_profile(pf.grad_profile(gradient_mode), p)
+    t = _default_tgrid(pf.grid, params)
 
     def integrand(ts):
         return phi(ts) / ts * maximal_average(gp, ts) ** (1.0 / p)
@@ -396,8 +397,24 @@ def _local_stencil_max(values: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache
+def _scalar_chain_sweep(r: float, a_max: float, grid_points: int) -> tuple[float, float, float]:
+    """Worst |a^r - b^r| / (r (a^(r-1) + b^(r-1)) |a-b|) over the (a, b) lattice.
+
+    Returns (worst ratio, a, b); it depends on the sweep parameters only, so
+    it is computed once per parameter set, not once per grid function.
+    """
+    axis = np.linspace(0.0, a_max, grid_points)
+    a, b = np.meshgrid(axis, axis, indexing="ij")
+    scalar_lhs = np.abs(a**r - b**r)
+    scalar_rhs = r * (a ** (r - 1.0) + b ** (r - 1.0)) * np.abs(a - b)
+    scalar_ratios = _ratio(scalar_lhs, scalar_rhs)
+    s_idx = int(np.argmax(scalar_ratios))
+    return float(scalar_ratios.ravel()[s_idx]), float(a.ravel()[s_idx]), float(b.ravel()[s_idx])
+
+
 def check_chain_rule(
-    f: GridFunction,
+    f: GridFunction | PreparedFunction,
     r: float,
     gradient_mode: str = "metric_max",
     a_max: float = 20.0,
@@ -413,38 +430,30 @@ def check_chain_rule(
     """
     if r <= 1:
         raise ValueError("chain rule sweep needs r > 1")
-    if np.any(f.values < 0):
+    pf = prepare(f)
+    grid = pf.grid
+    if np.any(grid.values < 0):
         raise ValueError("chain rule check expects a nonnegative function")
-    powered = GridFunction(f.spacing, f.values**r)
+    powered = GridFunction(grid.spacing, grid.values**r)
     lhs = metric_gradient_modulus(powered, gradient_mode).values
-    base = metric_gradient_modulus(f, gradient_mode).values
-    local_max = _local_stencil_max(f.values)
+    base = pf.grad(gradient_mode).values
+    local_max = _local_stencil_max(grid.values)
     rhs = 2.0 * r * local_max ** (r - 1.0) * base
     grid_ratios = _ratio(lhs, rhs)
     g_idx = int(np.argmax(grid_ratios))
     grid_worst = float(grid_ratios.ravel()[g_idx])
-
-    axis = np.linspace(0.0, a_max, grid_points)
-    a, b = np.meshgrid(axis, axis, indexing="ij")
-    scalar_lhs = np.abs(a**r - b**r)
-    scalar_rhs = r * (a ** (r - 1.0) + b ** (r - 1.0)) * np.abs(a - b)
-    scalar_ratios = _ratio(scalar_lhs, scalar_rhs)
-    s_idx = int(np.argmax(scalar_ratios))
-    scalar_worst = float(scalar_ratios.ravel()[s_idx])
+    scalar_worst, scalar_a, scalar_b = _scalar_chain_sweep(r, a_max, grid_points)
 
     params_doc = {
         "r": r,
         "gradient_mode": gradient_mode,
-        "grid": "x".join(str(e) for e in f.extents),
+        "grid": "x".join(str(e) for e in grid.extents),
         "grid_worst_ratio": grid_worst,
         "scalar_worst_ratio": scalar_worst,
-        "scalar_worst_ab": [
-            float(a.ravel()[s_idx]),
-            float(b.ravel()[s_idx]),
-        ],
+        "scalar_worst_ab": [scalar_a, scalar_b],
     }
     worst = max(grid_worst, scalar_worst)
-    location = float(g_idx) if grid_worst >= scalar_worst else float(a.ravel()[s_idx])
+    location = float(g_idx) if grid_worst >= scalar_worst else scalar_a
     return CheckReport(
         inequality_id="chain_rule",
         params=params_doc,
@@ -477,16 +486,21 @@ def check_oneil(
 ) -> CheckReport:
     """Product bound (fg)**(t) <= (1/t) int_0^t f*(s) g*(s) ds.
 
-    f and g must live on the same cells: pass two grid functions on identical
-    grids, or two flat value arrays with a shared ``masses`` array.  The
-    product is formed cellwise before any rearrangement.
+    f and g must live on the same cells: pass two grid functions (plain or
+    prepared) on identical grids, or two flat value arrays with a shared
+    ``masses`` array.  The product is formed cellwise before any
+    rearrangement; prepared functions contribute their cached profiles, so
+    only the product is sorted.
     """
-    if isinstance(f, GridFunction) and isinstance(g, GridFunction):
-        if f.extents != g.extents or f.spacing != g.spacing:
+    grids = (GridFunction, PreparedFunction)
+    if isinstance(f, grids) and isinstance(g, grids):
+        pf, pg = prepare(f), prepare(g)
+        gf, gg = pf.grid, pg.grid
+        if gf.extents != gg.extents or gf.spacing != gg.spacing:
             raise ValueError("grid functions must share extents and spacing")
-        vf = np.abs(f.values.ravel())
-        vg = np.abs(g.values.ravel())
-        cell_masses = np.full(vf.shape, f.cell_measure)
+        prof_f, prof_g = pf.profile, pg.profile
+        vfg = np.abs(gf.values.ravel()) * np.abs(gg.values.ravel())
+        cell_masses = np.full(vfg.shape, gf.cell_measure)
     else:
         vf = np.abs(np.asarray(f, dtype=float).ravel())
         vg = np.abs(np.asarray(g, dtype=float).ravel())
@@ -495,10 +509,11 @@ def check_oneil(
         cell_masses = np.asarray(masses, dtype=float).ravel()
         if vf.shape != vg.shape or vf.shape != cell_masses.shape:
             raise ValueError("mismatched domains: f, g and masses must align")
+        prof_f = decreasing_rearrangement(MassFunction(vf, cell_masses))
+        prof_g = decreasing_rearrangement(MassFunction(vg, cell_masses))
+        vfg = vf * vg
 
-    prof_f = decreasing_rearrangement(MassFunction(vf, cell_masses))
-    prof_g = decreasing_rearrangement(MassFunction(vg, cell_masses))
-    prof_fg = decreasing_rearrangement(MassFunction(vf * vg, cell_masses))
+    prof_fg = decreasing_rearrangement(MassFunction(vfg, cell_masses))
     hl_profile = _merged_product_profile(prof_f, prof_g)
 
     total = prof_fg.total_measure
@@ -510,7 +525,7 @@ def check_oneil(
     j = int(np.argmax(ratios))
     return CheckReport(
         inequality_id="oneil",
-        params={"t_points": int(t_grid.size), "atoms": int(vf.size)},
+        params={"t_points": int(t_grid.size), "atoms": int(vfg.size)},
         worst_ratio=float(ratios[j]),
         worst_location=float(t_grid[j]),
         constant_used=1.0,
@@ -524,7 +539,7 @@ def check_oneil(
 
 
 def check_nash(
-    f: GridFunction,
+    f: GridFunction | PreparedFunction,
     phi: ProfileHandle | None,
     p: float,
     c1: float = 1.0,
@@ -544,19 +559,19 @@ def check_nash(
     """
     if p <= 1:
         raise ValueError("the Nash form needs p > 1")
-    mass = grid_to_mass(f)
-    norm_p = lp_norm(mass, p)
+    pf = prepare(f)
+    norm_p = lp_norm(pf.mass, p)
     if norm_p == 0.0:
         raise ValueError("||f||_p must be positive")
-    norm_1 = lp_norm(mass, 1.0)
-    grad_norm = lp_norm(grid_to_mass(metric_gradient_modulus(f, gradient_mode)), p)
+    norm_1 = lp_norm(pf.mass, 1.0)
+    grad_norm = lp_norm(pf.grad_mass(gradient_mode), p)
     doc = {
         "p": p,
         "c1": c1,
         "c2": c2,
         "classical": classical,
         "gradient_mode": gradient_mode,
-        "grid": "x".join(str(e) for e in f.extents),
+        "grid": "x".join(str(e) for e in pf.grid.extents),
     }
     if classical:
         if n is None:
@@ -604,7 +619,7 @@ def _oscillation_integral(profile: StepProfile, p: float, inv_pbar: float) -> fl
 
 
 def check_sobolev(
-    f: GridFunction,
+    f: GridFunction | PreparedFunction,
     n: int,
     p: float,
     mode: str,
@@ -623,7 +638,9 @@ def check_sobolev(
     Oscillation integrals run over (0, measure(domain)]; the fitted constant
     is always recorded.
     """
-    if n != f.dim:
+    pf = prepare(f)
+    grid = pf.grid
+    if n != grid.dim:
         raise ValueError("n must equal the grid dimension")
     if mode not in ("weak", "strong", "exp", "morrey"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -634,7 +651,7 @@ def check_sobolev(
     if mode == "morrey":
         if p <= n:
             raise ValueError("morrey mode needs p > n")
-        if abs(f.domain_measure - 1.0) > 1e-9:
+        if abs(grid.domain_measure - 1.0) > 1e-9:
             raise ValueError("morrey mode is stated on a unit-measure domain")
 
     doc = {
@@ -642,10 +659,9 @@ def check_sobolev(
         "p": p,
         "n": n,
         "gradient_mode": gradient_mode,
-        "grid": "x".join(str(e) for e in f.extents),
+        "grid": "x".join(str(e) for e in grid.extents),
     }
-    mass = grid_to_mass(f)
-    if lp_norm(mass, 1.0) == 0.0:
+    if lp_norm(pf.mass, 1.0) == 0.0:
         return CheckReport(
             inequality_id=f"sobolev_{mode}",
             params=doc,
@@ -654,8 +670,8 @@ def check_sobolev(
             constant_used=1.0 if constant is None else constant,
             tolerance=tolerance,
         )
-    profile = decreasing_rearrangement(mass)
-    grad_norm = lp_norm(grid_to_mass(metric_gradient_modulus(f, gradient_mode)), p)
+    profile = pf.profile
+    grad_norm = lp_norm(pf.grad_mass(gradient_mode), p)
 
     location = None
     base_constant = 1.0

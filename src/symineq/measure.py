@@ -28,10 +28,11 @@ class MassFunction:
     The cumulative-mass array is cached and shared by every downstream
     operation; quantities that are equal in exact arithmetic (distribution
     function of the mass function vs. of its rearrangement, say) then come out
-    bitwise equal.
+    bitwise equal.  It is stored as the tail of ``breakpoints`` =
+    [0, cum_masses...], which the decreasing rearrangement uses as is.
     """
 
-    __slots__ = ("values", "masses", "cum_masses")
+    __slots__ = ("values", "masses", "cum_masses", "breakpoints")
 
     def __init__(self, values, masses):
         values = np.atleast_1d(np.asarray(values, dtype=float))
@@ -50,12 +51,15 @@ class MassFunction:
         order = np.argsort(-values, kind="stable")
         v = values[order]
         m = masses[order]
+        del order  # one cell-sized array less at the peak of the build
         # merge exact ties so the canonical form has strictly decreasing values
-        cut = np.flatnonzero(np.diff(v)) + 1
+        cut = np.flatnonzero(v[1:] != v[:-1]) + 1
         starts = np.concatenate(([0], cut))
         self.values = v[starts]
         self.masses = np.add.reduceat(m, starts)
-        self.cum_masses = np.cumsum(self.masses)
+        self.breakpoints = np.empty(self.masses.size + 1)
+        self.breakpoints[0] = 0.0
+        self.cum_masses = np.cumsum(self.masses, out=self.breakpoints[1:])
 
     @classmethod
     def from_atoms(cls, atoms) -> "MassFunction":

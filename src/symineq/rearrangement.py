@@ -161,10 +161,10 @@ def decreasing_rearrangement(f: MassFunction) -> StepProfile:
     """Generalized inverse of the distribution function of f.
 
     Atoms are already sorted by value descending, so the profile is the prefix
-    scan of the masses: equimeasurable with f by construction.
+    scan of the masses: equimeasurable with f by construction.  The profile
+    shares its breakpoint and level arrays with f.
     """
-    breakpoints = np.concatenate(([0.0], f.cum_masses))
-    return StepProfile(breakpoints, f.values)
+    return StepProfile(f.breakpoints, f.values)
 
 
 def maximal_average(s: StepProfile, t: float):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import CorpusSpec, generate_corpus
+from .gradient import PreparedFunction
 from .inequalities import CHECKERS, check_binomial_bounds, check_oneil
 from .report import CheckReport
 
@@ -104,41 +105,55 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
 
     Checker errors become failed-with-reason rows; the suite never aborts on a
     single bad cell.  The corpus defaults to the one described by the config.
+
+    Evaluation is function-major: each function is prepared once and every
+    per-function entry reads its cached rearrangements.  Then everything but
+    the profile is dropped, and the O'Neil pair with the previous function
+    runs on the two profiles.  Rows come out entry-major, in config order.
     """
     if corpus is None:
         corpus = generate_corpus(config.corpus)
-    reports: list[CheckReport] = []
-    n = config.corpus.dim
-    for entry in config.inequalities:
+    rows: list[list[CheckReport]] = [[] for _ in config.inequalities]
+    per_function, pairs = [], []
+    for slot, entry in zip(rows, config.inequalities):
         name = entry["id"]
         kwargs = _entry_kwargs(entry, config)
         if name == "binomial_bounds":
             kwargs.pop("gradient_mode", None)
             kwargs.pop("capture_trace", None)
-            report = check_binomial_bounds(**kwargs)
-            report.function_id = "-"
-            reports.append(report)
-            continue
-        if name == "oneil":
+            slot.append(_guarded(name, "-", lambda: check_binomial_bounds(**kwargs)))
+        elif name == "oneil":
             kwargs.pop("gradient_mode", None)
-            for (id_a, fa), (id_b, fb) in zip(corpus[:-1], corpus[1:]):
-                try:
-                    report = check_oneil(fa, fb, **kwargs)
-                except (ValueError, KeyError) as exc:
-                    report = CheckReport.error("oneil", f"input_error: {exc}")
-                report.function_id = f"{id_a}*{id_b}"
-                reports.append(report)
-            continue
-        runner = CHECKERS[name]
-        kwargs.setdefault("n", n)
-        for function_id, f in corpus:
-            try:
-                report = runner(f, **kwargs)
-            except (ValueError, KeyError) as exc:
-                report = CheckReport.error(name, f"input_error: {exc}", function_id)
-            report.function_id = function_id
-            reports.append(report)
-    return reports
+            pairs.append((slot, kwargs))
+        else:
+            kwargs.setdefault("n", config.corpus.dim)
+            per_function.append((slot, name, CHECKERS[name], kwargs))
+
+    prev_id, prev = None, None
+    for function_id, f in corpus:
+        pf = PreparedFunction(f)
+        for slot, name, runner, kwargs in per_function:
+            slot.append(_guarded(name, function_id, lambda: runner(pf, **kwargs)))
+        if pairs:
+            pf.keep_profile_only()
+            if prev is not None:
+                pair_id = f"{prev_id}*{function_id}"
+                for slot, kwargs in pairs:
+                    slot.append(
+                        _guarded("oneil", pair_id, lambda: check_oneil(prev, pf, **kwargs))
+                    )
+            prev_id, prev = function_id, pf
+    return [report for slot in rows for report in slot]
+
+
+def _guarded(name: str, function_id: str, check) -> CheckReport:
+    """Run one check; a bad parameter or input becomes an input_error row."""
+    try:
+        report = check()
+    except (ValueError, KeyError, TypeError) as exc:
+        report = CheckReport.error(name, f"input_error: {exc}")
+    report.function_id = function_id
+    return report
 
 
 def summarize(reports: list[CheckReport]) -> dict:

@@ -239,6 +239,23 @@ class TestCli:
         ) == 0
         assert (render_dir / "reports_rendered.csv").exists()
 
+    def test_suite_bad_parameter_type_is_an_input_error_row(self, tmp_path, capsys):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(
+            json.dumps(
+                {
+                    "inequalities": [{"id": "s_phi_p", "p": "2"}],
+                    "corpus": {"seed": 4, "extents": 32, "families": [{"kind": "cone"}]},
+                }
+            )
+        )
+        out = tmp_path / "out"
+        assert cli_main(["suite", "--config", str(config_file), "--out", str(out)]) == 2
+        rows = json.loads((out / "reports.json").read_text())["reports"]
+        assert len(rows) == 1
+        assert rows[0]["status"].startswith("input_error")
+        assert not rows[0]["pass"]
+
     def test_check_unknown_inequality(self, tmp_path, capsys):
         assert cli_main(["check", "--ineq", "nope", "--fn", "x.json"]) == 2
 

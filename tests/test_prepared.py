@@ -1,0 +1,154 @@
+import json
+import sys
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import symineq as sq
+from symineq.gradient import PreparedFunction, prepare
+from symineq.suite import DEFAULT_INEQUALITIES, SuiteConfig
+
+# both corpus dimensions, small enough for tier-1; radius-2 noise fits 24 cells
+SMALL_FAMILIES = (
+    {"kind": "cone"},
+    {"kind": "tensor_bump"},
+    {"kind": "mollified_disk", "eps_ladder": (0.2, 0.1)},
+    {"kind": "smoothed_noise", "radius": 2},
+    {"kind": "multi_bump"},
+)
+SPECS = {
+    "2d": sq.CorpusSpec(seed=11, dim=2, extents=48, families=SMALL_FAMILIES),
+    "3d": sq.CorpusSpec(seed=11, dim=3, extents=24, families=SMALL_FAMILIES),
+}
+TRACED_IDS = ("oscillation_p", "derivative_p")
+
+
+@pytest.fixture(scope="module", params=sorted(SPECS))
+def small_corpus(request):
+    spec = SPECS[request.param]
+    return spec, sq.generate_corpus(spec)
+
+
+class TestPreparedFunction:
+    def test_artifacts_match_direct_builds(self, cone512):
+        pf = PreparedFunction(cone512)
+        mass = sq.grid_to_mass(cone512)
+        for got, want in (
+            (pf.mass.values, mass.values),
+            (pf.mass.masses, mass.masses),
+            (pf.mass.cum_masses, mass.cum_masses),
+            (pf.profile.breakpoints, sq.decreasing_rearrangement(mass).breakpoints),
+            (pf.profile.levels, sq.decreasing_rearrangement(mass).levels),
+        ):
+            assert np.array_equal(got, want)
+        for mode in ("metric_max", "euclidean_central"):
+            grad = sq.metric_gradient_modulus(cone512, mode)
+            grad_profile = sq.decreasing_rearrangement(sq.grid_to_mass(grad))
+            assert np.array_equal(pf.grad(mode).values, grad.values)
+            assert np.array_equal(pf.grad_mass(mode).masses, sq.grid_to_mass(grad).masses)
+            assert np.array_equal(pf.grad_profile(mode).levels, grad_profile.levels)
+            assert np.array_equal(pf.grad_profile(mode).breakpoints, grad_profile.breakpoints)
+
+    def test_each_artifact_is_built_once_per_mode(self, cone512):
+        pf = PreparedFunction(cone512)
+        assert pf.mass is pf.mass
+        assert pf.profile is pf.profile
+        assert pf.grad_profile() is pf.grad_profile("metric_max")
+        assert pf.grad_mass("euclidean_central") is not pf.grad_mass("metric_max")
+        assert prepare(pf) is pf
+        assert prepare(cone512).grid is cone512
+
+    def test_keep_profile_only_drops_the_rest(self, cone512):
+        pf = PreparedFunction(cone512)
+        mass, grad = pf.mass, pf.grad()
+        pf.keep_profile_only()
+        profile = pf.profile
+        pf.keep_profile_only()
+        assert pf.profile is profile
+        assert pf.mass is not mass and pf.grad() is not grad
+
+
+def _direct_reports(config, corpus):
+    """The suite's rows, entry-major, each from a checker on the plain GridFunction."""
+    out = []
+    for entry in config.inequalities:
+        name = entry["id"]
+        kwargs = {k: v for k, v in entry.items() if k != "id"}
+        if name == "binomial_bounds":
+            report = sq.check_binomial_bounds(**kwargs)
+            report.function_id = "-"
+            out.append(report)
+        elif name == "oneil":
+            for (id_a, fa), (id_b, fb) in zip(corpus[:-1], corpus[1:]):
+                report = sq.check_oneil(fa, fb, **kwargs)
+                report.function_id = f"{id_a}*{id_b}"
+                out.append(report)
+        else:
+            kwargs.setdefault("n", config.corpus.dim)
+            if name in TRACED_IDS:
+                kwargs["capture_trace"] = config.detail
+            for function_id, f in corpus:
+                report = sq.CHECKERS[name](f, **kwargs)
+                report.function_id = function_id
+                out.append(report)
+    return out
+
+
+def test_suite_rows_equal_direct_checker_calls(small_corpus):
+    spec, corpus = small_corpus
+    inequalities = DEFAULT_INEQUALITIES + (
+        {"id": "s_phi_p", "p": 2.0, "gradient_mode": "euclidean_central"},
+        {"id": "oscillation_p", "p": 2.0, "gradient_mode": "euclidean_central"},
+    )
+    config = SuiteConfig(inequalities=inequalities, detail=True, corpus=spec)
+    suite_rows = sq.run_suite(config, corpus)
+    direct_rows = _direct_reports(config, corpus)
+
+    ids = [fid for fid, _ in corpus]
+    pair_ids = [f"{a}*{b}" for a, b in zip(ids[:-1], ids[1:])]
+    expected_ids = []
+    for entry in inequalities:
+        fids = {"binomial_bounds": ["-"], "oneil": pair_ids}.get(entry["id"], ids)
+        expected_ids += [(entry["id"], fid) for fid in fids]
+    assert [(r.inequality_id, r.function_id) for r in suite_rows] == expected_ids
+    assert not any(r.status.startswith("input_error") for r in suite_rows)
+    assert any(r.trace for r in suite_rows)
+
+    def dump(rows):
+        return [json.dumps(r.to_dict(include_trace=True), sort_keys=True) for r in rows]
+
+    assert dump(suite_rows) == dump(direct_rows)
+
+
+def test_default_suite_builds_each_artifact_once(small_corpus, monkeypatch):
+    spec, corpus = small_corpus
+    counts = Counter()
+
+    original_init = sq.MassFunction.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counts["mass"] += 1
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sq.MassFunction, "__init__", counting_init)
+
+    original_modulus = sq.metric_gradient_modulus
+
+    def counting_modulus(*args, **kwargs):
+        counts["modulus"] += 1
+        return original_modulus(*args, **kwargs)
+
+    # rebind in every module that imported the function by name
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "symineq":
+            if getattr(module, "metric_gradient_modulus", None) is original_modulus:
+                monkeypatch.setattr(module, "metric_gradient_modulus", counting_modulus)
+
+    reports = sq.run_suite(SuiteConfig(corpus=spec), corpus)
+    assert not any(r.status.startswith("input_error") for r in reports)
+    n = len(corpus)
+    # f and |grad f| per function, plus the cellwise product per O'Neil pair
+    assert 0 < counts["mass"] <= 2 * n + (n - 1)
+    # |grad f| and |grad f^r| (chain rule) per function
+    assert 0 < counts["modulus"] <= 2 * n
