@@ -11,10 +11,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .corpus import CorpusSpec, generate_corpus
-from .inequalities import CHECKERS
+from .inequalities import ARITY, CHECKERS, checker_kwargs
 from .isoperimetry import ProfileHandle
 from .measure import GridFunction
 from .suite import SuiteConfig, emit_report, load_report, run_suite, suite_exit_code
@@ -29,7 +30,11 @@ def _out_dir(value) -> Path:
 
 
 def _cmd_corpus(args) -> int:
-    spec = CorpusSpec.from_json(args.spec) if args.spec else CorpusSpec()
+    try:
+        spec = CorpusSpec.from_json(args.spec) if args.spec else CorpusSpec()
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"cannot load spec: {exc}", file=sys.stderr)
+        return 2
     out = _out_dir(args.out)
     corpus = generate_corpus(spec)
     manifest = []
@@ -44,25 +49,22 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.ineq not in CHECKERS:
-        print(f"unknown inequality id {args.ineq!r}", file=sys.stderr)
-        return 2
+    flags = {"p": args.p, "n": args.n, "gradient_mode": args.mode, "tolerance": args.tol}
+    entry = {key: value for key, value in flags.items() if value is not None}
     try:
         f = GridFunction.from_json(args.fn)
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot load function {args.fn}: {exc}", file=sys.stderr)
         return 2
-    kwargs = {}
     if args.phi:
-        kwargs["phi"] = ProfileHandle.from_json(args.phi)
-    if args.p is not None:
-        kwargs["p"] = args.p
-    kwargs["n"] = args.n if args.n is not None else f.dim
-    if args.mode:
-        kwargs["gradient_mode"] = args.mode
-    if args.tol is not None:
-        kwargs["tolerance"] = args.tol
+        try:
+            entry["phi"] = ProfileHandle.from_json(args.phi)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            print(f"cannot load phi {args.phi}: {exc}", file=sys.stderr)
+            return 2
     try:
+        # a flag the checker does not declare is an error; n defaults to f's dimension
+        kwargs = checker_kwargs(args.ineq, entry, {"n": f.dim}, arity=1)
         report = CHECKERS[args.ineq](f, **kwargs)
     except (ValueError, KeyError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
@@ -74,22 +76,17 @@ def _cmd_check(args) -> int:
 def _cmd_suite(args) -> int:
     try:
         config = SuiteConfig.from_json(args.config) if args.config else SuiteConfig()
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"cannot load config: {exc}", file=sys.stderr)
         return 2
-    overrides = {}
-    if args.gradient_mode:
-        overrides["gradient_mode"] = args.gradient_mode
-    if args.tol is not None:
-        overrides["tolerance"] = args.tol
-    if args.constant_mode:
-        overrides["constant_mode"] = args.constant_mode
-    if args.detail:
-        overrides["detail"] = True
-    if overrides:
-        doc = config.to_json()
-        doc.update(overrides)
-        config = SuiteConfig.from_json(doc)
+    flags = {
+        "gradient_mode": args.gradient_mode,
+        "tolerance": args.tol,
+        "constant_mode": args.constant_mode,
+        "detail": args.detail or None,
+    }
+    overrides = {key: value for key, value in flags.items() if value is not None}
+    config = replace(config, **overrides)
     out = _out_dir(args.out)
     reports = run_suite(config)
     seed = config.corpus.seed
@@ -130,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus.set_defaults(func=_cmd_corpus)
 
     p_check = sub.add_parser("check", help="run one inequality on one function")
-    p_check.add_argument("--ineq", required=True, help=f"one of {sorted(CHECKERS)}")
+    one_function = sorted(name for name in CHECKERS if ARITY.get(name, 1) == 1)
+    p_check.add_argument("--ineq", required=True, help=f"one of {one_function}")
     p_check.add_argument("--fn", required=True, help="grid function JSON file")
     p_check.add_argument("--phi", help="profile handle JSON file")
     p_check.add_argument("--p", type=float)

@@ -10,7 +10,7 @@ least two cells inside the domain boundary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +61,7 @@ class CorpusSpec:
         doc = source if isinstance(source, dict) else json.loads(
             Path(source).read_text(encoding="utf-8")
         )
+        check_keys(doc, cls, "corpus spec")
         families = []
         for fam in doc.get("families", []):
             fam = dict(fam)
@@ -76,6 +77,15 @@ class CorpusSpec:
             side=float(doc.get("side", 1.0)),
             families=tuple(families) if families else cls.families,
         )
+
+
+def check_keys(doc, cls, what: str) -> None:
+    """Reject a JSON document that is not an object or has keys that are not fields of ``cls``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a {what} must be a JSON object")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}")
 
 
 def _cell_axes(extents: tuple[int, ...], spacing: float):

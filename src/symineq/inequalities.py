@@ -10,6 +10,7 @@ constant is the observed ratio and the check never fails, it only reports.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,8 +23,8 @@ from .rearrangement import (
     decreasing_rearrangement,
     geometric_tgrid,
     maximal_average,
+    oscillation_norm,
     powered_profile,
-    power_segment_integral,
 )
 from .gradient import (
     PreparedFunction,
@@ -48,6 +49,8 @@ __all__ = [
     "check_sobolev",
     "empirical_best_constant",
     "CHECKERS",
+    "ARITY",
+    "checker_kwargs",
     "binomial_coefficient",
 ]
 
@@ -153,9 +156,13 @@ def _grid_params(f: GridFunction, params: InequalityParams, gradient_mode: str) 
         "k": params.k,
         "constant_mode": params.constant_mode,
         "gradient_mode": gradient_mode,
-        "grid": "x".join(str(e) for e in f.extents),
+        "grid": f.shape_label,
         "spacing": f.spacing,
     }
+
+
+def _trace(t, lhs, rhs) -> list:
+    return [[float(a), float(b), float(c)] for a, b, c in zip(t, lhs, rhs)]
 
 
 def _finalize(report_id, params_dict, worst, location, constant, params, trace=None):
@@ -170,17 +177,6 @@ def _finalize(report_id, params_dict, worst, location, constant, params, trace=N
         constant_used=constant,
         tolerance=params.tolerance,
         trace=trace,
-    )
-
-
-def _trivial_pass(report_id, params_dict, constant, params):
-    return CheckReport(
-        inequality_id=report_id,
-        params=params_dict,
-        worst_ratio=0.0,
-        worst_location=None,
-        constant_used=constant,
-        tolerance=params.tolerance,
     )
 
 
@@ -201,7 +197,7 @@ def check_s_phi_p(
     norm_p = lp_norm(mass, p)
     doc = _grid_params(pf.grid, params, gradient_mode)
     if norm_p == 0.0:
-        return _trivial_pass("s_phi_p", doc, 1.0, params)
+        return CheckReport.trivial_pass("s_phi_p", doc, 1.0, params.tolerance)
     grad_norm = lp_norm(pf.grad_mass(gradient_mode), p)
     if grad_norm == 0.0:
         raise ValueError("nonzero function with zero gradient: malformed input")
@@ -229,7 +225,7 @@ def check_oscillation_p(
     constant = params.oscillation_constant
     doc["constant_formula"] = "2^((k+1)/p - 1)"
     if not np.any(pf.grid.values):
-        return _trivial_pass("oscillation_p", doc, constant, params)
+        return CheckReport.trivial_pass("oscillation_p", doc, constant, params.tolerance)
     fp = powered_profile(pf.profile, p)
     gp = powered_profile(pf.grad_profile(gradient_mode), p)
     t = _default_tgrid(pf.grid, params)
@@ -238,7 +234,7 @@ def check_oscillation_p(
     rhs = maximal_average(gp, t) ** (1.0 / p)
     ratios = _ratio(lhs, rhs)
     j = int(np.argmax(ratios))
-    trace = [[float(a), float(b), float(c)] for a, b, c in zip(t, lhs, rhs)] if capture_trace else None
+    trace = _trace(t, lhs, rhs) if capture_trace else None
     return _finalize(
         "oscillation_p", doc, float(ratios[j]), float(t[j]), constant, params, trace
     )
@@ -280,7 +276,7 @@ def check_derivative_p(
     base = params.derivative_base_constant
     doc["base_constant"] = base
     if not np.any(pf.grid.values):
-        return _trivial_pass("derivative_p", doc, constant, params)
+        return CheckReport.trivial_pass("derivative_p", doc, constant, params.tolerance)
     fp = powered_profile(pf.profile, p)
     gp = powered_profile(pf.grad_profile(gradient_mode), p)
     t = _default_tgrid(pf.grid, params)
@@ -307,11 +303,7 @@ def check_derivative_p(
     j = int(np.argmax(ratios))
     worst = float(ratios[j])
     doc["pass_at_base_constant"] = bool(worst <= base * (1.0 + params.tolerance))
-    trace = (
-        [[float(a), float(b), float(c)] for a, b, c in zip(locs, lhs, rhs)]
-        if capture_trace
-        else None
-    )
+    trace = _trace(locs, lhs, rhs) if capture_trace else None
     return _finalize("derivative_p", doc, worst, float(locs[j]), constant, params, trace)
 
 
@@ -340,8 +332,8 @@ def check_binomial_bounds(
     """
     if p <= 1:
         raise ValueError("the sweep needs p > 1")
-    k = int(math.ceil(p)) - 1
-    c_p = 2.0 ** ((k + 1) / p - 1.0)
+    params = InequalityParams(p=p)
+    k, c_p = params.k, params.oscillation_constant
     axis = np.linspace(0.0, a_max, grid_points)
     a, b = np.meshgrid(axis, axis, indexing="ij")
     keep = a >= b
@@ -447,7 +439,7 @@ def check_chain_rule(
     params_doc = {
         "r": r,
         "gradient_mode": gradient_mode,
-        "grid": "x".join(str(e) for e in grid.extents),
+        "grid": grid.shape_label,
         "grid_worst_ratio": grid_worst,
         "scalar_worst_ratio": scalar_worst,
         "scalar_worst_ab": [scalar_a, scalar_b],
@@ -494,6 +486,8 @@ def check_oneil(
     """
     grids = (GridFunction, PreparedFunction)
     if isinstance(f, grids) and isinstance(g, grids):
+        if masses is not None:
+            raise ValueError("grid functions carry their own cell masses")
         pf, pg = prepare(f), prepare(g)
         gf, gg = pf.grid, pg.grid
         if gf.extents != gg.extents or gf.spacing != gg.spacing:
@@ -519,6 +513,7 @@ def check_oneil(
     total = prof_fg.total_measure
     if t_grid is None:
         t_grid = geometric_tgrid(total * 1e-5, total, points_per_decade)
+    t_grid = np.asarray(t_grid, dtype=float)
     lhs = maximal_average(prof_fg, t_grid)
     rhs = hl_profile.prefix_integral(t_grid) / t_grid
     ratios = _ratio(lhs, rhs)
@@ -571,7 +566,7 @@ def check_nash(
         "c2": c2,
         "classical": classical,
         "gradient_mode": gradient_mode,
-        "grid": "x".join(str(e) for e in pf.grid.extents),
+        "grid": pf.grid.shape_label,
     }
     if classical:
         if n is None:
@@ -605,17 +600,6 @@ def check_nash(
 # ---------------------------------------------------------------------------
 # Sobolev family
 # ---------------------------------------------------------------------------
-
-
-def _oscillation_integral(profile: StepProfile, p: float, inv_pbar: float) -> float:
-    """Exact { int_0^M ((f** - f*)(t) t^(1/pbar))^p dt/t }^(1/p) over (0, M]."""
-    b = profile.breakpoints
-    coeff = profile._cum_integral[:-1] - profile.levels * b[:-1]
-    active = np.flatnonzero(coeff > 0)
-    alpha = p * inv_pbar - p
-    seg = coeff[active] ** p * power_segment_integral(b[active], b[active + 1], alpha)
-    total = float(np.sum(seg))
-    return total ** (1.0 / p) if math.isfinite(total) else math.inf
 
 
 def check_sobolev(
@@ -659,16 +643,11 @@ def check_sobolev(
         "p": p,
         "n": n,
         "gradient_mode": gradient_mode,
-        "grid": "x".join(str(e) for e in grid.extents),
+        "grid": grid.shape_label,
     }
     if lp_norm(pf.mass, 1.0) == 0.0:
-        return CheckReport(
-            inequality_id=f"sobolev_{mode}",
-            params=doc,
-            worst_ratio=0.0,
-            worst_location=None,
-            constant_used=1.0 if constant is None else constant,
-            tolerance=tolerance,
+        return CheckReport.trivial_pass(
+            f"sobolev_{mode}", doc, 1.0 if constant is None else constant, tolerance
         )
     profile = pf.profile
     grad_norm = lp_norm(pf.grad_mass(gradient_mode), p)
@@ -684,10 +663,10 @@ def check_sobolev(
         doc["inv_pbar"] = inv_pbar
     elif mode == "strong":
         inv_pbar = 1.0 / p - 1.0 / n
-        lhs = _oscillation_integral(profile, p, inv_pbar)
+        lhs = oscillation_norm(profile, p, inv_pbar)
         doc["inv_pbar"] = inv_pbar
     elif mode == "exp":
-        lhs = _oscillation_integral(profile, float(n), 0.0)
+        lhs = oscillation_norm(profile, float(n))
     else:
         lhs = profile.max_level - maximal_average(profile, 1.0)
         base_constant = 1.0 / (1.0 / n - 1.0 / p)
@@ -721,17 +700,17 @@ def _phi_for(n: int, phi: ProfileHandle | None) -> ProfileHandle:
     return phi if phi is not None else phi_from_profile(euclidean_profile(n))
 
 
-def _run_s_phi_p(f, *, p=1.0, n=2, phi=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant_mode="analytic", **_):
+def _run_s_phi_p(f, *, p=1.0, n=2, phi=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant_mode="analytic"):
     params = InequalityParams(p=p, n=n, tolerance=tolerance, constant_mode=constant_mode)
     return check_s_phi_p(f, _phi_for(n, phi), params, gradient_mode)
 
 
-def _run_oscillation_p(f, *, p=1.0, n=2, phi=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant_mode="analytic", capture_trace=False, **_):
+def _run_oscillation_p(f, *, p=1.0, n=2, phi=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant_mode="analytic", capture_trace=False):
     params = InequalityParams(p=p, n=n, tolerance=tolerance, constant_mode=constant_mode)
     return check_oscillation_p(f, _phi_for(n, phi), params, gradient_mode, capture_trace)
 
 
-def _run_derivative_p(f, *, p=1.0, n=2, phi=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant_mode="analytic", form="integrated", derivative_factor=None, capture_trace=False, **_):
+def _run_derivative_p(f, *, p=1.0, n=2, phi=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant_mode="analytic", form="integrated", derivative_factor=None, capture_trace=False):
     params = InequalityParams(
         p=p, n=n, tolerance=tolerance, constant_mode=constant_mode,
         derivative_factor=derivative_factor,
@@ -741,24 +720,24 @@ def _run_derivative_p(f, *, p=1.0, n=2, phi=None, gradient_mode="metric_max", to
     )
 
 
-def _run_chain_rule(f, *, r=2.0, gradient_mode="metric_max", tolerance=SCALAR_TOLERANCE, **_):
+def _run_chain_rule(f, *, r=2.0, gradient_mode="metric_max", tolerance=SCALAR_TOLERANCE):
     return check_chain_rule(f, r, gradient_mode, tolerance=tolerance)
 
 
-def _run_nash_classical(f, *, n=2, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, **_):
+def _run_nash_classical(f, *, n=2, gradient_mode="metric_max", tolerance=GRID_TOLERANCE):
     return check_nash(
         f, None, 2.0, classical=True, n=n, gradient_mode=gradient_mode, tolerance=tolerance
     )
 
 
-def _run_nash(f, *, p=2.0, n=2, phi=None, c1=1.0, c2=1.0, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, **_):
+def _run_nash(f, *, p=2.0, n=2, phi=None, c1=1.0, c2=1.0, gradient_mode="metric_max", tolerance=GRID_TOLERANCE):
     return check_nash(
         f, _phi_for(n, phi), p, c1, c2, gradient_mode=gradient_mode, tolerance=tolerance
     )
 
 
 def _sobolev_runner(mode):
-    def run(f, *, n=2, p=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant=None, **_):
+    def run(f, *, n=2, p=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant=None):
         if p is None:
             p = float(n) if mode == "exp" else 1.0
         return check_sobolev(f, n, p, mode, gradient_mode, tolerance, constant)
@@ -766,10 +745,12 @@ def _sobolev_runner(mode):
     return run
 
 
-def _run_polya_szego(f, *, n=2, p=1.0, gradient_mode="metric_max", weight="isoperimetric", tolerance=GRID_TOLERANCE, **_):
+def _run_polya_szego(f, *, n=2, p=1.0, gradient_mode="metric_max", weight="isoperimetric", tolerance=GRID_TOLERANCE):
     return polya_szego_compare(f, n, p, gradient_mode, weight, tolerance)
 
 
+# Every check by id.  A runner's parameters after its function arguments are
+# the keys a suite entry or the command line may set; nothing else declares them.
 CHECKERS = {
     "s_phi_p": _run_s_phi_p,
     "oscillation_p": _run_oscillation_p,
@@ -782,16 +763,46 @@ CHECKERS = {
     "sobolev_exp": _sobolev_runner("exp"),
     "sobolev_morrey": _sobolev_runner("morrey"),
     "polya_szego": _run_polya_szego,
+    "binomial_bounds": check_binomial_bounds,
+    "oneil": check_oneil,
 }
+
+# Function arguments per check: the corpus-free sweep, the pair check, else 1.
+ARITY = {"binomial_bounds": 0, "oneil": 2}
+
+
+def checker_kwargs(name: str, entry: dict, context: dict, arity: int | None = None) -> dict:
+    """Keyword arguments for ``CHECKERS[name]``: the entry's keys over the context's.
+
+    The entry's keys (``"id"`` aside) must be parameters of the runner.  The
+    context's run-wide defaults (n, gradient_mode, tolerance, ...) are passed
+    where the runner declares them and they are not None.  An unknown id or
+    key, or an id taking other than ``arity`` functions, raises ValueError;
+    values are left to the runner, which rejects bad ones when it runs.
+    """
+    if name not in CHECKERS:
+        raise ValueError(f"unknown inequality id {name!r}; known ids are {sorted(CHECKERS)}")
+    takes = ARITY.get(name, 1)
+    if arity is not None and takes != arity:
+        raise ValueError(f"{name!r} takes {takes} functions, not {arity}")
+    accepted = list(inspect.signature(CHECKERS[name]).parameters)[takes:]
+    keys = {k: v for k, v in entry.items() if k != "id"}
+    unknown = sorted(set(keys) - set(accepted))
+    if unknown:
+        raise ValueError(f"{name}: unknown keys {unknown}; accepted keys are {accepted}")
+    defaults = {k: v for k, v in context.items() if k in accepted and v is not None}
+    return {**defaults, **keys}
 
 
 def empirical_best_constant(inequality_id: str, corpus, params: dict | None = None) -> float:
-    """Sup over the corpus of the inequality's worst ratio."""
+    """Sup over the corpus of the inequality's worst ratio; n defaults to each function's dimension."""
     corpus = list(corpus)
     if not corpus:
         raise ValueError("empty corpus")
     if inequality_id not in CHECKERS:
         raise KeyError(f"unknown inequality id {inequality_id!r}")
-    runner = CHECKERS[inequality_id]
-    kwargs = dict(params or {})
-    return max(runner(f, **kwargs).worst_ratio for f in corpus)
+    worst = []
+    for f in map(prepare, corpus):
+        kwargs = checker_kwargs(inequality_id, params or {}, {"n": f.grid.dim}, arity=1)
+        worst.append(CHECKERS[inequality_id](f, **kwargs).worst_ratio)
+    return max(worst)

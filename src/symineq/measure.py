@@ -147,6 +147,11 @@ class GridFunction:
         return self.values.shape
 
     @property
+    def shape_label(self) -> str:
+        """The extents as written in reports, e.g. "256x256"."""
+        return "x".join(str(n) for n in self.extents)
+
+    @property
     def cell_measure(self) -> float:
         return self.spacing**self.dim
 
@@ -155,8 +160,7 @@ class GridFunction:
         return self.cell_measure * self.values.size
 
     def __repr__(self) -> str:
-        shape = "x".join(str(n) for n in self.extents)
-        return f"GridFunction({shape}, h={self.spacing:g})"
+        return f"GridFunction({self.shape_label}, h={self.spacing:g})"
 
     # -- serialization: JSON header plus row-major cell values ---------------
 

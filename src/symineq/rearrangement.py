@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .measure import MassFunction
+from .measure import MassFunction, support_measure
 
 __all__ = [
     "StepProfile",
@@ -26,6 +26,7 @@ __all__ = [
     "powered_profile",
     "layer_cake_excess",
     "lorentz_norm",
+    "oscillation_norm",
     "dform_derivative",
     "geometric_tgrid",
     "power_segment_integral",
@@ -149,11 +150,9 @@ def distribution(f, lam: float) -> float:
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if isinstance(f, MassFunction):
-        k = int(np.count_nonzero(f.values > lam))
-        return float(f.cum_masses[k - 1]) if k else 0.0
+        return support_measure(f, lam)
     if isinstance(f, StepProfile):
-        k = int(np.count_nonzero(f.levels > lam))
-        return float(f.breakpoints[k]) - float(f.breakpoints[0])
+        return float(f.breakpoints[np.count_nonzero(f.levels > lam)])
     raise TypeError(f"unsupported operand type {type(f)!r}")
 
 
@@ -198,9 +197,21 @@ def layer_cake_excess(f: MassFunction, lam: float) -> float:
     return float(np.dot(f.values[:k] - lam, f.masses[:k]))
 
 
-def _oscillation_coefficients(s: StepProfile) -> np.ndarray:
-    # on segment j the oscillation f** - f* equals c_j / t with these c_j
-    return s._cum_integral[:-1] - s.levels * s.breakpoints[:-1]
+def oscillation_norm(s: StepProfile, q: float, inv_pbar: float = 0.0, tail: bool = False) -> float:
+    """Exact { int ((s** - s)(t) t^inv_pbar)^q dt/t }^(1/q) over (0, M], or (0, inf) with ``tail``.
+
+    On segment j, s** - s = c_j / t with c_j = int_0^{t_j} s - level_j t_j
+    (Bennett-Sharpley, ch. 2), and c_0 = 0; past M it is (total integral) / t.
+    Divergent integrals give ``inf``.
+    """
+    b = s.breakpoints
+    c = s._cum_integral[:-1] - s.levels * b[:-1]
+    active = np.flatnonzero(c > 0)
+    alpha = q * inv_pbar - q
+    total = float(np.sum(c[active] ** q * power_segment_integral(b[active], b[active + 1], alpha)))
+    if tail and s.total_integral > 0:
+        total += s.total_integral**q * s.total_measure**alpha / -alpha
+    return total ** (1.0 / q) if math.isfinite(total) else math.inf
 
 
 def lorentz_norm(s: StepProfile, r: float, q: float) -> float:
@@ -232,17 +243,7 @@ def lorentz_norm(s: StepProfile, r: float, q: float) -> float:
         total = float(np.sum(seg))
         return total ** (1.0 / q) if math.isfinite(total) else math.inf
 
-    # r = inf: oscillation form; f** - f* = c_j / t piecewise, T/t past M.
-    # c_0 = 0 always (no oscillation on the first segment), so only segments
-    # with positive coefficient and positive left endpoint contribute.
-    c = _oscillation_coefficients(s)
-    active = np.flatnonzero(c > 0)
-    seg = c[active] ** q * power_segment_integral(b[active], b[active + 1], -q)
-    total = float(np.sum(seg))
-    T = s.total_integral
-    if T > 0:
-        total += T**q * s.total_measure ** (-q) / q
-    return total ** (1.0 / q) if math.isfinite(total) else math.inf
+    return oscillation_norm(s, q, tail=True)
 
 
 def dform_derivative(s: StepProfile, p: float, t: float) -> float:

@@ -42,14 +42,16 @@ class CheckReport:
     def error(cls, inequality_id: str, status: str, function_id=None, params=None):
         """A failed-with-reason row; keeps suites running past bad inputs."""
         return cls(
-            inequality_id=inequality_id,
-            params=params or {},
-            worst_ratio=math.nan,
-            worst_location=None,
-            constant_used=math.nan,
-            tolerance=0.0,
-            status=status,
-            function_id=function_id,
+            inequality_id, params or {}, worst_ratio=math.nan, worst_location=None,
+            constant_used=math.nan, tolerance=0.0, status=status, function_id=function_id,
+        )
+
+    @classmethod
+    def trivial_pass(cls, inequality_id: str, params: dict, constant: float, tolerance: float):
+        """A zero-ratio row, for inputs (the zero function) on which both sides vanish."""
+        return cls(
+            inequality_id, params, worst_ratio=0.0, worst_location=None,
+            constant_used=constant, tolerance=tolerance,
         )
 
     def to_dict(self, include_trace: bool = False) -> dict:

@@ -14,9 +14,9 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import CorpusSpec, generate_corpus
+from .corpus import CorpusSpec, check_keys, generate_corpus
 from .gradient import PreparedFunction
-from .inequalities import CHECKERS, check_binomial_bounds, check_oneil
+from .inequalities import ARITY, CHECKERS, check_binomial_bounds, check_oneil, checker_kwargs
 from .report import CheckReport
 
 __all__ = ["SuiteConfig", "run_suite", "emit_report", "load_report", "DEFAULT_INEQUALITIES"]
@@ -43,7 +43,7 @@ DEFAULT_INEQUALITIES = (
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Which checks to run and how; unknown inequality ids are rejected."""
+    """Which checks to run and how; unknown inequality ids and entry keys are rejected."""
 
     inequalities: tuple = DEFAULT_INEQUALITIES
     gradient_mode: str = "metric_max"
@@ -54,9 +54,7 @@ class SuiteConfig:
 
     def __post_init__(self):
         for entry in self.inequalities:
-            name = entry.get("id")
-            if name not in CHECKERS and name not in ("binomial_bounds", "oneil"):
-                raise ValueError(f"unknown inequality id {name!r}")
+            checker_kwargs(entry.get("id"), entry, {})
 
     def to_json(self, path=None):
         doc = {
@@ -77,27 +75,12 @@ class SuiteConfig:
         doc = source if isinstance(source, dict) else json.loads(
             Path(source).read_text(encoding="utf-8")
         )
-        corpus = CorpusSpec.from_json(doc["corpus"]) if "corpus" in doc else CorpusSpec()
-        ineqs = tuple(dict(e) for e in doc.get("inequalities", DEFAULT_INEQUALITIES))
-        return cls(
-            inequalities=ineqs,
-            gradient_mode=doc.get("gradient_mode", "metric_max"),
-            constant_mode=doc.get("constant_mode", "analytic"),
-            tolerance=doc.get("tolerance"),
-            detail=bool(doc.get("detail", False)),
-            corpus=corpus,
-        )
-
-
-def _entry_kwargs(entry: dict, config: SuiteConfig) -> dict:
-    kwargs = {k: v for k, v in entry.items() if k != "id"}
-    kwargs.setdefault("gradient_mode", config.gradient_mode)
-    if config.tolerance is not None:
-        kwargs.setdefault("tolerance", config.tolerance)
-    if entry["id"] in ("s_phi_p", "oscillation_p", "derivative_p"):
-        kwargs.setdefault("constant_mode", config.constant_mode)
-        kwargs.setdefault("capture_trace", config.detail)
-    return kwargs
+        check_keys(doc, cls, "suite config")
+        values = dict(doc, detail=bool(doc.get("detail", False)))
+        values["inequalities"] = tuple(dict(e) for e in doc.get("inequalities", DEFAULT_INEQUALITIES))
+        if "corpus" in doc:
+            values["corpus"] = CorpusSpec.from_json(doc["corpus"])
+        return cls(**values)
 
 
 def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
@@ -114,19 +97,24 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
     if corpus is None:
         corpus = generate_corpus(config.corpus)
     rows: list[list[CheckReport]] = [[] for _ in config.inequalities]
+    context = {
+        "n": config.corpus.dim,
+        "gradient_mode": config.gradient_mode,
+        "constant_mode": config.constant_mode,
+        "capture_trace": config.detail,
+        "tolerance": config.tolerance,
+    }
     per_function, pairs = [], []
     for slot, entry in zip(rows, config.inequalities):
         name = entry["id"]
-        kwargs = _entry_kwargs(entry, config)
-        if name == "binomial_bounds":
-            kwargs.pop("gradient_mode", None)
-            kwargs.pop("capture_trace", None)
+        kwargs = checker_kwargs(name, entry, context)
+        # the one corpus-free sweep and the one pair check run through this module's names
+        arity = ARITY.get(name, 1)
+        if arity == 0:
             slot.append(_guarded(name, "-", lambda: check_binomial_bounds(**kwargs)))
-        elif name == "oneil":
-            kwargs.pop("gradient_mode", None)
-            pairs.append((slot, kwargs))
+        elif arity == 2:
+            pairs.append((slot, name, kwargs))
         else:
-            kwargs.setdefault("n", config.corpus.dim)
             per_function.append((slot, name, CHECKERS[name], kwargs))
 
     prev_id, prev = None, None
@@ -138,10 +126,8 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
             pf.keep_profile_only()
             if prev is not None:
                 pair_id = f"{prev_id}*{function_id}"
-                for slot, kwargs in pairs:
-                    slot.append(
-                        _guarded("oneil", pair_id, lambda: check_oneil(prev, pf, **kwargs))
-                    )
+                for slot, name, kwargs in pairs:
+                    slot.append(_guarded(name, pair_id, lambda: check_oneil(prev, pf, **kwargs)))
             prev_id, prev = function_id, pf
     return [report for slot in rows for report in slot]
 

@@ -6,6 +6,7 @@ import pytest
 
 import symineq as sq
 from symineq.cli import main as cli_main
+from symineq.inequalities import checker_kwargs
 from symineq.report import CheckReport
 from symineq.suite import SuiteConfig, suite_exit_code, summarize
 
@@ -103,8 +104,30 @@ class TestSuite:
         assert len(small_reports) == expected
 
     def test_unknown_id_rejected_at_parse(self):
-        with pytest.raises(ValueError):
-            SuiteConfig(inequalities=({"id": "mystery"},))
+        for entry in (
+            {"id": "mystery"},
+            {"id": "oscillation_p", "tolerence": -1},
+            {"id": "chain_rule", "p": 3.0},
+            {"id": "nash_classical", "p": 3.0},
+            {"id": "sobolev_weak", "constant_mode": "fitted"},
+            {"id": "binomial_bounds", "p": 2.5, "gradient_mode": "metric_max"},
+            {"id": "oneil", "pionts_per_decade": 8},
+        ):
+            with pytest.raises(ValueError):
+                SuiteConfig(inequalities=(entry,))
+
+    def test_context_defaults_reach_declaring_checkers_only(self):
+        context = {"n": 3, "gradient_mode": "euclidean_central", "capture_trace": True}
+        assert checker_kwargs("chain_rule", {"id": "chain_rule", "r": 3.0}, context) == {
+            "gradient_mode": "euclidean_central",
+            "r": 3.0,
+        }
+        assert checker_kwargs("binomial_bounds", {"p": 2.5}, context) == {"p": 2.5}
+        assert checker_kwargs("oscillation_p", {"n": 2}, context)["n"] == 2
+        with pytest.raises(ValueError, match="takes 2 functions"):
+            checker_kwargs("oneil", {}, context, arity=1)
+        with pytest.raises(ValueError, match="accepted keys"):
+            sq.empirical_best_constant("s_phi_p", [sq.cone_grid(64, radius=0.8)], {"q": 1.0})
 
     def test_errors_become_rows_not_aborts(self):
         config = SuiteConfig(
@@ -258,6 +281,56 @@ class TestCli:
 
     def test_check_unknown_inequality(self, tmp_path, capsys):
         assert cli_main(["check", "--ineq", "nope", "--fn", "x.json"]) == 2
+
+    @pytest.fixture
+    def cone_file(self, tmp_path):
+        path = tmp_path / "cone.json"
+        sq.cone_grid(32, radius=0.5).to_json(path)
+        return path
+
+    def test_check_missing_or_malformed_phi_file(self, cone_file, tmp_path, capsys):
+        bad_phi = tmp_path / "bad_phi.json"
+        bad_phi.write_text(json.dumps({"kind": "table"}))  # no samples
+        for phi in (tmp_path / "missing.json", bad_phi):
+            code = cli_main(
+                ["check", "--ineq", "oscillation_p", "--fn", str(cone_file), "--phi", str(phi)]
+            )
+            assert code == 2
+            assert "cannot load phi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["oneil", "binomial_bounds"])
+    def test_check_rejects_pair_and_corpus_free_ids(self, cone_file, name, capsys):
+        assert cli_main(["check", "--ineq", name, "--fn", str(cone_file), "--p", "2.5"]) == 2
+        assert "takes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["chain_rule", "nash_classical"])
+    def test_check_rejects_undeclared_flag(self, cone_file, name, capsys):
+        assert cli_main(["check", "--ineq", name, "--fn", str(cone_file), "--p", "3"]) == 2
+        assert "unknown keys ['p']" in capsys.readouterr().err
+        assert cli_main(["check", "--ineq", name, "--fn", str(cone_file)]) == 0
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"inequalities": [{"id": "chain_rule", "p": 3.0}]},
+            {"tolerence": 0.1},
+            {"corpus": {"extnts": 5}},
+        ],
+        ids=["entry_key", "config_key", "corpus_key"],
+    )
+    def test_suite_unknown_key_is_a_config_error(self, tmp_path, capsys, doc):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_main(["suite", "--config", str(config_file), "--out", str(out)]) == 2
+        assert "cannot load config" in capsys.readouterr().err
+        assert not (out / "reports.json").exists()
+
+    def test_corpus_unknown_spec_key(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"extnts": 5}))
+        assert cli_main(["corpus", "--spec", str(spec_file), "--out", str(tmp_path)]) == 2
+        assert "cannot load spec" in capsys.readouterr().err
 
     def test_check_missing_function_file(self, tmp_path):
         assert cli_main(["check", "--ineq", "s_phi_p", "--fn", str(tmp_path / "no.json")]) == 2

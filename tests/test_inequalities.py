@@ -444,6 +444,12 @@ class TestEmpiricalBestConstant:
         ]
         assert consts[0] < consts[1] < consts[2] <= 1.05
 
+    def test_dimension_defaults_to_the_function(self):
+        f = sq.cone_grid(32, dim=3, radius=0.8)
+        phi3 = sq.phi_from_profile(sq.euclidean_profile(3))
+        report = sq.check_s_phi_p(f, phi3, InequalityParams(p=1.0, n=3))
+        assert empirical_best_constant("s_phi_p", [f], {"p": 1.0}) == report.worst_ratio
+
     def test_empty_and_unknown_rejected(self):
         with pytest.raises(ValueError):
             empirical_best_constant("s_phi_p", [])

@@ -85,7 +85,8 @@ def _direct_reports(config, corpus):
                 report.function_id = f"{id_a}*{id_b}"
                 out.append(report)
         else:
-            kwargs.setdefault("n", config.corpus.dim)
+            if name != "chain_rule":  # the chain rule has no dimension
+                kwargs.setdefault("n", config.corpus.dim)
             if name in TRACED_IDS:
                 kwargs["capture_trace"] = config.detail
             for function_id, f in corpus:

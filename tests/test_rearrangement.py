@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -130,6 +130,7 @@ class TestMaximalAverage:
         assert sq.maximal_average(prof, 1.0) == pytest.approx(2.0)
 
     @given(atom_lists)
+    @example(atoms=[(5e-324, 1.0)])  # avg * ts rounds below an underflowed slack
     @settings(max_examples=60)
     def test_dominates_profile_and_monotonicity(self, atoms):
         prof = sq.decreasing_rearrangement(MassFunction.from_atoms(atoms))
@@ -139,7 +140,7 @@ class TestMaximalAverage:
         slack = 1e-12 * max(prof.max_level, 1.0)
         assert np.all(avg >= prof.value(ts) - slack)
         assert np.all(np.diff(avg) <= 1e-12 * max(avg.max(), 1.0))
-        assert np.all(np.diff(avg * ts) >= -1e-12 * prof.total_integral)
+        assert np.all(np.diff(prof.prefix_integral(ts)) >= -1e-12 * prof.total_integral)
 
 
 class TestPoweredProfile:
