@@ -9,6 +9,7 @@ least two cells inside the domain boundary.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -20,12 +21,14 @@ from .isoperimetry import disk_mask, indicator_mollify
 
 __all__ = ["CorpusSpec", "generate_corpus", "cone_grid", "tent_grid"]
 
-KNOWN_FAMILIES = ("cone", "tensor_bump", "mollified_disk", "smoothed_noise", "multi_bump")
-
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Deterministic description of a grid-function corpus."""
+    """Deterministic description of a grid-function corpus.
+
+    Checked when constructed: every family kind and key must be known, and
+    the grid must hold the corpus features and each noise family's collar.
+    """
 
     seed: int = 0
     dim: int = 2
@@ -38,6 +41,14 @@ class CorpusSpec:
         {"kind": "smoothed_noise", "count": 2, "radius": 4},
         {"kind": "multi_bump", "count": 2, "bumps": 3},
     )
+
+    def __post_init__(self):
+        if self.extents < 16:
+            raise ValueError("grid too small for the corpus features")
+        for fam in self.families:
+            keys = _family_kwargs(fam)
+            if fam["kind"] == "smoothed_noise":
+                _noise_margin(self.extents, keys.get("radius", NOISE_RADIUS))
 
     @property
     def spacing(self) -> float:
@@ -64,11 +75,8 @@ class CorpusSpec:
         check_keys(doc, cls, "corpus spec")
         families = []
         for fam in doc.get("families", []):
-            fam = dict(fam)
-            if fam.get("kind") not in KNOWN_FAMILIES:
-                raise ValueError(f"unknown corpus family {fam.get('kind')!r}")
-            if "eps_ladder" in fam:
-                fam["eps_ladder"] = tuple(fam["eps_ladder"])
+            if isinstance(fam, dict) and "eps_ladder" in fam:
+                fam = dict(fam, eps_ladder=tuple(fam["eps_ladder"]))
             families.append(fam)
         return cls(
             seed=int(doc.get("seed", 0)),
@@ -160,93 +168,131 @@ def _box_blur(values: np.ndarray, radius: int, passes: int = 3) -> np.ndarray:
     return out
 
 
-def _build_family(fam: dict, spec: CorpusSpec, rng: np.random.Generator):
-    kind = fam["kind"]
+# One builder per family kind.  A builder's keyword parameters are the keys a
+# family entry may set; nothing else declares them.  Builders draw from the
+# shared generator in corpus order, so a spec always gives the same bytes.
+
+
+def _cone(spec: CorpusSpec, rng, *, count=1, radius=None, height=1.0):
+    radius = 0.35 * spec.side if radius is None else radius
+    center = (spec.side / 2.0,) * spec.dim
+    return [
+        cone_grid(spec.extents, spec.dim, spec.side, radius, height, center)
+        for _ in range(count)
+    ]
+
+
+def _tensor_bump(spec: CorpusSpec, rng, *, count=1, widths=None):
     shape = (spec.extents,) * spec.dim
-    h = spec.spacing
-    side = spec.side
+    h, side = spec.spacing, spec.side
+    out = []
+    for _ in range(count):
+        w = widths
+        if w is None:
+            w = tuple(side * rng.uniform(0.18, 0.32) for _ in range(spec.dim))
+        c = tuple(
+            side / 2.0 + side * rng.uniform(-0.08, 0.08) for _ in range(spec.dim)
+        )
+        axes = _cell_axes(shape, h)
+        values = np.ones(shape)
+        for ax, (xs, wa, cc) in enumerate(zip(axes, w, c)):
+            u = np.clip(np.abs(xs - cc) / wa, 0.0, 1.0)
+            prof = np.cos(np.pi * u / 2.0) ** 2
+            prof[u >= 1.0] = 0.0
+            sl = [None] * spec.dim
+            sl[ax] = slice(None)
+            values = values * prof[tuple(sl)]
+        _zero_margin(values)
+        out.append(GridFunction(h, values))
+    return out
+
+
+def _mollified_disk(spec: CorpusSpec, rng, *, radius=None, eps_ladder=(0.2, 0.1, 0.05)):
+    shape = (spec.extents,) * spec.dim
+    h, side = spec.spacing, spec.side
+    radius = 0.25 * side if radius is None else radius
     center = (side / 2.0,) * spec.dim
     out = []
-
-    if kind == "cone":
-        radius = fam.get("radius", 0.35 * side)
-        height = fam.get("height", 1.0)
-        for _ in range(fam.get("count", 1)):
-            out.append(cone_grid(spec.extents, spec.dim, side, radius, height, center))
-
-    elif kind == "tensor_bump":
-        for i in range(fam.get("count", 1)):
-            widths = fam.get("widths")
-            if widths is None:
-                widths = tuple(side * rng.uniform(0.18, 0.32) for _ in range(spec.dim))
-            c = tuple(
-                side / 2.0 + side * rng.uniform(-0.08, 0.08) for _ in range(spec.dim)
-            )
-            axes = _cell_axes(shape, h)
-            values = np.ones(shape)
-            for ax, (xs, w, cc) in enumerate(zip(axes, widths, c)):
-                u = np.clip(np.abs(xs - cc) / w, 0.0, 1.0)
-                prof = np.cos(np.pi * u / 2.0) ** 2
-                prof[u >= 1.0] = 0.0
-                sl = [None] * spec.dim
-                sl[ax] = slice(None)
-                values = values * prof[tuple(sl)]
-            _zero_margin(values)
-            out.append(GridFunction(h, values))
-
-    elif kind == "mollified_disk":
-        radius = fam.get("radius", 0.25 * side)
-        ladder = fam.get("eps_ladder", (0.2, 0.1, 0.05))
-        for eps_rel in ladder:
-            eps = eps_rel * side
-            mask = disk_mask(shape, h, center, radius)
-            out.append(indicator_mollify(mask, h, max(eps, h)))
-
-    elif kind == "smoothed_noise":
-        radius = int(fam.get("radius", 4))
-        margin = 2 + radius * 3 + 2
-        if 2 * margin >= spec.extents:
-            raise ValueError("grid too small for the requested smoothing radius")
-        for _ in range(fam.get("count", 1)):
-            raw = rng.uniform(-0.5, 1.0, size=shape)
-            inner = np.zeros(shape)
-            core = tuple(slice(margin, -margin) for _ in range(spec.dim))
-            inner[core] = raw[core]
-            smooth = _box_blur(inner, radius)
-            values = np.clip(smooth, 0.0, None)
-            _zero_margin(values)
-            out.append(GridFunction(h, values))
-
-    elif kind == "multi_bump":
-        bumps = int(fam.get("bumps", 3))
-        for _ in range(fam.get("count", 1)):
-            values = np.zeros(shape)
-            for _ in range(bumps):
-                radius = side * rng.uniform(0.08, 0.18)
-                c = tuple(
-                    rng.uniform(radius + 3 * h, side - radius - 3 * h)
-                    for _ in range(spec.dim)
-                )
-                dist = _radial_distance(shape, h, c)
-                values += rng.uniform(0.4, 1.0) * np.clip(1.0 - dist / radius, 0.0, None)
-            _zero_margin(values)
-            out.append(GridFunction(h, values))
-
-    else:
-        raise ValueError(f"unknown corpus family {kind!r}")
+    for eps_rel in eps_ladder:
+        mask = disk_mask(shape, h, center, radius)
+        out.append(indicator_mollify(mask, h, max(eps_rel * side, h)))
     return out
+
+
+NOISE_RADIUS = 4  # default box-smoothing radius of smoothed_noise, in cells
+
+
+def _noise_margin(extents: int, radius) -> int:
+    """Zero collar of a smoothed_noise function, in cells; the grid must hold two."""
+    margin = 2 + int(radius) * 3 + 2
+    if 2 * margin >= extents:
+        raise ValueError("grid too small for the requested smoothing radius")
+    return margin
+
+
+def _smoothed_noise(spec: CorpusSpec, rng, *, count=1, radius=NOISE_RADIUS):
+    shape = (spec.extents,) * spec.dim
+    margin = _noise_margin(spec.extents, radius)
+    out = []
+    for _ in range(count):
+        raw = rng.uniform(-0.5, 1.0, size=shape)
+        inner = np.zeros(shape)
+        core = tuple(slice(margin, -margin) for _ in range(spec.dim))
+        inner[core] = raw[core]
+        smooth = _box_blur(inner, int(radius))
+        values = np.clip(smooth, 0.0, None)
+        _zero_margin(values)
+        out.append(GridFunction(spec.spacing, values))
+    return out
+
+
+def _multi_bump(spec: CorpusSpec, rng, *, count=1, bumps=3):
+    shape = (spec.extents,) * spec.dim
+    h, side = spec.spacing, spec.side
+    out = []
+    for _ in range(count):
+        values = np.zeros(shape)
+        for _ in range(int(bumps)):
+            radius = side * rng.uniform(0.08, 0.18)
+            c = tuple(
+                rng.uniform(radius + 3 * h, side - radius - 3 * h)
+                for _ in range(spec.dim)
+            )
+            dist = _radial_distance(shape, h, c)
+            values += rng.uniform(0.4, 1.0) * np.clip(1.0 - dist / radius, 0.0, None)
+        _zero_margin(values)
+        out.append(GridFunction(h, values))
+    return out
+
+
+FAMILIES = {
+    "cone": _cone,
+    "tensor_bump": _tensor_bump,
+    "mollified_disk": _mollified_disk,
+    "smoothed_noise": _smoothed_noise,
+    "multi_bump": _multi_bump,
+}
+
+
+def _family_kwargs(fam) -> dict:
+    """A family entry's keys but ``kind``; the kind and every key must be its builder's."""
+    if not isinstance(fam, dict) or fam.get("kind") not in FAMILIES:
+        kind = fam.get("kind") if isinstance(fam, dict) else fam
+        raise ValueError(f"unknown corpus family {kind!r}; known kinds are {sorted(FAMILIES)}")
+    accepted = list(inspect.signature(FAMILIES[fam["kind"]]).parameters)[2:]
+    keys = {k: v for k, v in fam.items() if k != "kind"}
+    unknown = sorted(set(keys) - set(accepted))
+    if unknown:
+        raise ValueError(f"{fam['kind']}: unknown keys {unknown}; accepted keys are {accepted}")
+    return keys
 
 
 def generate_corpus(spec: CorpusSpec) -> list[tuple[str, GridFunction]]:
     """Deterministic (function_id, GridFunction) list for a corpus spec."""
-    if spec.extents < 16:
-        raise ValueError("grid too small for the corpus features")
     rng = np.random.default_rng(spec.seed)
     out: list[tuple[str, GridFunction]] = []
     for fam in spec.families:
-        if fam["kind"] not in KNOWN_FAMILIES:
-            raise ValueError(f"unknown corpus family {fam['kind']!r}")
-        built = _build_family(dict(fam), spec, rng)
+        built = FAMILIES[fam["kind"]](spec, rng, **_family_kwargs(fam))
         for i, gf in enumerate(built):
             out.append((f"{fam['kind']}_{i:02d}", gf))
     return out

@@ -21,6 +21,7 @@ from .measure import GridFunction, MassFunction, lp_norm, support_measure
 from .rearrangement import (
     StepProfile,
     decreasing_rearrangement,
+    dform_derivative,
     geometric_tgrid,
     maximal_average,
     oscillation_norm,
@@ -34,7 +35,7 @@ from .gradient import (
     prepare,
 )
 from .isoperimetry import ProfileHandle, euclidean_profile, phi_from_profile
-from .report import CheckReport
+from .report import CheckReport, best_constant
 
 __all__ = [
     "InequalityParams",
@@ -277,7 +278,6 @@ def check_derivative_p(
     doc["base_constant"] = base
     if not np.any(pf.grid.values):
         return CheckReport.trivial_pass("derivative_p", doc, constant, params.tolerance)
-    fp = powered_profile(pf.profile, p)
     gp = powered_profile(pf.grad_profile(gradient_mode), p)
     t = _default_tgrid(pf.grid, params)
 
@@ -285,7 +285,7 @@ def check_derivative_p(
         return phi(ts) / ts * maximal_average(gp, ts) ** (1.0 / p)
 
     if form == "integrated":
-        amplitude = maximal_average(fp, t) ** (1.0 / p)
+        amplitude = maximal_average(powered_profile(pf.profile, p), t) ** (1.0 / p)
         lhs = amplitude[:-1] - amplitude[1:]
         steps = np.arange(refine + 1)
         growth = (t[1:] / t[:-1]) ** (1.0 / refine)
@@ -295,8 +295,7 @@ def check_derivative_p(
         rhs = np.sum(vals[:, 1:] * np.diff(sub, axis=1), axis=1)
         locs = t[:-1]
     else:
-        fpp_avg = maximal_average(fp, t)
-        lhs = (1.0 / p) * fpp_avg ** (1.0 / p - 1.0) * (fpp_avg - fp.value(t)) / t
+        lhs = dform_derivative(pf.profile, p, t)
         rhs = integrand(t)
         locs = t
     ratios = _ratio(lhs, rhs)
@@ -795,14 +794,14 @@ def checker_kwargs(name: str, entry: dict, context: dict, arity: int | None = No
 
 
 def empirical_best_constant(inequality_id: str, corpus, params: dict | None = None) -> float:
-    """Sup over the corpus of the inequality's worst ratio; n defaults to each function's dimension."""
+    """``best_constant`` of the inequality's reports over the corpus; n defaults to each function's dimension."""
     corpus = list(corpus)
     if not corpus:
         raise ValueError("empty corpus")
     if inequality_id not in CHECKERS:
         raise KeyError(f"unknown inequality id {inequality_id!r}")
-    worst = []
+    reports = []
     for f in map(prepare, corpus):
         kwargs = checker_kwargs(inequality_id, params or {}, {"n": f.grid.dim}, arity=1)
-        worst.append(CHECKERS[inequality_id](f, **kwargs).worst_ratio)
-    return max(worst)
+        reports.append(CHECKERS[inequality_id](f, **kwargs))
+    return best_constant(reports)

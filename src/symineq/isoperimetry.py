@@ -26,8 +26,6 @@ __all__ = [
     "validate_profile",
     "indicator_mollify",
     "disk_mask",
-    "cell_set_to_json",
-    "cell_set_from_json",
     "unit_ball_volume",
 ]
 
@@ -242,29 +240,6 @@ def disk_mask(
     grids = np.meshgrid(*axes, indexing="ij")
     d2 = sum((g - c) ** 2 for g, c in zip(grids, center))
     return d2 <= radius**2
-
-
-def cell_set_to_json(mask: np.ndarray, path=None):
-    """Serialize a cell set as {extents, indices}: one index tuple per cell."""
-    mask = np.asarray(mask, dtype=bool)
-    doc = {
-        "extents": list(mask.shape),
-        "indices": [[int(i) for i in idx] for idx in np.argwhere(mask)],
-    }
-    if path is None:
-        return doc
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
-    return None
-
-
-def cell_set_from_json(source) -> np.ndarray:
-    doc = source if isinstance(source, dict) else json.loads(
-        Path(source).read_text(encoding="utf-8")
-    )
-    mask = np.zeros(tuple(int(n) for n in doc["extents"]), dtype=bool)
-    for idx in doc["indices"]:
-        mask[tuple(int(i) for i in idx)] = True
-    return mask
 
 
 def indicator_mollify(mask: np.ndarray, spacing: float, eps: float) -> GridFunction:

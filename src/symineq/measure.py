@@ -84,30 +84,6 @@ class MassFunction:
     def __repr__(self) -> str:
         return f"MassFunction({len(self)} atoms, total_mass={self.total_mass:g})"
 
-    # -- serialization: CSV rows "value,mass" --------------------------------
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("value,mass\n")
-            for v, m in zip(self.values, self.masses):
-                fh.write(f"{float(v)!r},{float(m)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "MassFunction":
-        values, masses = [], []
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header.replace(" ", "") != "value,mass":
-                raise ValueError(f"{path}: expected 'value,mass' header")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                v, m = line.split(",")
-                values.append(float(v))
-                masses.append(float(m))
-        return cls(values, masses)
-
 
 class GridFunction:
     """Real-valued function sampled on a uniform n-dimensional grid.

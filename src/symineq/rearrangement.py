@@ -118,32 +118,6 @@ class StepProfile:
             f"max={self.max_level:g})"
         )
 
-    # -- serialization: CSV rows "t_break,level"; the terminal row carries ----
-    # -- (M, 0) for the value beyond the profile's extent ---------------------
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t_break,level\n")
-            for t, l in zip(self.breakpoints[:-1], self.levels):
-                fh.write(f"{float(t)!r},{float(l)!r}\n")
-            fh.write(f"{self.total_measure!r},0.0\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "StepProfile":
-        ts, ls = [], []
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header.replace(" ", "") != "t_break,level":
-                raise ValueError(f"{path}: expected 't_break,level' header")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                t, l = line.split(",")
-                ts.append(float(t))
-                ls.append(float(l))
-        return cls(ts, ls[:-1])
-
 
 def distribution(f, lam: float) -> float:
     """Measure of {value > lam} (strict), for a MassFunction or StepProfile."""
@@ -176,11 +150,11 @@ def maximal_average(s: StepProfile, t: float):
 
 
 def powered_profile(s: StepProfile, p: float) -> StepProfile:
-    """Pointwise p-th power of the levels; breakpoints unchanged."""
+    """Pointwise p-th power of the levels; breakpoints unchanged, ``s`` itself at p = 1."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if p == 1.0:
-        return StepProfile(s.breakpoints, s.levels.copy())
+        return s
     return StepProfile(s.breakpoints, s.levels**p)
 
 
@@ -246,24 +220,26 @@ def lorentz_norm(s: StepProfile, r: float, q: float) -> float:
     return oscillation_norm(s, q, tail=True)
 
 
-def dform_derivative(s: StepProfile, p: float, t: float) -> float:
+def dform_derivative(s: StepProfile, p: float, t):
     """Analytic value of -d/dt of (maximal average of the p-powered profile)^{1/p}.
 
     Evaluates (1/p) * F(t)^{1/p - 1} * (F(t) - s(t)^p) / t with F the maximal
     average of the powered profile; never differentiates numerically.
+    Vectorized in t; a scalar t gives a float.
     """
-    if t <= 0:
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr <= 0):
         raise ValueError("t must be positive")
     if p < 1:
         raise ValueError("p must be >= 1")
     sp = powered_profile(s, p)
-    fpp_star = sp.value(t)
-    fpp_avg = maximal_average(sp, t)
-    if fpp_avg == 0.0:
-        return 0.0
+    fpp_avg = maximal_average(sp, t_arr)
     # the oscillation is nonnegative in exact arithmetic; clamp the 1-ulp dip
-    osc = max(fpp_avg - fpp_star, 0.0)
-    return (1.0 / p) * fpp_avg ** (1.0 / p - 1.0) * osc / t
+    osc = np.maximum(fpp_avg - sp.value(t_arr), 0.0)
+    # F(t) = 0 only where the profile vanishes on (0, t), and so does the derivative
+    amplitude = np.where(fpp_avg > 0.0, fpp_avg, 1.0) ** (1.0 / p - 1.0)
+    out = (1.0 / p) * amplitude * osc / t_arr
+    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
 def geometric_tgrid(t_min: float, t_max: float, points_per_decade: int = 64) -> np.ndarray:

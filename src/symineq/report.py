@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["CheckReport"]
+__all__ = ["CheckReport", "best_constant"]
 
 
 @dataclass
@@ -86,6 +86,14 @@ class CheckReport:
         if report.passed != doc["pass"]:
             raise ValueError("pass flag inconsistent with ratio/constant/tolerance")
         return report
+
+
+def best_constant(reports) -> float:
+    """Empirical best constant: the largest worst_ratio among rows with status "ok", 0 if none.
+
+    Flagged and error rows are left out: their ratio is not a value of the inequality.
+    """
+    return max([0.0] + [r.worst_ratio for r in reports if r.status == "ok"])
 
 
 def _none_as_nan(x):

@@ -17,7 +17,7 @@ from pathlib import Path
 from .corpus import CorpusSpec, check_keys, generate_corpus
 from .gradient import PreparedFunction
 from .inequalities import ARITY, CHECKERS, check_binomial_bounds, check_oneil, checker_kwargs
-from .report import CheckReport
+from .report import CheckReport, best_constant
 
 __all__ = ["SuiteConfig", "run_suite", "emit_report", "load_report", "DEFAULT_INEQUALITIES"]
 
@@ -144,20 +144,18 @@ def _guarded(name: str, function_id: str, check) -> CheckReport:
 
 def summarize(reports: list[CheckReport]) -> dict:
     """Empirical best constant and pass counts per inequality id."""
-    out: dict[str, dict] = {}
+    groups: dict[str, list[CheckReport]] = {}
     for report in reports:
-        row = out.setdefault(
-            report.inequality_id,
-            {"best_constant": 0.0, "checks": 0, "passes": 0, "errors": 0},
-        )
-        row["checks"] += 1
-        if report.status != "ok":
-            row["errors"] += 1
-        else:
-            row["best_constant"] = max(row["best_constant"], report.worst_ratio)
-        if report.passed:
-            row["passes"] += 1
-    return out
+        groups.setdefault(report.inequality_id, []).append(report)
+    return {
+        name: {
+            "best_constant": best_constant(rows),
+            "checks": len(rows),
+            "passes": sum(1 for r in rows if r.passed),
+            "errors": sum(1 for r in rows if r.status != "ok"),
+        }
+        for name, rows in groups.items()
+    }
 
 
 def suite_exit_code(reports: list[CheckReport]) -> int:

@@ -332,6 +332,30 @@ class TestCli:
         assert cli_main(["corpus", "--spec", str(spec_file), "--out", str(tmp_path)]) == 2
         assert "cannot load spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"families": [{"kind": "tensor_bump", "cout": 5}]},
+            {"families": [{"kind": "smoothed_noise", "raduis": 9}]},
+            {"extents": 8},
+            {"extents": 20},  # too small for the default noise smoothing radius
+        ],
+        ids=["family_key", "noise_family_key", "grid_too_small", "noise_margin"],
+    )
+    def test_spec_that_cannot_be_built_is_an_input_error(self, tmp_path, capsys, spec):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        corpus_dir = tmp_path / "corpus"
+        assert cli_main(["corpus", "--spec", str(spec_file), "--out", str(corpus_dir)]) == 2
+        assert "cannot load spec" in capsys.readouterr().err
+        assert not (corpus_dir / "manifest.json").exists()
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"corpus": spec}))
+        suite_dir = tmp_path / "suite"
+        assert cli_main(["suite", "--config", str(config_file), "--out", str(suite_dir)]) == 2
+        assert "cannot load config" in capsys.readouterr().err
+        assert not (suite_dir / "reports.json").exists()
+
     def test_check_missing_function_file(self, tmp_path):
         assert cli_main(["check", "--ineq", "s_phi_p", "--fn", str(tmp_path / "no.json")]) == 2
 

@@ -12,6 +12,7 @@ from symineq.inequalities import (
 )
 from symineq.isoperimetry import ProfileHandle, disk_mask, indicator_mollify
 from symineq.measure import GridFunction
+from symineq.suite import summarize
 
 
 def small_cone(extents=256, radius=0.35, side=1.0, offset=(0.0, 0.0)):
@@ -186,6 +187,17 @@ class TestDerivativeP:
         pointwise = sq.check_derivative_p(f, phi_euclid_2d, params, form="pointwise")
         assert integrated.passed
         assert pointwise.worst_ratio > integrated.worst_ratio
+
+    def test_pointwise_trace_is_dform_derivative(self, phi_euclid_2d):
+        h = 1.0 / 128
+        f = indicator_mollify(disk_mask((128, 128), h, (0.5, 0.5), 0.2), h, 0.1)
+        params = InequalityParams(p=2.0, n=2)
+        report = sq.check_derivative_p(
+            f, phi_euclid_2d, params, form="pointwise", capture_trace=True
+        )
+        t, lhs, _ = np.array(report.trace).T
+        prof = sq.decreasing_rearrangement(sq.grid_to_mass(f))
+        assert np.array_equal(lhs, sq.dform_derivative(prof, 2.0, t))
 
     def test_unknown_form_rejected(self, phi_euclid_2d):
         f = small_cone(64, radius=0.3)
@@ -449,6 +461,22 @@ class TestEmpiricalBestConstant:
         phi3 = sq.phi_from_profile(sq.euclidean_profile(3))
         report = sq.check_s_phi_p(f, phi3, InequalityParams(p=1.0, n=3))
         assert empirical_best_constant("s_phi_p", [f], {"p": 1.0}) == report.worst_ratio
+
+    def test_flagged_rows_are_left_out_as_in_the_summary(self):
+        # the near-indicator disk is flagged:jump; its ratio has no refinement limit
+        h = 1.0 / 128
+        sharp = indicator_mollify(disk_mask((128, 128), h, (0.5, 0.5), 0.25), h, h)
+        ridge = sq.CorpusSpec(
+            extents=128, families=({"kind": "tensor_bump", "widths": (0.45, 0.03)},)
+        )
+        corpus = [("sharp", sharp)] + sq.generate_corpus(ridge)
+        config = sq.SuiteConfig(inequalities=({"id": "polya_szego", "p": 1.0},))
+        reports = sq.run_suite(config, corpus=corpus)
+        assert [r.status for r in reports] == ["flagged:jump", "ok"]
+        assert reports[0].worst_ratio > reports[1].worst_ratio
+        best = empirical_best_constant("polya_szego", [f for _, f in corpus], {"p": 1.0})
+        assert best == summarize(reports)["polya_szego"]["best_constant"]
+        assert best == reports[1].worst_ratio
 
     def test_empty_and_unknown_rejected(self):
         with pytest.raises(ValueError):

@@ -6,8 +6,6 @@ import pytest
 import symineq as sq
 from symineq.isoperimetry import (
     ProfileHandle,
-    cell_set_from_json,
-    cell_set_to_json,
     disk_mask,
     euclidean_profile,
     indicator_mollify,
@@ -168,10 +166,3 @@ class TestIndicatorMollify:
         f = indicator_mollify(mask, 0.1, 0.1)
         assert f.values[4, 4] == 1.0
         assert f.values[4, 5] == pytest.approx(0.0)  # neighbor at distance h
-
-    def test_cell_set_index_round_trip(self, tmp_path):
-        mask = disk_mask((16, 16), 1 / 16, (0.5, 0.5), 0.2)
-        path = tmp_path / "cells.json"
-        cell_set_to_json(mask, path)
-        back = cell_set_from_json(path)
-        assert np.array_equal(back, mask)

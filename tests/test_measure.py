@@ -42,13 +42,6 @@ class TestMassFunction:
         expected = sum(m for _, m in atoms)
         assert mf.total_mass == pytest.approx(expected, rel=1e-12)
 
-    def test_csv_round_trip(self, tmp_path):
-        mf = MassFunction([3.0, 1.0, 0.0], [0.5, 1.0, 0.25])
-        path = tmp_path / "mass.csv"
-        mf.to_csv(path)
-        back = MassFunction.from_csv(path)
-        assert back.atoms == mf.atoms
-
 
 class TestGridFunction:
     def test_boundary_layer_enforced(self):

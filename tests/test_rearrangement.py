@@ -108,14 +108,6 @@ class TestStepProfile:
             j = int(np.searchsorted(grid, t)) - 1
             assert prof.prefix_integral(t) == pytest.approx(dense[j], rel=1e-3)
 
-    def test_csv_round_trip(self, tmp_path):
-        prof = StepProfile([0.0, 0.5, 1.5], [3.0, 1.0])
-        path = tmp_path / "prof.csv"
-        prof.to_csv(path)
-        back = StepProfile.from_csv(path)
-        assert np.array_equal(back.breakpoints, prof.breakpoints)
-        assert np.array_equal(back.levels, prof.levels)
-
 
 class TestMaximalAverage:
     def test_indicator_examples(self):
@@ -268,6 +260,18 @@ class TestDformDerivative:
         prof = sq.decreasing_rearrangement(MassFunction([1.0], [1.0]))
         with pytest.raises(ValueError):
             sq.dform_derivative(prof, 2.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "atoms", [[(3.0, 0.5), (1.0, 1.0)], [(0.0, 1.0)]], ids=["two_steps", "zero"]
+    )
+    def test_array_t_matches_scalar_calls(self, atoms):
+        prof = sq.decreasing_rearrangement(MassFunction.from_atoms(atoms))
+        ts = np.array([0.1, 0.5, 0.8, 1.5, 3.0])  # inside, at and beyond breakpoints
+        for p in (1.0, 2.5):
+            got = sq.dform_derivative(prof, p, ts)
+            scalars = [sq.dform_derivative(prof, p, float(t)) for t in ts]
+            assert all(type(x) is float for x in scalars)
+            assert got.tolist() == scalars
 
     @given(atom_lists, st.floats(0.05, 3.0))
     @settings(max_examples=40)
