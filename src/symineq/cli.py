@@ -32,11 +32,12 @@ def _out_dir(value) -> Path:
 def _cmd_corpus(args) -> int:
     try:
         spec = CorpusSpec.from_json(args.spec) if args.spec else CorpusSpec()
+        # a family value that does not fit the grid is only found while building
+        corpus = generate_corpus(spec)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"cannot load spec: {exc}", file=sys.stderr)
         return 2
     out = _out_dir(args.out)
-    corpus = generate_corpus(spec)
     manifest = []
     for function_id, gf in corpus:
         name = f"{function_id}.json"
@@ -76,6 +77,7 @@ def _cmd_check(args) -> int:
 def _cmd_suite(args) -> int:
     try:
         config = SuiteConfig.from_json(args.config) if args.config else SuiteConfig()
+        corpus = generate_corpus(config.corpus)  # the flags below leave the corpus as it is
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"cannot load config: {exc}", file=sys.stderr)
         return 2
@@ -88,7 +90,7 @@ def _cmd_suite(args) -> int:
     overrides = {key: value for key, value in flags.items() if value is not None}
     config = replace(config, **overrides)
     out = _out_dir(args.out)
-    reports = run_suite(config)
+    reports = run_suite(config, corpus)
     seed = config.corpus.seed
     emit_report(reports, "json", out / "reports.json", detail=config.detail, seed=seed)
     emit_report(reports, "csv", out / "reports.csv", detail=config.detail, seed=seed)

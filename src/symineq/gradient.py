@@ -25,7 +25,12 @@ from __future__ import annotations
 import numpy as np
 
 from .measure import GridFunction, MassFunction, grid_to_mass, lp_norm
-from .rearrangement import StepProfile, decreasing_rearrangement, power_segment_integral
+from .rearrangement import (
+    StepProfile,
+    decreasing_rearrangement,
+    power_segment_integral,
+    powered_profile,
+)
 from .report import CheckReport
 from .isoperimetry import euclidean_profile
 
@@ -81,15 +86,17 @@ class PreparedFunction:
     ``mass`` and ``profile`` are the distribution of |f| and its decreasing
     rearrangement; ``grad(mode)``, ``grad_mass(mode)`` and
     ``grad_profile(mode)`` are the same chain for the gradient modulus in
-    one gradient mode.  Every artifact is built at most once and is
-    bit-identical to building it directly from ``grid``.
+    one gradient mode; ``powered(profile, p)`` is the p-th power of either
+    profile.  Every artifact is built at most once and is bit-identical to
+    building it directly from ``grid``.
     """
 
-    __slots__ = ("grid", "_cache")
+    __slots__ = ("grid", "_cache", "_powers")
 
     def __init__(self, grid: GridFunction):
         self.grid = grid
         self._cache = {}
+        self._powers = {}
 
     def _cached(self, key, build):
         if key not in self._cache:
@@ -115,9 +122,22 @@ class PreparedFunction:
             ("grad_profile", mode), lambda: decreasing_rearrangement(self.grad_mass(mode))
         )
 
+    def powered(self, profile: StepProfile, p: float) -> StepProfile:
+        """``powered_profile(profile, p)`` of ``self.profile`` or a ``grad_profile``, built once."""
+        key = (id(profile), p)
+        if key not in self._powers:
+            # the entry holds `profile`, so no other object can take its id while cached
+            self._powers[key] = (profile, powered_profile(profile, p))
+        return self._powers[key][1]
+
+    def keep_powers(self, ps) -> None:
+        """Drop every cached powered profile whose p is not in ``ps``."""
+        self._powers = {key: entry for key, entry in self._powers.items() if key[1] in ps}
+
     def keep_profile_only(self) -> None:
         """Build the profile if needed, then drop every other cached artifact."""
         self._cache = {"profile": self.profile}
+        self._powers = {}
 
 
 def prepare(f) -> PreparedFunction:

@@ -25,7 +25,6 @@ from .rearrangement import (
     geometric_tgrid,
     maximal_average,
     oscillation_norm,
-    powered_profile,
 )
 from .gradient import (
     PreparedFunction,
@@ -227,8 +226,8 @@ def check_oscillation_p(
     doc["constant_formula"] = "2^((k+1)/p - 1)"
     if not np.any(pf.grid.values):
         return CheckReport.trivial_pass("oscillation_p", doc, constant, params.tolerance)
-    fp = powered_profile(pf.profile, p)
-    gp = powered_profile(pf.grad_profile(gradient_mode), p)
+    fp = pf.powered(pf.profile, p)
+    gp = pf.powered(pf.grad_profile(gradient_mode), p)
     t = _default_tgrid(pf.grid, params)
     phi_t = phi(t)
     lhs = (maximal_average(fp, t) ** (1.0 / p) - fp.value(t) ** (1.0 / p)) / phi_t
@@ -278,14 +277,14 @@ def check_derivative_p(
     doc["base_constant"] = base
     if not np.any(pf.grid.values):
         return CheckReport.trivial_pass("derivative_p", doc, constant, params.tolerance)
-    gp = powered_profile(pf.grad_profile(gradient_mode), p)
+    gp = pf.powered(pf.grad_profile(gradient_mode), p)
     t = _default_tgrid(pf.grid, params)
 
     def integrand(ts):
         return phi(ts) / ts * maximal_average(gp, ts) ** (1.0 / p)
 
     if form == "integrated":
-        amplitude = maximal_average(powered_profile(pf.profile, p), t) ** (1.0 / p)
+        amplitude = maximal_average(pf.powered(pf.profile, p), t) ** (1.0 / p)
         lhs = amplitude[:-1] - amplitude[1:]
         steps = np.arange(refine + 1)
         growth = (t[1:] / t[:-1]) ** (1.0 / refine)

@@ -9,6 +9,7 @@ timestamp at all).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import time
 from dataclasses import dataclass, field
@@ -117,11 +118,16 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
         else:
             per_function.append((slot, name, CHECKERS[name], kwargs))
 
+    # a powered profile stays cached only while a later entry of the same
+    # function may read it; one whose p no later entry names is dropped
+    later_ps = [{kw.get("p") for *_, kw in per_function[i + 1:]} for i in range(len(per_function))]
+
     prev_id, prev = None, None
     for function_id, f in corpus:
         pf = PreparedFunction(f)
-        for slot, name, runner, kwargs in per_function:
+        for (slot, name, runner, kwargs), keep in zip(per_function, later_ps):
             slot.append(_guarded(name, function_id, lambda: runner(pf, **kwargs)))
+            pf.keep_powers(keep)
         if pairs:
             pf.keep_profile_only()
             if prev is not None:
@@ -180,20 +186,29 @@ def emit_report(
 ) -> None:
     """Write the report list; JSON carries a summary block, CSV is row-per-check.
 
-    In detail mode an additional CSV with one (function, inequality, t, lhs,
-    rhs) row per trace point is written next to the main table.
+    The JSON document is one JSON object: its first line holds
+    ``generated_at`` and ``summary``, then each report object sits on a line
+    of its own.  In detail mode the JSON rows carry their per-t traces, and
+    the CSV format writes an additional table with one (function,
+    inequality, t, lhs, rhs) row per trace point next to the main one.
     """
     path = Path(path)
     if path.parent and not path.parent.exists():
         raise FileNotFoundError(f"output directory {path.parent} does not exist")
     if fmt == "json":
-        doc = {
+        # json encodes in C only without indent; row by row, the document is
+        # never held as one string
+        encode = json.JSONEncoder(sort_keys=True).encode
+        header = encode({
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "summary": summarize(reports),
-            "reports": [_report_row(r, seed, detail) for r in reports],
-        }
+        })
         try:
-            path.write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="utf-8")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(header[:-1] + ', "reports": [')
+                for i, r in enumerate(reports):
+                    fh.write((",\n" if i else "\n") + encode(_report_row(r, seed, detail)))
+                fh.write("\n]}\n")
         except OSError as exc:
             raise OSError(f"cannot write report to {path}: {exc}") from exc
         return
@@ -223,12 +238,20 @@ def emit_report(
                 writer.writerow([doc[c] for c in columns])
         if detail:
             trace_path = path.with_name(path.stem + "_trace" + path.suffix)
+            # the id columns go through the csv module (quoting) once per
+            # report; the floats are written as their repr, as csv.writer does
+            key_buffer = io.StringIO()
+            keys = csv.writer(key_buffer)
             with open(trace_path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["function_id", "inequality_id", "t", "lhs", "rhs"])
+                csv.writer(fh).writerow(["function_id", "inequality_id", "t", "lhs", "rhs"])
                 for r in reports:
-                    for t, lhs, rhs in r.trace or []:
-                        writer.writerow([r.function_id, r.inequality_id, t, lhs, rhs])
+                    if not r.trace:
+                        continue
+                    keys.writerow([r.function_id, r.inequality_id, ""])
+                    key = key_buffer.getvalue()[:-2]  # drop the "\r\n" row end
+                    key_buffer.seek(0)
+                    key_buffer.truncate()
+                    fh.write("".join(f"{key}{t!r},{lhs!r},{rhs!r}\r\n" for t, lhs, rhs in r.trace))
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 

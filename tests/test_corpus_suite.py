@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -201,6 +203,100 @@ class TestSuite:
             CheckReport.from_dict(doc)
 
 
+@pytest.fixture(scope="module")
+def detail_reports(small_config):
+    config = SuiteConfig(
+        inequalities=(
+            {"id": "oscillation_p", "p": 2.0},
+            {"id": "derivative_p", "p": 2.0},
+            {"id": "binomial_bounds", "p": 2.5, "grid_points": 80},
+        ),
+        detail=True,
+        corpus=small_config.corpus,
+    )
+    return sq.run_suite(config)
+
+
+def _canonical(doc) -> str:
+    # NaN != NaN, so documents are compared by their encoding
+    return json.dumps(doc, sort_keys=True)
+
+
+class TestDetailReports:
+    def test_json_round_trip_keeps_every_trace(self, detail_reports, tmp_path):
+        path = tmp_path / "reports.json"
+        sq.emit_report(detail_reports, "json", path, detail=True)
+        back = sq.load_report(path)
+        assert sum(1 for r in detail_reports if r.trace) == len(detail_reports) - 1
+        assert [_canonical(r.trace) for r in back] == [_canonical(r.trace) for r in detail_reports]
+
+    def test_json_document_equals_the_indented_dump(self, detail_reports, tmp_path):
+        path = tmp_path / "reports.json"
+        sq.emit_report(detail_reports, "json", path, detail=True, seed=3)
+        text = path.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert doc.pop("generated_at")
+        rows = [
+            dict(
+                r.to_dict(include_trace=True),
+                grid=r.params.get("grid"),
+                gradient_mode=r.params.get("gradient_mode"),
+                seed=3,
+            )
+            for r in detail_reports
+        ]
+        indented = json.dumps(
+            {"summary": summarize(detail_reports), "reports": rows}, indent=1, sort_keys=True
+        )
+        assert _canonical(doc) == _canonical(json.loads(indented))
+        # the header line, one report object per line, the closing line
+        lines = text.splitlines()
+        assert len(lines) == len(detail_reports) + 2
+        per_line = [json.loads(line.rstrip(",")) for line in lines[1:-1]]
+        assert _canonical(per_line) == _canonical(rows)
+
+    def test_trace_csv_quotes_ids_and_writes_every_float(self, tmp_path):
+        def report(function_id, trace):
+            return CheckReport(
+                "oscillation_p", {}, worst_ratio=0.5, worst_location=1.0,
+                constant_used=1.0, tolerance=0.05, function_id=function_id, trace=trace,
+            )
+
+        reports = [
+            report('a,b"c', [[0.5, math.inf, -math.inf], [1.0, math.nan, -0.0], [2.0, 1e-300, 3.0]]),
+            report("untraced", None),
+            report("plain", [[0.25, 0.1, 0.30000000000000004]]),
+        ]
+        sq.emit_report(reports, "csv", tmp_path / "reports.csv", detail=True)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["function_id", "inequality_id", "t", "lhs", "rhs"])
+        for r in reports:
+            for t, lhs, rhs in r.trace or []:
+                writer.writerow([r.function_id, r.inequality_id, t, lhs, rhs])
+        written = (tmp_path / "reports_trace.csv").read_bytes()
+        assert written == expected.getvalue().encode("utf-8")
+        assert written.count(b'"a,b""c",') == 3
+
+    def test_report_command_rerenders_the_suite_trace_csv(self, small_config, tmp_path, capsys):
+        config_file = tmp_path / "config.json"
+        SuiteConfig(
+            inequalities=({"id": "oscillation_p", "p": 2.0}, {"id": "derivative_p", "p": 2.0}),
+            corpus=small_config.corpus,
+        ).to_json(config_file)
+        suite_dir, render_dir = tmp_path / "suite", tmp_path / "render"
+        assert cli_main(
+            ["suite", "--config", str(config_file), "--out", str(suite_dir), "--detail"]
+        ) == 0
+        assert cli_main(
+            ["report", "--in", str(suite_dir), "--format", "csv", "--detail",
+             "--out", str(render_dir)]
+        ) == 0
+        rendered = (render_dir / "reports_rendered_trace.csv").read_bytes()
+        assert rendered.count(b"\n") > len(sq.load_report(suite_dir / "reports.json"))
+        assert rendered == (suite_dir / "reports_trace.csv").read_bytes()
+
+
 class TestDeterminism:
     def test_suite_byte_identical_modulo_timestamp(self, tmp_path):
         config = SuiteConfig(
@@ -339,8 +435,17 @@ class TestCli:
             {"families": [{"kind": "smoothed_noise", "raduis": 9}]},
             {"extents": 8},
             {"extents": 20},  # too small for the default noise smoothing radius
+            {"families": [{"kind": "cone", "radius": 0.6}], "extents": 32},
+            {"families": [{"kind": "cone", "count": "2"}]},
         ],
-        ids=["family_key", "noise_family_key", "grid_too_small", "noise_margin"],
+        ids=[
+            "family_key",
+            "noise_family_key",
+            "grid_too_small",
+            "noise_margin",
+            "cone_margin",
+            "count_type",
+        ],
     )
     def test_spec_that_cannot_be_built_is_an_input_error(self, tmp_path, capsys, spec):
         spec_file = tmp_path / "spec.json"

@@ -56,17 +56,34 @@ class TestPreparedFunction:
         assert pf.profile is pf.profile
         assert pf.grad_profile() is pf.grad_profile("metric_max")
         assert pf.grad_mass("euclidean_central") is not pf.grad_mass("metric_max")
+        for profile in (pf.profile, pf.grad_profile()):
+            powered = pf.powered(profile, 2.0)
+            assert pf.powered(profile, 2.0) is powered
+            assert np.array_equal(powered.levels, sq.powered_profile(profile, 2.0).levels)
+            assert np.array_equal(powered.breakpoints, profile.breakpoints)
+        assert pf.powered(pf.profile, 2.0) is not pf.powered(pf.grad_profile(), 2.0)
         assert prepare(pf) is pf
         assert prepare(cone512).grid is cone512
 
     def test_keep_profile_only_drops_the_rest(self, cone512):
         pf = PreparedFunction(cone512)
-        mass, grad = pf.mass, pf.grad()
+        mass, grad, squared = pf.mass, pf.grad(), pf.powered(pf.profile, 2.0)
         pf.keep_profile_only()
         profile = pf.profile
         pf.keep_profile_only()
         assert pf.profile is profile
         assert pf.mass is not mass and pf.grad() is not grad
+        assert pf.powered(profile, 2.0) is not squared
+
+
+    def test_keep_powers_drops_the_other_powers(self, cone512):
+        pf = PreparedFunction(cone512)
+        profile, grad_profile = pf.profile, pf.grad_profile()
+        squared, cubed = pf.powered(profile, 2.0), pf.powered(grad_profile, 3.0)
+        pf.keep_powers({2.0})
+        assert pf.powered(profile, 2.0) is squared
+        assert pf.powered(grad_profile, 3.0) is not cubed
+        assert pf.profile is profile and pf.grad_profile() is grad_profile
 
 
 def _direct_reports(config, corpus):
@@ -140,11 +157,19 @@ def test_default_suite_builds_each_artifact_once(small_corpus, monkeypatch):
         counts["modulus"] += 1
         return original_modulus(*args, **kwargs)
 
+    original_powered = sq.powered_profile
+
+    def counting_powered(*args, **kwargs):
+        counts["powered"] += 1
+        return original_powered(*args, **kwargs)
+
     # rebind in every module that imported the function by name
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "symineq":
             if getattr(module, "metric_gradient_modulus", None) is original_modulus:
                 monkeypatch.setattr(module, "metric_gradient_modulus", counting_modulus)
+            if getattr(module, "powered_profile", None) is original_powered:
+                monkeypatch.setattr(module, "powered_profile", counting_powered)
 
     reports = sq.run_suite(SuiteConfig(corpus=spec), corpus)
     assert not any(r.status.startswith("input_error") for r in reports)
@@ -153,3 +178,5 @@ def test_default_suite_builds_each_artifact_once(small_corpus, monkeypatch):
     assert 0 < counts["mass"] <= 2 * n + (n - 1)
     # |grad f| and |grad f^r| (chain rule) per function
     assert 0 < counts["modulus"] <= 2 * n
+    # f* and |grad f|* at each of p = 1, 1.5, 2, 3 per function
+    assert 0 < counts["powered"] <= 8 * n

@@ -216,6 +216,7 @@ class TestLorentzNorm:
             sq.lorentz_norm(prof, math.inf, math.inf)
 
     @given(atom_lists)
+    @example(atoms=[(1e-05, 1.0)])  # an integral of ~1e-10, below quad's default epsabs
     @settings(max_examples=30)
     def test_general_profile_against_quadrature(self, atoms):
         prof = sq.decreasing_rearrangement(MassFunction.from_atoms(atoms))
@@ -226,6 +227,7 @@ class TestLorentzNorm:
             prof.total_measure,
             points=list(prof.breakpoints[1:-1][:40]),
             limit=200,
+            epsabs=0.0,
         )[0] ** (1 / q)
         assert sq.lorentz_norm(prof, r, q) == pytest.approx(oracle, rel=1e-6, abs=1e-9)
 
