@@ -492,7 +492,7 @@ def check_oneil(
             raise ValueError("grid functions must share extents and spacing")
         prof_f, prof_g = pf.profile, pg.profile
         vfg = np.abs(gf.values.ravel()) * np.abs(gg.values.ravel())
-        cell_masses = np.full(vfg.shape, gf.cell_measure)
+        cell_masses = gf.cell_measure
     else:
         vf = np.abs(np.asarray(f, dtype=float).ravel())
         vg = np.abs(np.asarray(g, dtype=float).ravel())

@@ -30,13 +30,18 @@ class MassFunction:
     function of the mass function vs. of its rearrangement, say) then come out
     bitwise equal.  It is stored as the tail of ``breakpoints`` =
     [0, cum_masses...], which the decreasing rearrangement uses as is.
+
+    A scalar ``masses`` gives every atom that mass (a grid's cells, say); the
+    values are then sorted directly instead of through a stable permutation.
     """
 
     __slots__ = ("values", "masses", "cum_masses", "breakpoints")
 
     def __init__(self, values, masses):
         values = np.atleast_1d(np.asarray(values, dtype=float))
-        masses = np.atleast_1d(np.asarray(masses, dtype=float))
+        masses = np.asarray(masses, dtype=float)
+        uniform = masses.ndim == 0
+        masses = np.full(values.shape, masses) if uniform else np.atleast_1d(masses)
         if values.shape != masses.shape or values.ndim != 1:
             raise ValueError("values and masses must be 1-d arrays of equal length")
         if values.size == 0:
@@ -48,14 +53,20 @@ class MassFunction:
         if np.any(masses <= 0):
             raise ValueError("atom masses must be positive")
 
-        order = np.argsort(-values, kind="stable")
-        v = values[order]
-        m = masses[order]
-        del order  # one cell-sized array less at the peak of the build
+        if uniform:
+            # equal masses make the order of tied values irrelevant: no permutation needed
+            v, m = np.sort(values)[::-1], masses
+        else:
+            order = np.argsort(-values, kind="stable")
+            v = values[order]
+            m = masses[order]
+            del order  # one cell-sized array less at the peak of the build
         # merge exact ties so the canonical form has strictly decreasing values
         cut = np.flatnonzero(v[1:] != v[:-1]) + 1
         starts = np.concatenate(([0], cut))
         self.values = v[starts]
+        if self.values[-1] == 0.0:
+            self.values[-1] = 0.0  # -0.0 ties with 0.0; store the zero atom as +0.0
         self.masses = np.add.reduceat(m, starts)
         self.breakpoints = np.empty(self.masses.size + 1)
         self.breakpoints[0] = 0.0
@@ -171,9 +182,7 @@ def grid_to_mass(f: GridFunction) -> MassFunction:
     Equal values (all the zero cells in particular) merge into single atoms;
     the total mass equals the domain measure.
     """
-    flat = np.abs(f.values.ravel())
-    masses = np.full(flat.shape, f.cell_measure)
-    return MassFunction(flat, masses)
+    return MassFunction(np.abs(f.values.ravel()), f.cell_measure)
 
 
 def support_measure(f: MassFunction, threshold: float = 0.0) -> float:

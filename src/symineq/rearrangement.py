@@ -135,7 +135,8 @@ def decreasing_rearrangement(f: MassFunction) -> StepProfile:
 
     Atoms are already sorted by value descending, so the profile is the prefix
     scan of the masses: equimeasurable with f by construction.  The profile
-    shares its breakpoint and level arrays with f.
+    shares its breakpoint and level arrays with f.  It is still validated: a
+    mass below an ulp of the running total repeats a breakpoint and raises.
     """
     return StepProfile(f.breakpoints, f.values)
 

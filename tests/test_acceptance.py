@@ -58,12 +58,14 @@ def test_c02_p2_binomial_identity_exact():
 def test_c03_layer_cake_identity():
     rng = np.random.default_rng(2024)
     worst = 0.0
-    for _ in range(200):
+    for i in range(200):
         mf = random_mass_function(rng, max_atoms=1000)
         lams = rng.uniform(0.0, mf.max_value * 1.05 + 1e-6, 100)
         for lam in lams:
             lhs = sq.layer_cake_excess(mf, lam)
             rhs = _tail_integral(mf, lam)
+            if i < 2:  # the summed steps are the step loop's terms
+                assert rhs == pytest.approx(_tail_integral_loop(mf, lam), rel=1e-12, abs=0.0)
             scale = max(1e-12, abs(rhs))
             worst = max(worst, abs(lhs - rhs) / scale)
     record("C3", worst <= 1e-12, f"worst relative deviation {worst:.2e}")
@@ -71,10 +73,19 @@ def test_c03_layer_cake_identity():
 
 def _tail_integral(mf, lam):
     # independent route: integrate the explicit distribution-function steps
-    values = mf.values[::-1]
+    # over (lam, max], reading the distribution at each step's lower end
+    ascending = mf.values[::-1]
+    tops = ascending[ascending > lam]
+    lows = np.concatenate(([lam], tops))[:-1]
+    above = ascending.size - np.searchsorted(ascending, lows, side="right")
+    return float(np.sum(mf.cum_masses[above - 1] * (tops - lows)))
+
+
+def _tail_integral_loop(mf, lam):
+    # the same steps one atom at a time, through the public distribution function
     total = 0.0
     lo = lam
-    for v in values:
+    for v in mf.values[::-1]:
         if v <= lam:
             continue
         total += sq.distribution(mf, lo) * (v - lo)

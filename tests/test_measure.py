@@ -20,6 +20,23 @@ atom_lists = st.lists(
 )
 
 
+# heavy ties, exact zeros of both signs, subnormals and spread-out magnitudes
+tied_values = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 2.5, 5e-324]),
+        st.floats(0.0, 1e300, allow_nan=False, allow_subnormal=True),
+    ),
+    min_size=1,
+    max_size=40,
+)
+uniform_masses = st.one_of(
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1.0]),
+    st.floats(1e-320, 1e-310),  # subnormal
+    st.floats(1e290, 1e300),  # huge, yet the total stays finite
+    st.floats(1e-3, 1.0).map(lambda h: h**3),  # a 3-d cell measure
+)
+
+
 class TestMassFunction:
     def test_canonical_order_and_merge(self):
         mf = MassFunction([1.0, 3.0, 1.0, 0.0], [0.5, 0.5, 0.5, 2.0])
@@ -35,6 +52,24 @@ class TestMassFunction:
             MassFunction([], [])
         with pytest.raises(ValueError):
             MassFunction([math.inf], [1.0])
+        for mass in (0.0, -1.0, math.nan, math.inf):  # a scalar mass is checked as well
+            with pytest.raises(ValueError):
+                MassFunction([1.0, 0.0], mass)
+
+    @given(tied_values, uniform_masses)
+    @settings(max_examples=300)
+    def test_scalar_mass_equals_full_mass_array(self, values, mass):
+        uniform = MassFunction(values, mass)
+        general = MassFunction(values, np.full(len(values), mass))
+        for name in ("values", "masses", "cum_masses", "breakpoints"):
+            got, want = getattr(uniform, name), getattr(general, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("values", [[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [-0.0, 1.0]])
+    @pytest.mark.parametrize("uniform", [True, False], ids=["scalar", "array"])
+    def test_zero_atom_is_positive_zero(self, values, uniform):
+        mf = MassFunction(values, 1.0 if uniform else np.ones(len(values)))
+        assert mf.values[-1] == 0.0 and not np.signbit(mf.values[-1])
 
     @given(atom_lists)
     def test_total_mass_matches_sum(self, atoms):

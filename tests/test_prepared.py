@@ -86,6 +86,28 @@ class TestPreparedFunction:
         assert pf.profile is profile and pf.grad_profile() is grad_profile
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [sq.CorpusSpec(seed=0, dim=2, extents=128), sq.CorpusSpec(seed=0, dim=3, extents=40)],
+    ids=["2d-128", "3d-40"],
+)
+def test_scalar_cell_mass_matches_full_mass_array(spec):
+    """The suite's uniform-mass builds equal the explicit per-cell mass arrays bit for bit."""
+
+    def assert_same(uniform, values, cell_measure):
+        general = sq.MassFunction(values, np.full(values.size, cell_measure))
+        for name in ("values", "masses", "cum_masses", "breakpoints"):
+            assert getattr(uniform, name).tobytes() == getattr(general, name).tobytes(), name
+
+    corpus = [f for _, f in sq.generate_corpus(spec)]
+    for f in corpus:
+        for grid in (f, sq.metric_gradient_modulus(f)):
+            assert_same(sq.grid_to_mass(grid), np.abs(grid.values.ravel()), grid.cell_measure)
+    for f, g in zip(corpus[:-1], corpus[1:]):
+        product = np.abs(f.values.ravel()) * np.abs(g.values.ravel())
+        assert_same(sq.MassFunction(product, f.cell_measure), product, f.cell_measure)
+
+
 def _direct_reports(config, corpus):
     """The suite's rows, entry-major, each from a checker on the plain GridFunction."""
     out = []

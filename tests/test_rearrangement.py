@@ -74,6 +74,14 @@ class TestDecreasingRearrangement:
         assert np.array_equal(a.breakpoints, b.breakpoints)
         assert np.array_equal(a.levels, b.levels)
 
+    def test_mass_lost_in_the_running_total_is_rejected(self):
+        # canonical atoms need not give strictly increasing breakpoints, so the
+        # StepProfile validation inside decreasing_rearrangement must stay
+        mf = MassFunction.from_atoms([(2, 1.0), (1, 1e-17)])
+        assert np.array_equal(mf.cum_masses, [1.0, 1.0])
+        with pytest.raises(ValueError):
+            sq.decreasing_rearrangement(mf)
+
     @given(atom_lists)
     @settings(max_examples=60)
     def test_norm_preservation(self, atoms):
