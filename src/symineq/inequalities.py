@@ -161,8 +161,8 @@ def _grid_params(f: GridFunction, params: InequalityParams, gradient_mode: str) 
     }
 
 
-def _trace(t, lhs, rhs) -> list:
-    return [[float(a), float(b), float(c)] for a, b, c in zip(t, lhs, rhs)]
+def _trace(t, lhs, rhs) -> np.ndarray:
+    return np.column_stack((t, lhs, rhs))
 
 
 def _finalize(report_id, params_dict, worst, location, constant, params, trace=None):
@@ -478,9 +478,9 @@ def check_oneil(
 
     f and g must live on the same cells: pass two grid functions (plain or
     prepared) on identical grids, or two flat value arrays with a shared
-    ``masses`` array.  The product is formed cellwise before any
-    rearrangement; prepared functions contribute their cached profiles, so
-    only the product is sorted.
+    ``masses`` array, or a scalar mass that every cell has.  The product is
+    formed cellwise before any rearrangement; prepared functions contribute
+    their cached profiles, so only the product is sorted.
     """
     grids = (GridFunction, PreparedFunction)
     if isinstance(f, grids) and isinstance(g, grids):
@@ -497,9 +497,11 @@ def check_oneil(
         vf = np.abs(np.asarray(f, dtype=float).ravel())
         vg = np.abs(np.asarray(g, dtype=float).ravel())
         if masses is None:
-            raise ValueError("value arrays need an explicit masses array")
-        cell_masses = np.asarray(masses, dtype=float).ravel()
-        if vf.shape != vg.shape or vf.shape != cell_masses.shape:
+            raise ValueError("value arrays need an explicit masses array or scalar")
+        cell_masses = np.asarray(masses, dtype=float)
+        if cell_masses.ndim:  # a scalar is every cell's mass, as in MassFunction
+            cell_masses = cell_masses.ravel()
+        if vf.shape != vg.shape or (cell_masses.ndim and vf.shape != cell_masses.shape):
             raise ValueError("mismatched domains: f, g and masses must align")
         prof_f = decreasing_rearrangement(MassFunction(vf, cell_masses))
         prof_g = decreasing_rearrangement(MassFunction(vg, cell_masses))

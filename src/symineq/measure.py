@@ -67,10 +67,13 @@ class MassFunction:
         self.values = v[starts]
         if self.values[-1] == 0.0:
             self.values[-1] = 0.0  # -0.0 ties with 0.0; store the zero atom as +0.0
-        self.masses = np.add.reduceat(m, starts)
-        self.breakpoints = np.empty(self.masses.size + 1)
+        self.breakpoints = np.empty(self.values.size + 1)
         self.breakpoints[0] = 0.0
-        self.cum_masses = np.cumsum(self.masses, out=self.breakpoints[1:])
+        with np.errstate(over="ignore"):  # an overflow is reported below, as a ValueError
+            self.masses = np.add.reduceat(m, starts)
+            self.cum_masses = np.cumsum(self.masses, out=self.breakpoints[1:])
+        if not math.isfinite(self.cum_masses[-1]):
+            raise ValueError("the total mass overflows a float")
 
     @classmethod
     def from_atoms(cls, atoms) -> "MassFunction":

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = ["CheckReport", "best_constant"]
 
 
@@ -15,6 +17,11 @@ class CheckReport:
     ``worst_ratio`` is sup LHS/RHS over the checked points, and the pass flag
     is tied to it: pass iff worst_ratio <= constant_used * (1 + tolerance).
     Error outcomes carry a non-"ok" status and never pass.
+
+    ``trace`` holds the per-t evidence of a traced check as an (m, 3) float64
+    array of (t, lhs, rhs) rows; a report loaded from JSON holds the same
+    rows as a list of [t, lhs, rhs] lists.  ``trace_text`` is the report
+    writer's cache of the formatted trace, paired with the trace it formats.
     """
 
     inequality_id: str
@@ -26,7 +33,8 @@ class CheckReport:
     passed: bool = field(init=False)
     status: str = "ok"
     function_id: str | None = None
-    trace: list | None = None
+    trace: np.ndarray | list | None = None
+    trace_text: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.passed = self._evaluate()
@@ -67,7 +75,8 @@ class CheckReport:
             "status": self.status,
         }
         if include_trace and self.trace is not None:
-            doc["trace"] = self.trace
+            trace = self.trace
+            doc["trace"] = trace.tolist() if isinstance(trace, np.ndarray) else trace
         return doc
 
     @classmethod

@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import CorpusSpec, check_keys, generate_corpus
 from .gradient import PreparedFunction
 from .inequalities import ARITY, CHECKERS, check_binomial_bounds, check_oneil, checker_kwargs
@@ -173,12 +175,53 @@ def suite_exit_code(reports: list[CheckReport]) -> int:
     return 1
 
 
-def _report_row(report: CheckReport, seed, detail: bool) -> dict:
-    row = report.to_dict(include_trace=detail)
+def _report_row(report: CheckReport, seed) -> dict:
+    row = report.to_dict()
     row["grid"] = report.params.get("grid")
     row["gradient_mode"] = report.params.get("gradient_mode")
     row["seed"] = seed
     return row
+
+
+def _trace_text(report: CheckReport) -> str:
+    """The report's trace as CSV lines "t,lhs,rhs" ended by CRLF, each value its repr.
+
+    Both report formats are derived from this text, so each trace value is
+    formatted once.  The text is cached on the report together with the trace
+    it was made from, and made anew if ``report.trace`` is replaced.
+    """
+    trace = report.trace
+    if report.trace_text is not None and report.trace_text[0] is trace:
+        return report.trace_text[1]
+    if isinstance(trace, np.ndarray):
+        values = trace.ravel().tolist()
+    else:
+        # float() also turns numpy scalars into floats, whose repr is the plain number
+        values = [float(x) for t, lhs, rhs in trace for x in (t, lhs, rhs)]
+    text = "%r,%r,%r\r\n" * len(trace) % tuple(values)
+    report.trace_text = (trace, text)
+    return text
+
+
+def _json_trace(text: str) -> str:
+    """The trace text as the JSON list of [t, lhs, rhs] lists that json.dumps writes."""
+    if not text:
+        return "[]"
+    doc = "[[" + text[:-2].replace(",", ", ").replace("\r\n", "], [") + "]]"
+    if "n" in doc:  # only the reprs inf, -inf and nan contain an "n"
+        doc = doc.replace("inf", "Infinity").replace("nan", "NaN")
+    return doc
+
+
+def _json_row(encode, report: CheckReport, seed, detail: bool) -> str:
+    """One report row as sort_keys JSON; a trace is spliced in between the other keys."""
+    row = _report_row(report, seed)
+    if not detail or report.trace is None:
+        return encode(row)
+    # a row always has keys on both sides of "trace" (constant_used, worst_ratio)
+    before = encode({k: v for k, v in row.items() if k < "trace"})
+    after = encode({k: v for k, v in row.items() if k > "trace"})
+    return before[:-1] + ', "trace": ' + _json_trace(_trace_text(report)) + ", " + after[1:]
 
 
 def emit_report(
@@ -191,6 +234,10 @@ def emit_report(
     of its own.  In detail mode the JSON rows carry their per-t traces, and
     the CSV format writes an additional table with one (function,
     inequality, t, lhs, rhs) row per trace point next to the main one.
+
+    A trace is formatted once, on the first call that writes it: the JSON
+    lists and the trace table are both rewritten from that text, byte for byte
+    what ``json`` and ``csv.writer`` would write for the rows as lists.
     """
     path = Path(path)
     if path.parent and not path.parent.exists():
@@ -207,7 +254,7 @@ def emit_report(
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(header[:-1] + ', "reports": [')
                 for i, r in enumerate(reports):
-                    fh.write((",\n" if i else "\n") + encode(_report_row(r, seed, detail)))
+                    fh.write((",\n" if i else "\n") + _json_row(encode, r, seed, detail))
                 fh.write("\n]}\n")
         except OSError as exc:
             raise OSError(f"cannot write report to {path}: {exc}") from exc
@@ -233,25 +280,26 @@ def emit_report(
             writer = csv.writer(fh)
             writer.writerow(columns)
             for r in reports:
-                doc = _report_row(r, seed, False)
+                doc = _report_row(r, seed)
                 doc["params"] = json.dumps(doc["params"], sort_keys=True)
                 writer.writerow([doc[c] for c in columns])
         if detail:
             trace_path = path.with_name(path.stem + "_trace" + path.suffix)
             # the id columns go through the csv module (quoting) once per
-            # report; the floats are written as their repr, as csv.writer does
+            # report and lead every line of the report's trace text
             key_buffer = io.StringIO()
             keys = csv.writer(key_buffer)
             with open(trace_path, "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh).writerow(["function_id", "inequality_id", "t", "lhs", "rhs"])
                 for r in reports:
-                    if not r.trace:
+                    text = "" if r.trace is None else _trace_text(r)
+                    if not text:
                         continue
                     keys.writerow([r.function_id, r.inequality_id, ""])
                     key = key_buffer.getvalue()[:-2]  # drop the "\r\n" row end
                     key_buffer.seek(0)
                     key_buffer.truncate()
-                    fh.write("".join(f"{key}{t!r},{lhs!r},{rhs!r}\r\n" for t, lhs, rhs in r.trace))
+                    fh.write(key + text[:-2].replace("\r\n", "\r\n" + key) + "\r\n")
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 

@@ -2,11 +2,16 @@ import csv
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import symineq as sq
+from symineq import inequalities
 from symineq.cli import main as cli_main
 from symineq.inequalities import checker_kwargs
 from symineq.report import CheckReport
@@ -182,7 +187,7 @@ class TestSuite:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == len(reports) + 1
         trace_lines = (tmp_path / "reports_trace.csv").read_text().strip().splitlines()
-        expected = sum(len(r.trace or []) for r in reports)
+        expected = sum(0 if r.trace is None else len(r.trace) for r in reports)
         assert len(trace_lines) == expected + 1
 
     def test_missing_directory_surfaces_path(self, small_reports, tmp_path):
@@ -222,13 +227,23 @@ def _canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _trace_list(report):
+    # an array trace as the list of [t, lhs, rhs] lists it is written as
+    trace = report.trace
+    return trace.tolist() if isinstance(trace, np.ndarray) else trace
+
+
 class TestDetailReports:
     def test_json_round_trip_keeps_every_trace(self, detail_reports, tmp_path):
         path = tmp_path / "reports.json"
         sq.emit_report(detail_reports, "json", path, detail=True)
         back = sq.load_report(path)
-        assert sum(1 for r in detail_reports if r.trace) == len(detail_reports) - 1
-        assert [_canonical(r.trace) for r in back] == [_canonical(r.trace) for r in detail_reports]
+        traced = [r for r in detail_reports if r.trace is not None and len(r.trace)]
+        assert len(traced) == len(detail_reports) - 1
+        assert all(isinstance(r.trace, list) for r in back if r.trace is not None)
+        assert [_canonical(_trace_list(r)) for r in back] == [
+            _canonical(_trace_list(r)) for r in detail_reports
+        ]
 
     def test_json_document_equals_the_indented_dump(self, detail_reports, tmp_path):
         path = tmp_path / "reports.json"
@@ -297,6 +312,72 @@ class TestDetailReports:
         assert rendered == (suite_dir / "reports_trace.csv").read_bytes()
 
 
+_EDGE_FLOATS = (math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 0.1)
+_trace_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+_trace_rows = st.lists(st.tuples(_trace_floats, _trace_floats, _trace_floats), max_size=4)
+_ids = st.text(alphabet='ab,"* \n', max_size=6)
+
+
+def _traced_report(function_id, inequality_id, rows, as_array):
+    if rows is None:
+        trace = None
+    elif as_array:
+        trace = np.array(rows, dtype=float).reshape(-1, 3)
+    else:
+        trace = [list(row) for row in rows]
+    return CheckReport(
+        inequality_id, {"grid": "4x4", "gradient_mode": "metric_max"}, worst_ratio=0.5,
+        worst_location=1.0, constant_used=1.0, tolerance=0.05, function_id=function_id,
+        trace=trace,
+    )
+
+
+class TestTraceWriters:
+    """Both report formats equal the reference encoders on the list form of each row."""
+
+    @given(
+        st.lists(
+            st.tuples(_ids, _ids, st.one_of(st.none(), _trace_rows), st.booleans()),
+            min_size=1, max_size=3,
+        ),
+        st.booleans(),
+    )
+    @example([("a", "b", [], True), ("a", "b", [], False)], True)
+    @example([("a", "b", [(1.0, -0.0, math.nan)], True), ("a", "b", [(math.inf, -math.inf, 5e-324)], False)], False)
+    @example([("a", "b", [(np.float64(0.5), np.float64(-0.0), np.float64(np.inf))], False)], False)
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_json_encoder_and_csv_writer(self, specs, csv_first):
+        reports = [_traced_report(*spec) for spec in specs]
+        with tempfile.TemporaryDirectory() as tmp:
+            json_path, csv_path = Path(tmp) / "reports.json", Path(tmp) / "reports.csv"
+            # the two writers share the cached trace text, whichever runs first
+            for fmt in ("csv", "json") if csv_first else ("json", "csv"):
+                sq.emit_report(reports, fmt, json_path if fmt == "json" else csv_path, detail=True, seed=1)
+            json_lines = json_path.read_text(encoding="utf-8").split("\n")
+            trace_csv = (Path(tmp) / "reports_trace.csv").read_bytes()
+
+        encode = json.JSONEncoder(sort_keys=True).encode
+        rows = [line[:-1] if line.endswith(",") else line for line in json_lines[1:-2]]
+        assert rows == [
+            encode(dict(r.to_dict(include_trace=True), grid="4x4", gradient_mode="metric_max", seed=1))
+            for r in reports
+        ]
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["function_id", "inequality_id", "t", "lhs", "rhs"])
+        for r in reports:
+            for t, lhs, rhs in _trace_list(r) or []:
+                writer.writerow([r.function_id, r.inequality_id, t, lhs, rhs])
+        assert trace_csv == expected.getvalue().encode("utf-8")
+
+    def test_replaced_trace_is_formatted_anew(self, tmp_path):
+        report = _traced_report("f", "oscillation_p", [(1.0, 2.0, 3.0)], True)
+        sq.emit_report([report], "csv", tmp_path / "a.csv", detail=True)
+        report.trace = np.array([[4.0, 5.0, 6.0]])
+        sq.emit_report([report], "csv", tmp_path / "b.csv", detail=True)
+        assert (tmp_path / "b_trace.csv").read_bytes().endswith(b"f,oscillation_p,4.0,5.0,6.0\r\n")
+
+
 class TestDeterminism:
     def test_suite_byte_identical_modulo_timestamp(self, tmp_path):
         config = SuiteConfig(
@@ -320,6 +401,49 @@ class TestDeterminism:
             )
         assert blobs[0][0] == blobs[1][0]
         assert blobs[0][1] == blobs[1][1]
+
+    def test_detail_suite_byte_identical_modulo_timestamp(self, tmp_path):
+        config_file = tmp_path / "config.json"
+        SuiteConfig(
+            inequalities=({"id": "oscillation_p", "p": 1.5}, {"id": "derivative_p", "p": 2.0}),
+            corpus=sq.CorpusSpec(seed=7, extents=64),
+        ).to_json(config_file)
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert cli_main(["suite", "--config", str(config_file), "--out", str(out), "--detail"]) == 0
+            text = (out / "reports.json").read_text(encoding="utf-8")
+            stamp = json.loads(text)["generated_at"]
+            assert stamp and text.count(stamp) == 1
+            outputs.append((
+                text.replace(stamp, ""),
+                (out / "reports.csv").read_bytes(),
+                (out / "reports_trace.csv").read_bytes(),
+            ))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][2].count(b"\r\n") > 100
+
+    def test_trace_array_equals_the_float_list_form(self, small_config, monkeypatch):
+        captured = []
+        original = inequalities._trace
+
+        def recording_trace(t, lhs, rhs):
+            trace = original(t, lhs, rhs)
+            captured.append((trace, [[float(a), float(b), float(c)] for a, b, c in zip(t, lhs, rhs)]))
+            return trace
+
+        monkeypatch.setattr(inequalities, "_trace", recording_trace)
+        config = SuiteConfig(
+            inequalities=({"id": "oscillation_p", "p": 1.5}, {"id": "derivative_p", "p": 2.0}),
+            detail=True,
+            corpus=small_config.corpus,
+        )
+        reports = sq.run_suite(config)
+        # every report's trace went through _trace (captures are function-major)
+        assert sorted(id(trace) for trace, _ in captured) == sorted(id(r.trace) for r in reports)
+        for trace, old_form in captured:
+            assert trace.dtype == np.float64 and trace.shape == (len(old_form), 3)
+            assert trace.tobytes() == np.array(old_form, dtype=np.float64).tobytes()
 
 
 class TestCli:

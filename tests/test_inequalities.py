@@ -314,6 +314,20 @@ class TestONeil:
             report = sq.check_oneil(vf, vg, masses, t_grid=np.sort(t_grid))
             assert report.passed, report.worst_ratio
 
+    def test_scalar_masses_equal_the_full_mass_array(self):
+        rng = np.random.default_rng(7)
+        n = 40
+        vf = np.round(rng.uniform(0, 3, n), 1)  # rounding makes ties
+        vg = np.round(rng.uniform(0, 3, n), 1)
+        scalar = sq.check_oneil(vf, vg, masses=0.5)
+        full = sq.check_oneil(vf, vg, masses=np.full(n, 0.5))
+        assert scalar.to_dict() == full.to_dict()
+        for name in ("worst_ratio", "worst_location"):
+            got, want = getattr(scalar, name), getattr(full, name)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), name
+        with pytest.raises(ValueError, match="mismatched"):
+            sq.check_oneil(vf, vg[:-1], masses=0.5)
+
     def test_grid_functions_and_mismatch(self):
         f = small_cone(32, radius=0.3)
         g = GridFunction(f.spacing, f.values**2)

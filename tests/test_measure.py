@@ -56,6 +56,14 @@ class TestMassFunction:
             with pytest.raises(ValueError):
                 MassFunction([1.0, 0.0], mass)
 
+    @pytest.mark.parametrize("uniform", [True, False], ids=["scalar", "array"])
+    def test_rejects_a_total_mass_that_overflows(self, uniform):
+        with pytest.raises(ValueError, match="overflows"):
+            MassFunction([1.0, 2.0], 1e308 if uniform else np.full(2, 1e308))
+        with pytest.raises(ValueError, match="overflows"):  # tied atoms merged into one
+            MassFunction([1.0, 1.0], 1e308 if uniform else np.full(2, 1e308))
+        assert MassFunction([1.0, 2.0], 8e307 if uniform else np.full(2, 8e307)).total_mass == 1.6e308
+
     @given(tied_values, uniform_masses)
     @settings(max_examples=300)
     def test_scalar_mass_equals_full_mass_array(self, values, mass):

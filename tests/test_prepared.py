@@ -153,7 +153,7 @@ def test_suite_rows_equal_direct_checker_calls(small_corpus):
         expected_ids += [(entry["id"], fid) for fid in fids]
     assert [(r.inequality_id, r.function_id) for r in suite_rows] == expected_ids
     assert not any(r.status.startswith("input_error") for r in suite_rows)
-    assert any(r.trace for r in suite_rows)
+    assert any(r.trace is not None and len(r.trace) for r in suite_rows)
 
     def dump(rows):
         return [json.dumps(r.to_dict(include_trace=True), sort_keys=True) for r in rows]
