@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .corpus import CorpusSpec, generate_corpus
 from .inequalities import ARITY, CHECKERS, checker_kwargs
-from .isoperimetry import ProfileHandle
+from .isoperimetry import ProfileHandle, phi_from_profile, validate_profile
 from .measure import GridFunction
 from .suite import SuiteConfig, emit_report, load_report, run_suite, suite_exit_code
 
@@ -59,10 +59,17 @@ def _cmd_check(args) -> int:
         return 2
     if args.phi:
         try:
-            entry["phi"] = ProfileHandle.from_json(args.phi)
+            phi = ProfileHandle.from_json(args.phi)
+            # the profile is I = t/phi (the map is its own inverse), checked where f lives
+            violations = validate_profile(phi_from_profile(phi), t_max=f.domain_measure)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"cannot load phi {args.phi}: {exc}", file=sys.stderr)
             return 2
+        if violations:
+            lines = "".join(f"\n  {v}" for v in violations)
+            print(f"phi {args.phi} is not admissible; its profile t/phi has:{lines}", file=sys.stderr)
+            return 2
+        entry["phi"] = phi
     try:
         # a flag the checker does not declare is an error; n defaults to f's dimension
         kwargs = checker_kwargs(args.ineq, entry, {"n": f.dim}, arity=1)

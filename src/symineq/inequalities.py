@@ -77,6 +77,56 @@ class TGridSpec:
         return geometric_tgrid(self.t_min, self.t_max, self.points_per_decade)
 
 
+# Every t-grid artifact depends on the grid shape (and phi) only, not on the
+# function, so each is built once per key and shared read-only.  The caches
+# are bounded: a run has one or two shapes, and an entry is a few hundred
+# floats, or (points - 1) x refine for a refined grid.
+TGRID_CACHE_SIZE = 16
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=TGRID_CACHE_SIZE)
+def _tgrid(spec: TGridSpec) -> np.ndarray:
+    """``spec.points()``, built once per spec."""
+    return _read_only(spec.points())
+
+
+def _signs(phi: ProfileHandle) -> bytes:
+    """Sign bits of a table's samples: equal handles can differ in a signed zero, and so can phi."""
+    if isinstance(phi, ProfileHandle) and phi.kind == "table":
+        return np.signbit(phi.samples).tobytes()
+    return b""
+
+
+@lru_cache(maxsize=TGRID_CACHE_SIZE)
+def _phi_on_tgrid(spec: TGridSpec, phi: ProfileHandle, signs: bytes) -> np.ndarray:
+    """phi on the spec's t-grid; ``signs`` is ``_signs(phi)``."""
+    return _read_only(phi(_tgrid(spec)))
+
+
+@lru_cache(maxsize=TGRID_CACHE_SIZE)
+def _refined_tgrid(spec: TGridSpec, phi: ProfileHandle, refine: int, signs: bytes):
+    """Each t-grid interval cut geometrically into ``refine`` pieces, one row per interval.
+
+    Returns the right end s of every piece, phi(s)/s there, and the piece
+    widths, each an (intervals, refine) array.
+    """
+    t = _tgrid(spec)
+    steps = np.arange(refine + 1)
+    growth = (t[1:] / t[:-1]) ** (1.0 / refine)
+    sub = t[:-1, None] * growth[:, None] ** steps[None, :]
+    right = np.ascontiguousarray(sub[:, 1:])
+    return (
+        _read_only(right),
+        _read_only(phi(right) / right),
+        _read_only(np.diff(sub, axis=1)),
+    )
+
+
 @dataclass(frozen=True)
 class InequalityParams:
     """Shared parameters of the p-dependent checks.
@@ -142,11 +192,8 @@ def _ratio(lhs, rhs):
     return out
 
 
-def _default_tgrid(f: GridFunction, params: InequalityParams) -> np.ndarray:
-    spec = params.t_grid or TGridSpec(
-        TGRID_FLOOR_CELLS * f.cell_measure, f.domain_measure
-    )
-    return spec.points()
+def _tgrid_spec(f: GridFunction, params: InequalityParams) -> TGridSpec:
+    return params.t_grid or TGridSpec(TGRID_FLOOR_CELLS * f.cell_measure, f.domain_measure)
 
 
 def _grid_params(f: GridFunction, params: InequalityParams, gradient_mode: str) -> dict:
@@ -228,8 +275,9 @@ def check_oscillation_p(
         return CheckReport.trivial_pass("oscillation_p", doc, constant, params.tolerance)
     fp = pf.powered(pf.profile, p)
     gp = pf.powered(pf.grad_profile(gradient_mode), p)
-    t = _default_tgrid(pf.grid, params)
-    phi_t = phi(t)
+    spec = _tgrid_spec(pf.grid, params)
+    t = _tgrid(spec)
+    phi_t = _phi_on_tgrid(spec, phi, _signs(phi))
     lhs = (maximal_average(fp, t) ** (1.0 / p) - fp.value(t) ** (1.0 / p)) / phi_t
     rhs = maximal_average(gp, t) ** (1.0 / p)
     ratios = _ratio(lhs, rhs)
@@ -278,24 +326,19 @@ def check_derivative_p(
     if not np.any(pf.grid.values):
         return CheckReport.trivial_pass("derivative_p", doc, constant, params.tolerance)
     gp = pf.powered(pf.grad_profile(gradient_mode), p)
-    t = _default_tgrid(pf.grid, params)
-
-    def integrand(ts):
-        return phi(ts) / ts * maximal_average(gp, ts) ** (1.0 / p)
-
+    spec = _tgrid_spec(pf.grid, params)
+    t = _tgrid(spec)
     if form == "integrated":
         amplitude = maximal_average(pf.powered(pf.profile, p), t) ** (1.0 / p)
         lhs = amplitude[:-1] - amplitude[1:]
-        steps = np.arange(refine + 1)
-        growth = (t[1:] / t[:-1]) ** (1.0 / refine)
-        sub = t[:-1, None] * growth[:, None] ** steps[None, :]
-        vals = integrand(sub.ravel()).reshape(sub.shape)
+        right, phi_over_t, widths = _refined_tgrid(spec, phi, refine, _signs(phi))
+        vals = phi_over_t * maximal_average(gp, right) ** (1.0 / p)
         # right-endpoint sums under-estimate the decreasing integrand
-        rhs = np.sum(vals[:, 1:] * np.diff(sub, axis=1), axis=1)
+        rhs = np.sum(vals * widths, axis=1)
         locs = t[:-1]
     else:
         lhs = dform_derivative(pf.profile, p, t)
-        rhs = integrand(t)
+        rhs = _phi_on_tgrid(spec, phi, _signs(phi)) / t * maximal_average(gp, t) ** (1.0 / p)
         locs = t
     ratios = _ratio(lhs, rhs)
     j = int(np.argmax(ratios))
@@ -512,7 +555,7 @@ def check_oneil(
 
     total = prof_fg.total_measure
     if t_grid is None:
-        t_grid = geometric_tgrid(total * 1e-5, total, points_per_decade)
+        t_grid = _tgrid(TGridSpec(total * 1e-5, total, points_per_decade))
     t_grid = np.asarray(t_grid, dtype=float)
     lhs = maximal_average(prof_fg, t_grid)
     rhs = hl_profile.prefix_integral(t_grid) / t_grid

@@ -56,6 +56,8 @@ class ProfileHandle:
         elif self.kind == "table":
             if not self.samples or len(self.samples) < 2:
                 raise ValueError("table needs at least two samples")
+            # tuples all the way down, so a handle hashes by value (checkers key caches on it)
+            object.__setattr__(self, "samples", tuple(tuple(s) for s in self.samples))
             ts = [s[0] for s in self.samples]
             if any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
                 raise ValueError("table abscissae must be positive and increasing")

@@ -60,13 +60,13 @@ class StepProfile:
             raise ValueError("need exactly one more breakpoint than levels")
         if breakpoints[0] != 0.0:
             raise ValueError("breakpoints must start at 0")
-        if np.any(np.diff(breakpoints) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
         if np.any(levels < 0) or np.any(np.diff(levels) > 0):
             raise ValueError("levels must be nonnegative and non-increasing")
+        widths = np.diff(breakpoints)
+        if np.any(widths <= 0):
+            raise ValueError("breakpoints must be strictly increasing")
         self.breakpoints = breakpoints
         self.levels = levels
-        widths = np.diff(breakpoints)
         self._cum_integral = np.concatenate(([0.0], np.cumsum(levels * widths)))
 
     @property

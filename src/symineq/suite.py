@@ -183,22 +183,31 @@ def _report_row(report: CheckReport, seed) -> dict:
     return row
 
 
-def _trace_text(report: CheckReport) -> str:
+def _trace_text(report: CheckReport, t_text: dict) -> str:
     """The report's trace as CSV lines "t,lhs,rhs" ended by CRLF, each value its repr.
 
     Both report formats are derived from this text, so each trace value is
     formatted once.  The text is cached on the report together with the trace
-    it was made from, and made anew if ``report.trace`` is replaced.
+    it was made from, and made anew if ``report.trace`` is replaced.  Checks
+    on one grid shape share their t column, so a column is formatted once per
+    ``t_text``, which maps the column's bytes (-0.0 and 0.0 differ) to its
+    reprs.
     """
     trace = report.trace
     if report.trace_text is not None and report.trace_text[0] is trace:
         return report.trace_text[1]
     if isinstance(trace, np.ndarray):
-        values = trace.ravel().tolist()
+        rows = trace.astype(float, copy=False).reshape(len(trace), 3)
     else:
         # float() also turns numpy scalars into floats, whose repr is the plain number
-        values = [float(x) for t, lhs, rhs in trace for x in (t, lhs, rhs)]
-    text = "%r,%r,%r\r\n" * len(trace) % tuple(values)
+        rows = np.array([[float(x) for x in row] for row in trace]).reshape(len(trace), 3)
+    t = rows[:, 0]
+    key = t.tobytes()
+    if key not in t_text:
+        t_text[key] = [repr(x) for x in t.tolist()]
+    values = rows.ravel().tolist()
+    values[0::3] = t_text[key]
+    text = "%s,%r,%r\r\n" * len(trace) % tuple(values)
     report.trace_text = (trace, text)
     return text
 
@@ -213,7 +222,7 @@ def _json_trace(text: str) -> str:
     return doc
 
 
-def _json_row(encode, report: CheckReport, seed, detail: bool) -> str:
+def _json_row(encode, report: CheckReport, seed, detail: bool, t_text: dict) -> str:
     """One report row as sort_keys JSON; a trace is spliced in between the other keys."""
     row = _report_row(report, seed)
     if not detail or report.trace is None:
@@ -221,7 +230,7 @@ def _json_row(encode, report: CheckReport, seed, detail: bool) -> str:
     # a row always has keys on both sides of "trace" (constant_used, worst_ratio)
     before = encode({k: v for k, v in row.items() if k < "trace"})
     after = encode({k: v for k, v in row.items() if k > "trace"})
-    return before[:-1] + ', "trace": ' + _json_trace(_trace_text(report)) + ", " + after[1:]
+    return before[:-1] + ', "trace": ' + _json_trace(_trace_text(report, t_text)) + ", " + after[1:]
 
 
 def emit_report(
@@ -237,11 +246,13 @@ def emit_report(
 
     A trace is formatted once, on the first call that writes it: the JSON
     lists and the trace table are both rewritten from that text, byte for byte
-    what ``json`` and ``csv.writer`` would write for the rows as lists.
+    what ``json`` and ``csv.writer`` would write for the rows as lists.  A t
+    column that several traces share is formatted once per call.
     """
     path = Path(path)
     if path.parent and not path.parent.exists():
         raise FileNotFoundError(f"output directory {path.parent} does not exist")
+    t_text: dict[bytes, list[str]] = {}
     if fmt == "json":
         # json encodes in C only without indent; row by row, the document is
         # never held as one string
@@ -254,7 +265,7 @@ def emit_report(
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(header[:-1] + ', "reports": [')
                 for i, r in enumerate(reports):
-                    fh.write((",\n" if i else "\n") + _json_row(encode, r, seed, detail))
+                    fh.write((",\n" if i else "\n") + _json_row(encode, r, seed, detail, t_text))
                 fh.write("\n]}\n")
         except OSError as exc:
             raise OSError(f"cannot write report to {path}: {exc}") from exc
@@ -292,7 +303,7 @@ def emit_report(
             with open(trace_path, "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh).writerow(["function_id", "inequality_id", "t", "lhs", "rhs"])
                 for r in reports:
-                    text = "" if r.trace is None else _trace_text(r)
+                    text = "" if r.trace is None else _trace_text(r, t_text)
                     if not text:
                         continue
                     keys.writerow([r.function_id, r.inequality_id, ""])

@@ -332,6 +332,45 @@ def _traced_report(function_id, inequality_id, rows, as_array):
     )
 
 
+def _assert_writers_match(reports, csv_first):
+    """Both trace writers, in either order, equal json.JSONEncoder and csv.writer on the list form."""
+    with tempfile.TemporaryDirectory() as tmp:
+        json_path, csv_path = Path(tmp) / "reports.json", Path(tmp) / "reports.csv"
+        # the two writers share the cached trace text, whichever runs first
+        for fmt in ("csv", "json") if csv_first else ("json", "csv"):
+            sq.emit_report(reports, fmt, json_path if fmt == "json" else csv_path, detail=True, seed=1)
+        json_lines = json_path.read_text(encoding="utf-8").split("\n")
+        trace_csv = (Path(tmp) / "reports_trace.csv").read_bytes()
+
+    encode = json.JSONEncoder(sort_keys=True).encode
+    rows = [line[:-1] if line.endswith(",") else line for line in json_lines[1:-2]]
+    assert rows == [
+        encode(dict(r.to_dict(include_trace=True), grid="4x4", gradient_mode="metric_max", seed=1))
+        for r in reports
+    ]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["function_id", "inequality_id", "t", "lhs", "rhs"])
+    for r in reports:
+        for t, lhs, rhs in _trace_list(r) or []:
+            writer.writerow([r.function_id, r.inequality_id, t, lhs, rhs])
+    assert trace_csv == expected.getvalue().encode("utf-8")
+
+
+@st.composite
+def _shared_t_specs(draw):
+    """Report specs whose traces take their t column from one or two shared columns."""
+    columns = draw(st.lists(st.lists(_trace_floats, max_size=4), min_size=1, max_size=2))
+    specs = []
+    for _ in range(draw(st.integers(1, 4))):
+        t = draw(st.sampled_from(columns))
+        sides = st.tuples(_trace_floats, _trace_floats)
+        pairs = draw(st.lists(sides, min_size=len(t), max_size=len(t)))
+        rows = [(ti, lhs, rhs) for ti, (lhs, rhs) in zip(t, pairs)]
+        specs.append((draw(_ids), draw(_ids), rows, draw(st.booleans())))
+    return specs
+
+
 class TestTraceWriters:
     """Both report formats equal the reference encoders on the list form of each row."""
 
@@ -347,28 +386,22 @@ class TestTraceWriters:
     @example([("a", "b", [(np.float64(0.5), np.float64(-0.0), np.float64(np.inf))], False)], False)
     @settings(max_examples=200, deadline=None)
     def test_bytes_equal_json_encoder_and_csv_writer(self, specs, csv_first):
-        reports = [_traced_report(*spec) for spec in specs]
-        with tempfile.TemporaryDirectory() as tmp:
-            json_path, csv_path = Path(tmp) / "reports.json", Path(tmp) / "reports.csv"
-            # the two writers share the cached trace text, whichever runs first
-            for fmt in ("csv", "json") if csv_first else ("json", "csv"):
-                sq.emit_report(reports, fmt, json_path if fmt == "json" else csv_path, detail=True, seed=1)
-            json_lines = json_path.read_text(encoding="utf-8").split("\n")
-            trace_csv = (Path(tmp) / "reports_trace.csv").read_bytes()
+        _assert_writers_match([_traced_report(*spec) for spec in specs], csv_first)
 
-        encode = json.JSONEncoder(sort_keys=True).encode
-        rows = [line[:-1] if line.endswith(",") else line for line in json_lines[1:-2]]
-        assert rows == [
-            encode(dict(r.to_dict(include_trace=True), grid="4x4", gradient_mode="metric_max", seed=1))
-            for r in reports
-        ]
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(["function_id", "inequality_id", "t", "lhs", "rhs"])
-        for r in reports:
-            for t, lhs, rhs in _trace_list(r) or []:
-                writer.writerow([r.function_id, r.inequality_id, t, lhs, rhs])
-        assert trace_csv == expected.getvalue().encode("utf-8")
+    @given(_shared_t_specs(), st.booleans())
+    @example(
+        [
+            ("a", "b", [(-0.0, 1.0, 2.0), (1.0, 3.0, 4.0)], True),
+            ("a", "c", [(0.0, 5.0, 6.0), (1.0, 7.0, 8.0)], True),
+            ("d", "b", [(-0.0, -0.0, 0.0), (1.0, 9.0, 10.0)], False),
+            ("d", "c", [(0.0, 0.0, -0.0), (1.0, 11.0, 12.0)], True),
+        ],
+        False,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_shared_t_columns_keep_each_report_bytes(self, specs, csv_first):
+        """Traces sharing a t column (formatted once per call) still write their own lhs and rhs."""
+        _assert_writers_match([_traced_report(*spec) for spec in specs], csv_first)
 
     def test_replaced_trace_is_formatted_anew(self, tmp_path):
         report = _traced_report("f", "oscillation_p", [(1.0, 2.0, 3.0)], True)
@@ -517,6 +550,24 @@ class TestCli:
             )
             assert code == 2
             assert "cannot load phi" in capsys.readouterr().err
+
+    def test_check_rejects_an_inadmissible_phi_table(self, cone_file, tmp_path, capsys):
+        # phi falls, so its profile t/phi is not concave and its quotient t/I = phi decreases
+        phi_file = tmp_path / "phi.json"
+        sq.ProfileHandle("table", samples=((0.25, 0.5), (0.5, 0.25), (1.0, 0.2))).to_json(phi_file)
+        code = cli_main(["check", "--ineq", "oscillation_p", "--fn", str(cone_file), "--phi", str(phi_file)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "not admissible" in err
+        assert "not_concave" in err and "quotient_decreasing" in err
+
+    def test_check_accepts_a_sampled_euclidean_phi_table(self, cone_file, tmp_path, capsys):
+        phi = sq.phi_from_profile(sq.euclidean_profile(2))
+        samples = tuple((t, phi(t)) for t in np.geomspace(1e-3, 8.0, 12).tolist())
+        phi_file = tmp_path / "phi.json"
+        sq.ProfileHandle("table", samples=samples).to_json(phi_file)
+        code = cli_main(["check", "--ineq", "oscillation_p", "--fn", str(cone_file), "--phi", str(phi_file)])
+        assert code == 0, capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["oneil", "binomial_bounds"])
     def test_check_rejects_pair_and_corpus_free_ids(self, cone_file, name, capsys):

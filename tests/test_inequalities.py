@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import symineq as sq
+from symineq import inequalities
 from symineq.inequalities import (
     InequalityParams,
     TGridSpec,
@@ -205,6 +206,85 @@ class TestDerivativeP:
             sq.check_derivative_p(
                 f, phi_euclid_2d, InequalityParams(p=1.0, n=2), form="spectral"
             )
+
+
+_SPEC = TGridSpec(8 / 64**2, 1.0)
+_PHIS = {
+    "power_law": sq.phi_from_profile(sq.euclidean_profile(2)),
+    "table": ProfileHandle("table", samples=((0.01, 0.03), (0.1, 0.09), (1.0, 0.3))),
+}
+
+
+def _inline_subgrid(t, refine):
+    """The refined grid as check_derivative_p built it inline, one row per t interval."""
+    steps = np.arange(refine + 1)
+    growth = (t[1:] / t[:-1]) ** (1.0 / refine)
+    return t[:-1, None] * growth[:, None] ** steps[None, :]
+
+
+class TestTgridCaches:
+    def test_tgrid_is_the_spec_points_and_read_only(self):
+        t = inequalities._tgrid(_SPEC)
+        assert t.shape == _SPEC.points().shape
+        assert t.tobytes() == _SPEC.points().tobytes()
+        assert inequalities._tgrid(TGridSpec(8 / 64**2, 1.0)) is t
+        with pytest.raises(ValueError):
+            t[0] = 1.0
+
+    @pytest.mark.parametrize("kind", sorted(_PHIS))
+    def test_phi_on_tgrid_equals_a_direct_call(self, kind):
+        phi = _PHIS[kind]
+        got = inequalities._phi_on_tgrid(_SPEC, phi, inequalities._signs(phi))
+        want = phi(_SPEC.points())
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+    def test_tables_differing_in_a_signed_zero_are_kept_apart(self):
+        pos = ProfileHandle("table", samples=((0.5, 0.0), (1.0, 1.0)))
+        neg = ProfileHandle("table", samples=((0.5, -0.0), (1.0, 1.0)))
+        assert pos == neg and hash(pos) == hash(neg)
+        t = _SPEC.points()
+        for phi in (pos, neg):
+            got = inequalities._phi_on_tgrid(_SPEC, phi, inequalities._signs(phi))
+            assert got.tobytes() == phi(t).tobytes()
+        assert pos(t).tobytes() != neg(t).tobytes()
+
+    def test_list_samples_hash_like_tuples(self):
+        listed = ProfileHandle("table", samples=[[0.5, 1.0], [1.0, 1.5]])
+        assert listed == ProfileHandle("table", samples=((0.5, 1.0), (1.0, 1.5)))
+        assert hash(listed) == hash(ProfileHandle("table", samples=((0.5, 1.0), (1.0, 1.5))))
+
+    @pytest.mark.parametrize("kind", sorted(_PHIS))
+    @pytest.mark.parametrize("refine", [1, 16])
+    def test_refined_tgrid_equals_the_inline_construction(self, kind, refine):
+        phi = _PHIS[kind]
+        sub = _inline_subgrid(_SPEC.points(), refine)
+        phi_over_t = (phi(sub.ravel()) / sub.ravel()).reshape(sub.shape)
+        got = inequalities._refined_tgrid(_SPEC, phi, refine, inequalities._signs(phi))
+        wants = (sub[:, 1:], phi_over_t[:, 1:], np.diff(sub, axis=1))
+        for array, want in zip(got, wants):
+            assert array.shape == want.shape
+            assert array.tobytes() == np.ascontiguousarray(want).tobytes()
+            assert not array.flags.writeable
+
+    def test_a_plain_callable_phi_gives_the_handle_verdicts(self, phi_euclid_2d):
+        f = small_cone(64)
+        params = InequalityParams(p=2.0, n=2)
+        for check in (sq.check_oscillation_p, sq.check_derivative_p):
+            by_handle = check(f, phi_euclid_2d, params)
+            by_callable = check(f, lambda t: phi_euclid_2d(t), params)
+            assert by_callable.worst_ratio == by_handle.worst_ratio
+
+    def test_integrated_rhs_equals_the_inline_sum(self, phi_euclid_2d):
+        f = small_cone(64)
+        report = sq.check_derivative_p(f, phi_euclid_2d, InequalityParams(p=2.0, n=2), capture_trace=True)
+        grad = sq.decreasing_rearrangement(sq.grid_to_mass(sq.metric_gradient_modulus(f)))
+        gp = sq.powered_profile(grad, 2.0)
+        sub = _inline_subgrid(TGridSpec(8 * f.cell_measure, f.domain_measure).points(), 16)
+        ts = sub.ravel()
+        vals = (phi_euclid_2d(ts) / ts * sq.maximal_average(gp, ts) ** 0.5).reshape(sub.shape)
+        rhs = np.sum(vals[:, 1:] * np.diff(sub, axis=1), axis=1)
+        assert report.trace[:, 2].tobytes() == rhs.tobytes()
 
 
 class TestBinomialBounds:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import symineq as sq
+from symineq import inequalities
 from symineq.gradient import PreparedFunction, prepare
 from symineq.suite import DEFAULT_INEQUALITIES, SuiteConfig
 
@@ -202,3 +203,36 @@ def test_default_suite_builds_each_artifact_once(small_corpus, monkeypatch):
     assert 0 < counts["modulus"] <= 2 * n
     # f* and |grad f|* at each of p = 1, 1.5, 2, 3 per function
     assert 0 < counts["powered"] <= 8 * n
+
+
+def test_default_suite_builds_each_tgrid_artifact_once(small_corpus, monkeypatch):
+    """One grid shape: one t-grid per spec, and phi on an array once per (spec, phi, refine)."""
+    spec, corpus = small_corpus
+    for cache in (inequalities._tgrid, inequalities._phi_on_tgrid, inequalities._refined_tgrid):
+        cache.cache_clear()
+    grids, phi_arrays = Counter(), Counter()
+
+    original_tgrid = inequalities.geometric_tgrid
+
+    def counting_tgrid(*args):
+        grids[args] += 1
+        return original_tgrid(*args)
+
+    original_call = sq.ProfileHandle.__call__
+
+    def counting_call(self, t):
+        if np.ndim(t):
+            phi_arrays[np.shape(t)] += 1
+        return original_call(self, t)
+
+    monkeypatch.setattr(inequalities, "geometric_tgrid", counting_tgrid)
+    monkeypatch.setattr(sq.ProfileHandle, "__call__", counting_call)
+    reports = sq.run_suite(SuiteConfig(corpus=spec), corpus)
+    assert not any(r.status.startswith("input_error") for r in reports)
+    assert len({f.shape_label for _, f in corpus}) == 1
+    # each distinct spec is built once: the checks' one default grid (64 points
+    # per decade) and the O'Neil pairs' grids, whose totals can differ in the last bits
+    assert set(grids.values()) == {1}
+    assert [args[2] for args in grids].count(64) == 1
+    # oscillation_p reads phi(t) of the one (spec, phi); derivative_p the refined grid's phi
+    assert sum(phi_arrays.values()) == 2 and len(phi_arrays) == 2
