@@ -50,7 +50,7 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    flags = {"p": args.p, "n": args.n, "gradient_mode": args.mode, "tolerance": args.tol}
+    flags = {"p": args.p, "gradient_mode": args.mode, "tolerance": args.tol}
     entry = {key: value for key, value in flags.items() if value is not None}
     try:
         f = GridFunction.from_json(args.fn)
@@ -71,8 +71,8 @@ def _cmd_check(args) -> int:
             return 2
         entry["phi"] = phi
     try:
-        # a flag the checker does not declare is an error; n defaults to f's dimension
-        kwargs = checker_kwargs(args.ineq, entry, {"n": f.dim}, arity=1)
+        # a flag the checker does not declare is an error
+        kwargs = checker_kwargs(args.ineq, entry, {}, arity=1)
         report = CHECKERS[args.ineq](f, **kwargs)
     except (ValueError, KeyError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
@@ -141,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--fn", required=True, help="grid function JSON file")
     p_check.add_argument("--phi", help="profile handle JSON file")
     p_check.add_argument("--p", type=float)
-    p_check.add_argument("--n", type=int)
     p_check.add_argument("--mode", choices=("metric_max", "euclidean_central"))
     p_check.add_argument("--tol", type=float)
     p_check.set_defaults(func=_cmd_check)

@@ -78,13 +78,16 @@ class CorpusSpec:
             if isinstance(fam, dict) and "eps_ladder" in fam:
                 fam = dict(fam, eps_ladder=tuple(fam["eps_ladder"]))
             families.append(fam)
-        return cls(
-            seed=int(doc.get("seed", 0)),
-            dim=int(doc.get("dim", 2)),
-            extents=int(doc.get("extents", 256)),
-            side=float(doc.get("side", 1.0)),
-            families=tuple(families) if families else cls.families,
-        )
+        try:
+            return cls(
+                seed=int(doc.get("seed", 0)),
+                dim=int(doc.get("dim", 2)),
+                extents=int(doc.get("extents", 256)),
+                side=float(doc.get("side", 1.0)),
+                families=tuple(families) if families else cls.families,
+            )
+        except OverflowError as exc:  # int() of an infinite float, here or in a family check
+            raise ValueError(f"corpus spec value out of range: {exc}") from exc
 
 
 def check_keys(doc, cls, what: str) -> None:

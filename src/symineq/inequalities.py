@@ -50,6 +50,7 @@ __all__ = [
     "empirical_best_constant",
     "CHECKERS",
     "ARITY",
+    "CODE_ONLY",
     "checker_kwargs",
     "binomial_coefficient",
 ]
@@ -95,21 +96,14 @@ def _tgrid(spec: TGridSpec) -> np.ndarray:
     return _read_only(spec.points())
 
 
-def _signs(phi: ProfileHandle) -> bytes:
-    """Sign bits of a table's samples: equal handles can differ in a signed zero, and so can phi."""
-    if isinstance(phi, ProfileHandle) and phi.kind == "table":
-        return np.signbit(phi.samples).tobytes()
-    return b""
-
-
 @lru_cache(maxsize=TGRID_CACHE_SIZE)
-def _phi_on_tgrid(spec: TGridSpec, phi: ProfileHandle, signs: bytes) -> np.ndarray:
-    """phi on the spec's t-grid; ``signs`` is ``_signs(phi)``."""
+def _phi_on_tgrid(spec: TGridSpec, phi: ProfileHandle) -> np.ndarray:
+    """phi on the spec's t-grid."""
     return _read_only(phi(_tgrid(spec)))
 
 
 @lru_cache(maxsize=TGRID_CACHE_SIZE)
-def _refined_tgrid(spec: TGridSpec, phi: ProfileHandle, refine: int, signs: bytes):
+def _refined_tgrid(spec: TGridSpec, phi: ProfileHandle, refine: int):
     """Each t-grid interval cut geometrically into ``refine`` pieces, one row per interval.
 
     Returns the right end s of every piece, phi(s)/s there, and the piece
@@ -133,8 +127,9 @@ class InequalityParams:
 
     ``k`` is the unique integer with k < p <= k+1 (so integer p gives p-1);
     the oscillation constant is 2^((k+1)/p - 1).  The derivative-form check
-    multiplies its base constant 2^((k+1)/p) by ``derivative_factor``
-    (default p) and reports the verdict at both constants.
+    asserts p * 2^((k+1)/p) and also records the verdict at the bare
+    2^((k+1)/p).  ``n`` is the dimension of the space the function lives on;
+    the registry's runners take it from the function's grid.
     """
 
     p: float = 1.0
@@ -142,7 +137,6 @@ class InequalityParams:
     constant_mode: str = "analytic"  # or "fitted"
     tolerance: float = GRID_TOLERANCE
     t_grid: TGridSpec | None = None
-    derivative_factor: float | None = None
 
     def __post_init__(self):
         if self.p < 1:
@@ -168,8 +162,7 @@ class InequalityParams:
 
     @property
     def derivative_constant(self) -> float:
-        factor = self.p if self.derivative_factor is None else self.derivative_factor
-        return factor * self.derivative_base_constant
+        return self.p * self.derivative_base_constant
 
 
 def binomial_coefficient(p: float, j: int) -> float:
@@ -277,7 +270,7 @@ def check_oscillation_p(
     gp = pf.powered(pf.grad_profile(gradient_mode), p)
     spec = _tgrid_spec(pf.grid, params)
     t = _tgrid(spec)
-    phi_t = _phi_on_tgrid(spec, phi, _signs(phi))
+    phi_t = _phi_on_tgrid(spec, phi)
     lhs = (maximal_average(fp, t) ** (1.0 / p) - fp.value(t) ** (1.0 / p)) / phi_t
     rhs = maximal_average(gp, t) ** (1.0 / p)
     ratios = _ratio(lhs, rhs)
@@ -331,14 +324,14 @@ def check_derivative_p(
     if form == "integrated":
         amplitude = maximal_average(pf.powered(pf.profile, p), t) ** (1.0 / p)
         lhs = amplitude[:-1] - amplitude[1:]
-        right, phi_over_t, widths = _refined_tgrid(spec, phi, refine, _signs(phi))
+        right, phi_over_t, widths = _refined_tgrid(spec, phi, refine)
         vals = phi_over_t * maximal_average(gp, right) ** (1.0 / p)
         # right-endpoint sums under-estimate the decreasing integrand
         rhs = np.sum(vals * widths, axis=1)
         locs = t[:-1]
     else:
         lhs = dform_derivative(pf.profile, p, t)
-        rhs = _phi_on_tgrid(spec, phi, _signs(phi)) / t * maximal_average(gp, t) ** (1.0 / p)
+        rhs = _phi_on_tgrid(spec, phi) / t * maximal_average(gp, t) ** (1.0 / p)
         locs = t
     ratios = _ratio(lhs, rhs)
     j = int(np.argmax(ratios))
@@ -523,10 +516,13 @@ def check_oneil(
     prepared) on identical grids, or two flat value arrays with a shared
     ``masses`` array, or a scalar mass that every cell has.  The product is
     formed cellwise before any rearrangement; prepared functions contribute
-    their cached profiles, so only the product is sorted.
+    their cached profiles, so only the product is sorted.  The default t-grid
+    ends at the domain measure for grid functions (one grid per grid shape),
+    and at the summed masses for value arrays.
     """
     grids = (GridFunction, PreparedFunction)
-    if isinstance(f, grids) and isinstance(g, grids):
+    grid_pair = isinstance(f, grids) and isinstance(g, grids)
+    if grid_pair:
         if masses is not None:
             raise ValueError("grid functions carry their own cell masses")
         pf, pg = prepare(f), prepare(g)
@@ -553,8 +549,8 @@ def check_oneil(
     prof_fg = decreasing_rearrangement(MassFunction(vfg, cell_masses))
     hl_profile = _merged_product_profile(prof_f, prof_g)
 
-    total = prof_fg.total_measure
     if t_grid is None:
+        total = gf.domain_measure if grid_pair else prof_fg.total_measure
         t_grid = _tgrid(TGridSpec(total * 1e-5, total, points_per_decade))
     t_grid = np.asarray(t_grid, dtype=float)
     lhs = maximal_average(prof_fg, t_grid)
@@ -739,27 +735,28 @@ def check_sobolev(
 # ---------------------------------------------------------------------------
 
 
-def _phi_for(n: int, phi: ProfileHandle | None) -> ProfileHandle:
-    return phi if phi is not None else phi_from_profile(euclidean_profile(n))
+def _phi_for(pf: PreparedFunction, phi: ProfileHandle | None) -> ProfileHandle:
+    """The given phi, else that of R^n: n is the dimension of f's grid, not a setting."""
+    return phi if phi is not None else phi_from_profile(euclidean_profile(pf.grid.dim))
 
 
-def _run_s_phi_p(f, *, p=1.0, n=2, phi=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant_mode="analytic"):
-    params = InequalityParams(p=p, n=n, tolerance=tolerance, constant_mode=constant_mode)
-    return check_s_phi_p(f, _phi_for(n, phi), params, gradient_mode)
+def _run_s_phi_p(f, *, p=1.0, phi=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant_mode="analytic"):
+    pf = prepare(f)
+    params = InequalityParams(p=p, n=pf.grid.dim, tolerance=tolerance, constant_mode=constant_mode)
+    return check_s_phi_p(pf, _phi_for(pf, phi), params, gradient_mode)
 
 
-def _run_oscillation_p(f, *, p=1.0, n=2, phi=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant_mode="analytic", capture_trace=False):
-    params = InequalityParams(p=p, n=n, tolerance=tolerance, constant_mode=constant_mode)
-    return check_oscillation_p(f, _phi_for(n, phi), params, gradient_mode, capture_trace)
+def _run_oscillation_p(f, *, p=1.0, phi=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant_mode="analytic", capture_trace=False):
+    pf = prepare(f)
+    params = InequalityParams(p=p, n=pf.grid.dim, tolerance=tolerance, constant_mode=constant_mode)
+    return check_oscillation_p(pf, _phi_for(pf, phi), params, gradient_mode, capture_trace)
 
 
-def _run_derivative_p(f, *, p=1.0, n=2, phi=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant_mode="analytic", form="integrated", derivative_factor=None, capture_trace=False):
-    params = InequalityParams(
-        p=p, n=n, tolerance=tolerance, constant_mode=constant_mode,
-        derivative_factor=derivative_factor,
-    )
+def _run_derivative_p(f, *, p=1.0, phi=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant_mode="analytic", form="integrated", capture_trace=False):
+    pf = prepare(f)
+    params = InequalityParams(p=p, n=pf.grid.dim, tolerance=tolerance, constant_mode=constant_mode)
     return check_derivative_p(
-        f, _phi_for(n, phi), params, gradient_mode, form, capture_trace=capture_trace
+        pf, _phi_for(pf, phi), params, gradient_mode, form, capture_trace=capture_trace
     )
 
 
@@ -767,29 +764,34 @@ def _run_chain_rule(f, *, r=2.0, gradient_mode="metric_max", tolerance=SCALAR_TO
     return check_chain_rule(f, r, gradient_mode, tolerance=tolerance)
 
 
-def _run_nash_classical(f, *, n=2, gradient_mode="metric_max", tolerance=GRID_TOLERANCE):
+def _run_nash_classical(f, *, gradient_mode="metric_max", tolerance=GRID_TOLERANCE):
+    pf = prepare(f)
     return check_nash(
-        f, None, 2.0, classical=True, n=n, gradient_mode=gradient_mode, tolerance=tolerance
+        pf, None, 2.0, classical=True, n=pf.grid.dim, gradient_mode=gradient_mode, tolerance=tolerance
     )
 
 
-def _run_nash(f, *, p=2.0, n=2, phi=None, c1=1.0, c2=1.0, gradient_mode="metric_max", tolerance=GRID_TOLERANCE):
+def _run_nash(f, *, p=2.0, phi=None, c1=1.0, c2=1.0, gradient_mode="metric_max", tolerance=GRID_TOLERANCE):
+    pf = prepare(f)
     return check_nash(
-        f, _phi_for(n, phi), p, c1, c2, gradient_mode=gradient_mode, tolerance=tolerance
+        pf, _phi_for(pf, phi), p, c1, c2, gradient_mode=gradient_mode, tolerance=tolerance
     )
 
 
 def _sobolev_runner(mode):
-    def run(f, *, n=2, p=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant=None):
+    def run(f, *, p=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant=None):
+        pf = prepare(f)
+        n = pf.grid.dim
         if p is None:
             p = float(n) if mode == "exp" else 1.0
-        return check_sobolev(f, n, p, mode, gradient_mode, tolerance, constant)
+        return check_sobolev(pf, n, p, mode, gradient_mode, tolerance, constant)
 
     return run
 
 
-def _run_polya_szego(f, *, n=2, p=1.0, gradient_mode="metric_max", weight="isoperimetric", tolerance=GRID_TOLERANCE):
-    return polya_szego_compare(f, n, p, gradient_mode, weight, tolerance)
+def _run_polya_szego(f, *, p=1.0, gradient_mode="metric_max", weight="isoperimetric", tolerance=GRID_TOLERANCE):
+    pf = prepare(f)
+    return polya_szego_compare(pf, pf.grid.dim, p, gradient_mode, weight, tolerance)
 
 
 # Every check by id.  A runner's parameters after its function arguments are
@@ -813,12 +815,16 @@ CHECKERS = {
 # Function arguments per check: the corpus-free sweep, the pair check, else 1.
 ARITY = {"binomial_bounds": 0, "oneil": 2}
 
+# Runner keys only code can set: a JSON config cannot give a phi handle, the
+# suite's detail flag sets capture_trace, and grid functions carry their masses.
+CODE_ONLY = frozenset({"phi", "capture_trace", "masses"})
+
 
 def checker_kwargs(name: str, entry: dict, context: dict, arity: int | None = None) -> dict:
     """Keyword arguments for ``CHECKERS[name]``: the entry's keys over the context's.
 
     The entry's keys (``"id"`` aside) must be parameters of the runner.  The
-    context's run-wide defaults (n, gradient_mode, tolerance, ...) are passed
+    context's run-wide defaults (gradient_mode, tolerance, ...) are passed
     where the runner declares them and they are not None.  An unknown id or
     key, or an id taking other than ``arity`` functions, raises ValueError;
     values are left to the runner, which rejects bad ones when it runs.
@@ -838,14 +844,11 @@ def checker_kwargs(name: str, entry: dict, context: dict, arity: int | None = No
 
 
 def empirical_best_constant(inequality_id: str, corpus, params: dict | None = None) -> float:
-    """``best_constant`` of the inequality's reports over the corpus; n defaults to each function's dimension."""
+    """``best_constant`` of the inequality's reports over the corpus."""
     corpus = list(corpus)
     if not corpus:
         raise ValueError("empty corpus")
     if inequality_id not in CHECKERS:
         raise KeyError(f"unknown inequality id {inequality_id!r}")
-    reports = []
-    for f in map(prepare, corpus):
-        kwargs = checker_kwargs(inequality_id, params or {}, {"n": f.grid.dim}, arity=1)
-        reports.append(CHECKERS[inequality_id](f, **kwargs))
-    return best_constant(reports)
+    kwargs = checker_kwargs(inequality_id, params or {}, {}, arity=1)
+    return best_constant([CHECKERS[inequality_id](f, **kwargs) for f in corpus])

@@ -51,16 +51,18 @@ class ProfileHandle:
         if self.kind == "power_law":
             if self.coefficient is None or self.exponent is None:
                 raise ValueError("power_law needs coefficient and exponent")
-            if self.coefficient <= 0:
-                raise ValueError("power-law coefficient must be positive")
+            if not 0 < self.coefficient < math.inf or not math.isfinite(self.exponent):
+                raise ValueError("power-law coefficient must be finite and positive, exponent finite")
         elif self.kind == "table":
             if not self.samples or len(self.samples) < 2:
                 raise ValueError("table needs at least two samples")
             # tuples all the way down, so a handle hashes by value (checkers key caches on it)
             object.__setattr__(self, "samples", tuple(tuple(s) for s in self.samples))
+            if not all(0 < x < math.inf for sample in self.samples for x in sample):
+                raise ValueError("table samples (t, value) must be finite and positive")
             ts = [s[0] for s in self.samples]
-            if any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-                raise ValueError("table abscissae must be positive and increasing")
+            if any(b <= a for a, b in zip(ts, ts[1:])):
+                raise ValueError("table abscissae must be increasing")
         else:
             raise ValueError(f"unknown profile kind {self.kind!r}")
 
@@ -148,14 +150,8 @@ def phi_from_profile(profile: ProfileHandle) -> ProfileHandle:
             exponent=1.0 - profile.exponent,
             domain_max=profile.domain_max,
         )
-    samples = []
-    for t, v in profile.samples:
-        if v <= 0:
-            raise ValueError(f"profile vanishes at t={t}; quotient undefined")
-        samples.append((t, t / v))
-    return ProfileHandle(
-        kind="table", samples=tuple(samples), domain_max=profile.domain_max
-    )
+    samples = tuple((t, t / v) for t, v in profile.samples)
+    return ProfileHandle(kind="table", samples=samples, domain_max=profile.domain_max)
 
 
 @dataclass(frozen=True)

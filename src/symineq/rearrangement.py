@@ -107,11 +107,6 @@ class StepProfile:
         out = np.where(t_arr >= self.total_measure, self.total_integral, partial)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
-    def lp_integral(self, p: float) -> float:
-        """Exact integral of level**p over (0, M]."""
-        widths = np.diff(self.breakpoints)
-        return float(np.dot(self.levels**p, widths))
-
     def __repr__(self) -> str:
         return (
             f"StepProfile({self.levels.size} steps, M={self.total_measure:g}, "

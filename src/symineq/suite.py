@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import CorpusSpec, check_keys, generate_corpus
 from .gradient import PreparedFunction
-from .inequalities import ARITY, CHECKERS, check_binomial_bounds, check_oneil, checker_kwargs
+from .inequalities import ARITY, CHECKERS, CODE_ONLY, check_binomial_bounds, check_oneil, checker_kwargs
 from .report import CheckReport, best_constant
 
 __all__ = ["SuiteConfig", "run_suite", "emit_report", "load_report", "DEFAULT_INEQUALITIES"]
@@ -46,7 +46,7 @@ DEFAULT_INEQUALITIES = (
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Which checks to run and how; unknown inequality ids and entry keys are rejected."""
+    """Which checks to run and how; unknown ids and entry keys, and ``CODE_ONLY`` keys, are rejected."""
 
     inequalities: tuple = DEFAULT_INEQUALITIES
     gradient_mode: str = "metric_max"
@@ -58,6 +58,9 @@ class SuiteConfig:
     def __post_init__(self):
         for entry in self.inequalities:
             checker_kwargs(entry.get("id"), entry, {})
+            code_only = sorted(CODE_ONLY.intersection(entry))
+            if code_only:
+                raise ValueError(f"{entry['id']}: unknown keys {code_only}; a suite config cannot set them")
 
     def to_json(self, path=None):
         doc = {
@@ -101,7 +104,6 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
         corpus = generate_corpus(config.corpus)
     rows: list[list[CheckReport]] = [[] for _ in config.inequalities]
     context = {
-        "n": config.corpus.dim,
         "gradient_mode": config.gradient_mode,
         "constant_mode": config.constant_mode,
         "capture_trace": config.detail,

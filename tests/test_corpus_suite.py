@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import symineq as sq
 from symineq import inequalities
 from symineq.cli import main as cli_main
+from symineq.corpus import FAMILIES
 from symineq.inequalities import checker_kwargs
 from symineq.report import CheckReport
 from symineq.suite import SuiteConfig, suite_exit_code, summarize
@@ -130,7 +132,10 @@ class TestSuite:
             "r": 3.0,
         }
         assert checker_kwargs("binomial_bounds", {"p": 2.5}, context) == {"p": 2.5}
-        assert checker_kwargs("oscillation_p", {"n": 2}, context)["n"] == 2
+        assert checker_kwargs("oscillation_p", {"gradient_mode": "metric_max"}, context) == {
+            "gradient_mode": "metric_max",
+            "capture_trace": True,
+        }
         with pytest.raises(ValueError, match="takes 2 functions"):
             checker_kwargs("oneil", {}, context, arity=1)
         with pytest.raises(ValueError, match="accepted keys"):
@@ -479,6 +484,43 @@ class TestDeterminism:
             assert trace.tobytes() == np.array(old_form, dtype=np.float64).tobytes()
 
 
+# JSON documents built from the config's own vocabulary, so that most of them
+# reach the entry, corpus and family checks, plus arbitrary keys and values
+_CONFIG_WORDS = sorted(
+    {f.name for cls in (SuiteConfig, sq.CorpusSpec) for f in dataclasses.fields(cls)}
+    | {"kind", "count", "radius", "eps_ladder", "id", "p", "n", "r", "phi", "masses", "capture_trace"}
+    | set(sq.CHECKERS)
+    | set(FAMILIES)
+)
+_json_words = st.one_of(st.sampled_from(_CONFIG_WORDS), st.text(max_size=3))
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _json_words),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(_json_words, inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+class TestConfigParsing:
+    def test_any_json_document_parses_or_raises_what_the_cli_catches(self, tmp_path):
+        path = tmp_path / "config.json"
+
+        @given(st.one_of(st.dictionaries(_json_words, _json_values, max_size=4), _json_values))
+        @example({"corpus": {"seed": math.inf}})
+        @example({"corpus": {"families": [{"kind": "smoothed_noise", "radius": -math.inf}]}})
+        @example({"inequalities": [{"id": ["s_phi_p"]}]})
+        @settings(max_examples=150, deadline=None)
+        def parse(doc):
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            try:
+                SuiteConfig.from_json(path)
+            except (OSError, ValueError, KeyError, TypeError):  # what `symineq suite` reports
+                pass
+
+        parse()
+
+
 class TestCli:
     def test_corpus_check_suite_report_flow(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
@@ -491,7 +533,7 @@ class TestCli:
 
         fn = corpus_dir / manifest[0]["file"]
         code = cli_main(
-            ["check", "--ineq", "s_phi_p", "--fn", str(fn), "--p", "1.0", "--n", "2"]
+            ["check", "--ineq", "s_phi_p", "--fn", str(fn), "--p", "1.0"]
         )
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
@@ -586,8 +628,24 @@ class TestCli:
             {"inequalities": [{"id": "chain_rule", "p": 3.0}]},
             {"tolerence": 0.1},
             {"corpus": {"extnts": 5}},
+            # n is the function's dimension, not a setting
+            {"inequalities": [{"id": "s_phi_p", "n": 3}]},
+            {"inequalities": [{"id": "derivative_p", "derivative_factor": 1.0}]},
+            # keys only code can set
+            {"inequalities": [{"id": "oscillation_p", "phi": {"kind": "power_law"}}]},
+            {"inequalities": [{"id": "oscillation_p", "capture_trace": True}]},
+            {"inequalities": [{"id": "oneil", "masses": 0.5}]},
         ],
-        ids=["entry_key", "config_key", "corpus_key"],
+        ids=[
+            "entry_key",
+            "config_key",
+            "corpus_key",
+            "dimension",
+            "derivative_factor",
+            "phi",
+            "capture_trace",
+            "masses",
+        ],
     )
     def test_suite_unknown_key_is_a_config_error(self, tmp_path, capsys, doc):
         config_file = tmp_path / "config.json"
@@ -636,6 +694,27 @@ class TestCli:
         assert "cannot load config" in capsys.readouterr().err
         assert not (suite_dir / "reports.json").exists()
 
+    def test_check_has_no_dimension_flag(self, cone_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["check", "--ineq", "s_phi_p", "--fn", str(cone_file), "--n", "2"])
+        assert exit_info.value.code == 2
+        assert "--n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "table", "samples": [[0.25, math.nan], [1.0, 0.5]]},
+            {"kind": "power_law", "coefficient": math.nan, "exponent": 0.5},
+        ],
+        ids=["table", "power_law"],
+    )
+    def test_check_rejects_a_phi_with_a_nan(self, cone_file, tmp_path, capsys, doc):
+        phi_file = tmp_path / "phi.json"
+        phi_file.write_text(json.dumps(doc))
+        code = cli_main(["check", "--ineq", "oscillation_p", "--fn", str(cone_file), "--phi", str(phi_file)])
+        assert code == 2
+        assert "cannot load phi" in capsys.readouterr().err
+
     def test_check_missing_function_file(self, tmp_path):
         assert cli_main(["check", "--ineq", "s_phi_p", "--fn", str(tmp_path / "no.json")]) == 2
 
@@ -657,7 +736,7 @@ class TestCli:
         code = cli_main(
             [
                 "check", "--ineq", "oscillation_p", "--fn", str(fn),
-                "--phi", str(phi_file), "--p", "2.0", "--n", "2",
+                "--phi", str(phi_file), "--p", "2.0",
                 "--mode", "euclidean_central",
             ]
         )

@@ -125,8 +125,6 @@ def _direct_reports(config, corpus):
                 report.function_id = f"{id_a}*{id_b}"
                 out.append(report)
         else:
-            if name != "chain_rule":  # the chain rule has no dimension
-                kwargs.setdefault("n", config.corpus.dim)
             if name in TRACED_IDS:
                 kwargs["capture_trace"] = config.detail
             for function_id, f in corpus:
@@ -160,6 +158,19 @@ def test_suite_rows_equal_direct_checker_calls(small_corpus):
         return [json.dumps(r.to_dict(include_trace=True), sort_keys=True) for r in rows]
 
     assert dump(suite_rows) == dump(direct_rows)
+
+
+def test_dimension_comes_from_each_function():
+    """A 3-d corpus under a config whose own corpus is 2-d: every row uses n = 3."""
+    corpus = sq.generate_corpus(SPECS["3d"])
+    config = SuiteConfig(inequalities=({"id": "s_phi_p", "p": 1.0}, {"id": "sobolev_weak"}))
+    assert config.corpus.dim == 2
+    reports = sq.run_suite(config, corpus)
+    assert len(reports) == 2 * len(corpus)
+    assert {(r.status, r.params["n"]) for r in reports} == {("ok", 3)}
+    phi3 = sq.phi_from_profile(sq.euclidean_profile(3))
+    direct = sq.check_s_phi_p(corpus[0][1], phi3, sq.InequalityParams(p=1.0, n=3))
+    assert reports[0].worst_ratio == direct.worst_ratio
 
 
 def test_default_suite_builds_each_artifact_once(small_corpus, monkeypatch):
@@ -231,8 +242,8 @@ def test_default_suite_builds_each_tgrid_artifact_once(small_corpus, monkeypatch
     assert not any(r.status.startswith("input_error") for r in reports)
     assert len({f.shape_label for _, f in corpus}) == 1
     # each distinct spec is built once: the checks' one default grid (64 points
-    # per decade) and the O'Neil pairs' grids, whose totals can differ in the last bits
+    # per decade) and the O'Neil pairs' one grid, which ends at the domain measure
     assert set(grids.values()) == {1}
-    assert [args[2] for args in grids].count(64) == 1
+    assert sorted(args[2] for args in grids) == [16, 64]
     # oscillation_p reads phi(t) of the one (spec, phi); derivative_p the refined grid's phi
     assert sum(phi_arrays.values()) == 2 and len(phi_arrays) == 2

@@ -88,7 +88,7 @@ class TestDecreasingRearrangement:
         mf = MassFunction.from_atoms(atoms)
         prof = sq.decreasing_rearrangement(mf)
         for p in (1.0, 2.0, 3.0):
-            assert prof.lp_integral(p) ** (1 / p) == pytest.approx(
+            assert sq.lorentz_norm(prof, p, p) == pytest.approx(
                 sq.lp_norm(mf, p), rel=1e-12, abs=1e-300
             )
 
