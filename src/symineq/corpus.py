@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -26,8 +27,8 @@ __all__ = ["CorpusSpec", "generate_corpus", "cone_grid", "tent_grid"]
 class CorpusSpec:
     """Deterministic description of a grid-function corpus.
 
-    Checked when constructed: every family kind and key must be known, and
-    the grid must hold the corpus features and each noise family's collar.
+    Checked when constructed: every family kind and key must be known, counts
+    and noise radii integers, and the grid must hold the features and collars.
     """
 
     seed: int = 0
@@ -47,6 +48,8 @@ class CorpusSpec:
             raise ValueError("grid too small for the corpus features")
         for fam in self.families:
             keys = _family_kwargs(fam)
+            for key in sorted({"count", "bumps"}.intersection(keys)):
+                _check_whole(fam["kind"], key, keys[key], 1)
             if fam["kind"] == "smoothed_noise":
                 _noise_margin(self.extents, keys.get("radius", NOISE_RADIUS))
 
@@ -97,6 +100,13 @@ def check_keys(doc, cls, what: str) -> None:
     unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {what} keys {unknown}")
+
+
+def _check_whole(kind: str, key: str, value, least: int, floats: bool = False) -> None:
+    """Reject a family value that is not an int >= ``least``; with ``floats``, 4.0 counts as 4."""
+    whole = isinstance(value, numbers.Integral) or floats and isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole or value < least:
+        raise ValueError(f"{kind}: {key} must be an integer >= {least}, not {value!r}")
 
 
 def _cell_axes(extents: tuple[int, ...], spacing: float):
@@ -227,6 +237,7 @@ NOISE_RADIUS = 4  # default box-smoothing radius of smoothed_noise, in cells
 
 def _noise_margin(extents: int, radius) -> int:
     """Zero collar of a smoothed_noise function, in cells; the grid must hold two."""
+    _check_whole("smoothed_noise", "radius", radius, 0, floats=True)
     margin = 2 + int(radius) * 3 + 2
     if 2 * margin >= extents:
         raise ValueError("grid too small for the requested smoothing radius")
@@ -255,7 +266,7 @@ def _multi_bump(spec: CorpusSpec, rng, *, count=1, bumps=3):
     out = []
     for _ in range(count):
         values = np.zeros(shape)
-        for _ in range(int(bumps)):
+        for _ in range(bumps):
             radius = side * rng.uniform(0.08, 0.18)
             c = tuple(
                 rng.uniform(radius + 3 * h, side - radius - 3 * h)

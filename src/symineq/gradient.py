@@ -46,6 +46,9 @@ __all__ = [
 
 GRADIENT_MODES = ("metric_max", "euclidean_central")
 
+# A single profile drop above this share of the maximum level is a jump.
+JUMP_THRESHOLD = 0.25
+
 
 def _axis_slices(ndim: int, axis: int, shift: int) -> tuple:
     # slices into the 1-padded array: core everywhere except `axis`,
@@ -88,7 +91,8 @@ class PreparedFunction:
     ``grad_profile(mode)`` are the same chain for the gradient modulus in
     one gradient mode; ``powered(profile, p)`` is the p-th power of either
     profile.  Every artifact is built at most once and is bit-identical to
-    building it directly from ``grid``.
+    building it directly from ``grid``.  ``is_zero`` is the one zero-function
+    test; ``grad`` and ``norm`` reject a nonzero f whose gradient or norm is 0.
     """
 
     __slots__ = ("grid", "_cache", "_powers")
@@ -111,8 +115,25 @@ class PreparedFunction:
     def profile(self) -> StepProfile:
         return self._cached("profile", lambda: decreasing_rearrangement(self.mass))
 
+    @property
+    def is_zero(self) -> bool:
+        return self.mass.max_value == 0
+
     def grad(self, mode: str = "metric_max") -> GridFunction:
-        return self._cached(("grad", mode), lambda: metric_gradient_modulus(self.grid, mode))
+        return self._cached(("grad", mode), lambda: self._nonzero_grad(mode))
+
+    def _nonzero_grad(self, mode: str) -> GridFunction:
+        g = metric_gradient_modulus(self.grid, mode)
+        if not np.any(g.values) and not self.is_zero:
+            raise ValueError("nonzero function with zero gradient: malformed input")
+        return g
+
+    def norm(self, p: float, mode: str | None = None) -> float:
+        """L^p norm of f, or of its gradient modulus in ``mode``."""
+        norm = lp_norm(self.mass if mode is None else self.grad_mass(mode), p)
+        if norm == 0.0 and not self.is_zero:
+            raise ValueError(f"nonzero function whose L^{p:g} norm underflows to 0: malformed input")
+        return norm
 
     def grad_mass(self, mode: str = "metric_max") -> MassFunction:
         return self._cached(("grad_mass", mode), lambda: grid_to_mass(self.grad(mode)))
@@ -145,18 +166,18 @@ def prepare(f) -> PreparedFunction:
     return f if isinstance(f, PreparedFunction) else PreparedFunction(f)
 
 
-def has_profile_jump(s: StepProfile, rel_threshold: float = 0.25) -> bool:
+def has_profile_jump(s: StepProfile) -> bool:
     """Detect a genuine jump in a rearrangement profile.
 
     Profiles of Lipschitz grid functions drop by O(h) between consecutive
-    levels; a single drop exceeding ``rel_threshold`` of the maximum level
+    levels; a single drop exceeding ``JUMP_THRESHOLD`` of the maximum level
     marks an indicator-like discontinuity, for which the midpoint-interpolant
     derivative does not converge under grid refinement.
     """
     if s.max_level == 0:
         return False
     drops = -np.diff(np.concatenate((s.levels, [0.0])))
-    return bool(np.max(drops) > rel_threshold * s.max_level)
+    return bool(np.max(drops) > JUMP_THRESHOLD * s.max_level)
 
 
 def polya_szego_lhs(
@@ -201,24 +222,21 @@ def polya_szego_lhs(
 
 def polya_szego_compare(
     f: GridFunction | PreparedFunction,
-    n: int,
     p: float,
     gradient_mode: str = "metric_max",
     weight: str = "isoperimetric",
     tolerance: float = 0.05,
-    jump_threshold: float = 0.25,
 ) -> CheckReport:
     """Ratio of the rearranged-derivative integral to the gradient L^p norm.
 
-    Passes when the ratio stays below 1 + tolerance.  Jumpy profiles
-    (indicators) are reported with status "flagged:jump": for p > 1 their
-    true rearranged-derivative integral is infinite and the interpolant value
-    has no refinement limit.
+    n is the dimension of f's grid.  Passes when the ratio stays below
+    1 + tolerance.  Jumpy profiles (indicators) are reported with status
+    "flagged:jump": for p > 1 their true rearranged-derivative integral is
+    infinite and the interpolant value has no refinement limit.
     """
     pf = prepare(f)
     grid = pf.grid
-    if n != grid.dim:
-        raise ValueError("n must equal the grid dimension")
+    n = grid.dim
     params = {
         "n": n,
         "p": p,
@@ -227,13 +245,13 @@ def polya_szego_compare(
         "grid": grid.shape_label,
         "spacing": grid.spacing,
     }
-    rhs = lp_norm(pf.grad_mass(gradient_mode), p)
-    if rhs == 0.0:
+    if pf.is_zero:
         # constant-zero input: ratio defined as 0
         return CheckReport.trivial_pass("polya_szego", params, 1.0, tolerance)
+    rhs = pf.norm(p, gradient_mode)
     profile = pf.profile
     lhs = polya_szego_lhs(profile, n, p, weight)
-    params["jump_flag"] = has_profile_jump(profile, jump_threshold)
+    params["jump_flag"] = has_profile_jump(profile)
     return CheckReport(
         inequality_id="polya_szego",
         params=params,

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .measure import GridFunction, MassFunction, lp_norm, support_measure
+from .measure import GridFunction, MassFunction, support_measure
 from .rearrangement import (
     StepProfile,
     decreasing_rearrangement,
@@ -52,11 +52,15 @@ __all__ = [
     "ARITY",
     "CODE_ONLY",
     "checker_kwargs",
+    "entry_keys",
     "binomial_coefficient",
 ]
 
 SCALAR_TOLERANCE = 1e-10
 GRID_TOLERANCE = 0.05
+
+# Geometric pieces per t-grid interval in the derivative form's lower sum.
+DERIVATIVE_REFINE = 16
 
 # Default t-grid floor, in cells.  Below a handful of cells the rearrangement
 # has only one or two atoms and functions with a Lipschitz kink at their max
@@ -128,21 +132,17 @@ class InequalityParams:
     ``k`` is the unique integer with k < p <= k+1 (so integer p gives p-1);
     the oscillation constant is 2^((k+1)/p - 1).  The derivative-form check
     asserts p * 2^((k+1)/p) and also records the verdict at the bare
-    2^((k+1)/p).  ``n`` is the dimension of the space the function lives on;
-    the registry's runners take it from the function's grid.
+    2^((k+1)/p).
     """
 
     p: float = 1.0
-    n: int = 2
     constant_mode: str = "analytic"  # or "fitted"
     tolerance: float = GRID_TOLERANCE
     t_grid: TGridSpec | None = None
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not 1 <= self.p < math.inf:  # an infinite p has no k; a NaN p fails here too
+            raise ValueError("p must be finite and >= 1")
         if self.constant_mode not in ("analytic", "fitted"):
             raise ValueError(f"unknown constant_mode {self.constant_mode!r}")
         if not (self.k < self.p <= self.k + 1):
@@ -192,7 +192,7 @@ def _tgrid_spec(f: GridFunction, params: InequalityParams) -> TGridSpec:
 def _grid_params(f: GridFunction, params: InequalityParams, gradient_mode: str) -> dict:
     return {
         "p": params.p,
-        "n": params.n,
+        "n": f.dim,
         "k": params.k,
         "constant_mode": params.constant_mode,
         "gradient_mode": gradient_mode,
@@ -203,6 +203,11 @@ def _grid_params(f: GridFunction, params: InequalityParams, gradient_mode: str) 
 
 def _trace(t, lhs, rhs) -> np.ndarray:
     return np.column_stack((t, lhs, rhs))
+
+
+def _phi_for(pf: PreparedFunction, phi: ProfileHandle | None) -> ProfileHandle:
+    """The given phi, else that of R^n: n is the dimension of f's grid, not a setting."""
+    return phi if phi is not None else phi_from_profile(euclidean_profile(pf.grid.dim))
 
 
 def _finalize(report_id, params_dict, worst, location, constant, params, trace=None):
@@ -227,23 +232,19 @@ def _finalize(report_id, params_dict, worst, location, constant, params, trace=N
 
 def check_s_phi_p(
     f: GridFunction | PreparedFunction,
-    phi: ProfileHandle,
+    phi: ProfileHandle | None,
     params: InequalityParams,
     gradient_mode: str = "metric_max",
 ) -> CheckReport:
+    """``phi`` None means that of R^n, n the dimension of f's grid (as in every phi check)."""
     p = params.p
     pf = prepare(f)
-    mass = pf.mass
-    norm_p = lp_norm(mass, p)
     doc = _grid_params(pf.grid, params, gradient_mode)
-    if norm_p == 0.0:
+    if pf.is_zero:
         return CheckReport.trivial_pass("s_phi_p", doc, 1.0, params.tolerance)
-    grad_norm = lp_norm(pf.grad_mass(gradient_mode), p)
-    if grad_norm == 0.0:
-        raise ValueError("nonzero function with zero gradient: malformed input")
-    supp = support_measure(mass)
-    doc["support_measure"] = supp
-    ratio = norm_p / (phi(supp) * grad_norm)
+    norm_p, grad_norm = pf.norm(p), pf.norm(p, gradient_mode)
+    supp = doc["support_measure"] = support_measure(pf.mass)
+    ratio = norm_p / (_phi_for(pf, phi)(supp) * grad_norm)
     return _finalize("s_phi_p", doc, float(ratio), supp, 1.0, params)
 
 
@@ -254,7 +255,7 @@ def check_s_phi_p(
 
 def check_oscillation_p(
     f: GridFunction | PreparedFunction,
-    phi: ProfileHandle,
+    phi: ProfileHandle | None,
     params: InequalityParams,
     gradient_mode: str = "metric_max",
     capture_trace: bool = False,
@@ -264,13 +265,13 @@ def check_oscillation_p(
     doc = _grid_params(pf.grid, params, gradient_mode)
     constant = params.oscillation_constant
     doc["constant_formula"] = "2^((k+1)/p - 1)"
-    if not np.any(pf.grid.values):
+    if pf.is_zero:
         return CheckReport.trivial_pass("oscillation_p", doc, constant, params.tolerance)
     fp = pf.powered(pf.profile, p)
     gp = pf.powered(pf.grad_profile(gradient_mode), p)
     spec = _tgrid_spec(pf.grid, params)
     t = _tgrid(spec)
-    phi_t = _phi_on_tgrid(spec, phi)
+    phi_t = _phi_on_tgrid(spec, _phi_for(pf, phi))
     lhs = (maximal_average(fp, t) ** (1.0 / p) - fp.value(t) ** (1.0 / p)) / phi_t
     rhs = maximal_average(gp, t) ** (1.0 / p)
     ratios = _ratio(lhs, rhs)
@@ -288,11 +289,10 @@ def check_oscillation_p(
 
 def check_derivative_p(
     f: GridFunction | PreparedFunction,
-    phi: ProfileHandle,
+    phi: ProfileHandle | None,
     params: InequalityParams,
     gradient_mode: str = "metric_max",
     form: str = "integrated",
-    refine: int = 16,
     capture_trace: bool = False,
 ) -> CheckReport:
     """Derivative-form check, integrated over grid intervals by default.
@@ -316,15 +316,16 @@ def check_derivative_p(
     constant = params.derivative_constant
     base = params.derivative_base_constant
     doc["base_constant"] = base
-    if not np.any(pf.grid.values):
+    if pf.is_zero:
         return CheckReport.trivial_pass("derivative_p", doc, constant, params.tolerance)
+    phi = _phi_for(pf, phi)
     gp = pf.powered(pf.grad_profile(gradient_mode), p)
     spec = _tgrid_spec(pf.grid, params)
     t = _tgrid(spec)
     if form == "integrated":
         amplitude = maximal_average(pf.powered(pf.profile, p), t) ** (1.0 / p)
         lhs = amplitude[:-1] - amplitude[1:]
-        right, phi_over_t, widths = _refined_tgrid(spec, phi, refine)
+        right, phi_over_t, widths = _refined_tgrid(spec, phi, DERIVATIVE_REFINE)
         vals = phi_over_t * maximal_average(gp, right) ** (1.0 / p)
         # right-endpoint sums under-estimate the decreasing integrand
         rhs = np.sum(vals * widths, axis=1)
@@ -579,26 +580,23 @@ def check_nash(
     c1: float = 1.0,
     c2: float = 1.0,
     classical: bool = False,
-    n: int | None = None,
     gradient_mode: str = "metric_max",
     tolerance: float = GRID_TOLERANCE,
     constant_mode: str = "fitted",
 ) -> CheckReport:
     """Nash-form bound ||f||_p <= c1 phi(c2 (||f||_1/||f||_p)^(p/(p-1))) || |grad f| ||_p.
 
-    In classical mode (p = 2, phi(t) = t^(1/n)) the equivalent product form
-    ||f||_2^(1+2/n) <= c ||f||_1^(2/n) || |grad f| ||_2 is evaluated and the
-    fitted c is recorded; ratios in either mode are invariant under scaling
-    f -> lambda f.
+    In classical mode (p = 2, phi(t) = t^(1/n), n the dimension of f's grid;
+    ``phi`` is not read) ||f||_2^(1+2/n) <= c ||f||_1^(2/n) || |grad f| ||_2
+    is evaluated and the fitted c recorded; in general mode ``phi`` None means
+    that of R^n.  Ratios in either mode are invariant under f -> lambda f.
     """
     if p <= 1:
         raise ValueError("the Nash form needs p > 1")
     pf = prepare(f)
-    norm_p = lp_norm(pf.mass, p)
-    if norm_p == 0.0:
+    if pf.is_zero:
         raise ValueError("||f||_p must be positive")
-    norm_1 = lp_norm(pf.mass, 1.0)
-    grad_norm = lp_norm(pf.grad_mass(gradient_mode), p)
+    norm_p, norm_1, grad_norm = pf.norm(p), pf.norm(1.0), pf.norm(p, gradient_mode)
     doc = {
         "p": p,
         "c1": c1,
@@ -608,24 +606,15 @@ def check_nash(
         "grid": pf.grid.shape_label,
     }
     if classical:
-        if n is None:
-            raise ValueError("classical mode needs the dimension n")
         if p != 2:
             raise ValueError("classical mode is the p = 2 case")
-        doc["n"] = n
-        lhs = norm_p ** (1.0 + 2.0 / n)
-        rhs = norm_1 ** (2.0 / n) * grad_norm
-        ratio = lhs / rhs
+        n = doc["n"] = pf.grid.dim
+        ratio = norm_p ** (1.0 + 2.0 / n) / (norm_1 ** (2.0 / n) * grad_norm)
     else:
-        if phi is None:
-            raise ValueError("general mode needs a phi handle")
         arg = c2 * (norm_1 / norm_p) ** (p / (p - 1.0))
-        ratio = norm_p / (c1 * phi(arg) * grad_norm)
+        ratio = norm_p / (c1 * _phi_for(pf, phi)(arg) * grad_norm)
     doc["fitted_constant"] = float(ratio) * (1.0 if classical else c1)
-    if constant_mode == "fitted":
-        constant = float(ratio)
-    else:
-        constant = c1 if classical else 1.0
+    constant = float(ratio) if constant_mode == "fitted" else (c1 if classical else 1.0)
     return CheckReport(
         inequality_id="nash_classical" if classical else "nash",
         params=doc,
@@ -643,14 +632,13 @@ def check_nash(
 
 def check_sobolev(
     f: GridFunction | PreparedFunction,
-    n: int,
-    p: float,
+    p: float | None,
     mode: str,
     gradient_mode: str = "metric_max",
     tolerance: float = GRID_TOLERANCE,
     constant: float | None = None,
 ) -> CheckReport:
-    """Sobolev-family bounds against the gradient L^p norm.
+    """Sobolev-family bounds against the gradient L^p norm, n the dimension of f's grid.
 
     * ``weak`` (1 <= p < n): sup_t f*(t) t^(1/pbar) with 1/pbar = 1/p - 1/n.
     * ``strong`` (1 <= p < n): { int ((f**-f*) t^(1/pbar))^p dt/t }^(1/p).
@@ -658,13 +646,14 @@ def check_sobolev(
     * ``morrey`` (p > n, unit-measure domain): f**(0+) - f**(1), against
       (1/n - 1/p)^(-1) || |grad f| ||_p.
 
-    Oscillation integrals run over (0, measure(domain)]; the fitted constant
-    is always recorded.
+    ``p`` None means n for ``exp`` and 1 otherwise.  Oscillation integrals
+    run over (0, measure(domain)]; the fitted constant is always recorded.
     """
     pf = prepare(f)
     grid = pf.grid
-    if n != grid.dim:
-        raise ValueError("n must equal the grid dimension")
+    n = grid.dim
+    if p is None:
+        p = float(n) if mode == "exp" else 1.0
     if mode not in ("weak", "strong", "exp", "morrey"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode in ("weak", "strong") and not (1 <= p < n):
@@ -684,26 +673,22 @@ def check_sobolev(
         "gradient_mode": gradient_mode,
         "grid": grid.shape_label,
     }
-    if lp_norm(pf.mass, 1.0) == 0.0:
-        return CheckReport.trivial_pass(
-            f"sobolev_{mode}", doc, 1.0 if constant is None else constant, tolerance
-        )
+    if pf.is_zero:
+        return CheckReport.trivial_pass(f"sobolev_{mode}", doc, 1.0 if constant is None else constant, tolerance)
     profile = pf.profile
-    grad_norm = lp_norm(pf.grad_mass(gradient_mode), p)
+    grad_norm = pf.norm(p, gradient_mode)
 
     location = None
     base_constant = 1.0
+    if mode in ("weak", "strong"):
+        inv_pbar = doc["inv_pbar"] = 1.0 / p - 1.0 / n
     if mode == "weak":
-        inv_pbar = 1.0 / p - 1.0 / n
         vals = profile.levels * profile.breakpoints[1:] ** inv_pbar
         j = int(np.argmax(vals))
         lhs = float(vals[j])
         location = float(profile.breakpoints[j + 1])
-        doc["inv_pbar"] = inv_pbar
     elif mode == "strong":
-        inv_pbar = 1.0 / p - 1.0 / n
         lhs = oscillation_norm(profile, p, inv_pbar)
-        doc["inv_pbar"] = inv_pbar
     elif mode == "exp":
         lhs = oscillation_norm(profile, float(n))
     else:
@@ -735,29 +720,19 @@ def check_sobolev(
 # ---------------------------------------------------------------------------
 
 
-def _phi_for(pf: PreparedFunction, phi: ProfileHandle | None) -> ProfileHandle:
-    """The given phi, else that of R^n: n is the dimension of f's grid, not a setting."""
-    return phi if phi is not None else phi_from_profile(euclidean_profile(pf.grid.dim))
-
-
 def _run_s_phi_p(f, *, p=1.0, phi=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant_mode="analytic"):
-    pf = prepare(f)
-    params = InequalityParams(p=p, n=pf.grid.dim, tolerance=tolerance, constant_mode=constant_mode)
-    return check_s_phi_p(pf, _phi_for(pf, phi), params, gradient_mode)
+    params = InequalityParams(p=p, tolerance=tolerance, constant_mode=constant_mode)
+    return check_s_phi_p(f, phi, params, gradient_mode)
 
 
 def _run_oscillation_p(f, *, p=1.0, phi=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant_mode="analytic", capture_trace=False):
-    pf = prepare(f)
-    params = InequalityParams(p=p, n=pf.grid.dim, tolerance=tolerance, constant_mode=constant_mode)
-    return check_oscillation_p(pf, _phi_for(pf, phi), params, gradient_mode, capture_trace)
+    params = InequalityParams(p=p, tolerance=tolerance, constant_mode=constant_mode)
+    return check_oscillation_p(f, phi, params, gradient_mode, capture_trace)
 
 
 def _run_derivative_p(f, *, p=1.0, phi=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant_mode="analytic", form="integrated", capture_trace=False):
-    pf = prepare(f)
-    params = InequalityParams(p=p, n=pf.grid.dim, tolerance=tolerance, constant_mode=constant_mode)
-    return check_derivative_p(
-        pf, _phi_for(pf, phi), params, gradient_mode, form, capture_trace=capture_trace
-    )
+    params = InequalityParams(p=p, tolerance=tolerance, constant_mode=constant_mode)
+    return check_derivative_p(f, phi, params, gradient_mode, form, capture_trace)
 
 
 def _run_chain_rule(f, *, r=2.0, gradient_mode="metric_max", tolerance=SCALAR_TOLERANCE):
@@ -765,33 +740,23 @@ def _run_chain_rule(f, *, r=2.0, gradient_mode="metric_max", tolerance=SCALAR_TO
 
 
 def _run_nash_classical(f, *, gradient_mode="metric_max", tolerance=GRID_TOLERANCE):
-    pf = prepare(f)
-    return check_nash(
-        pf, None, 2.0, classical=True, n=pf.grid.dim, gradient_mode=gradient_mode, tolerance=tolerance
-    )
+    return check_nash(f, None, 2.0, classical=True, gradient_mode=gradient_mode, tolerance=tolerance)
 
 
 def _run_nash(f, *, p=2.0, phi=None, c1=1.0, c2=1.0, gradient_mode="metric_max", tolerance=GRID_TOLERANCE):
-    pf = prepare(f)
-    return check_nash(
-        pf, _phi_for(pf, phi), p, c1, c2, gradient_mode=gradient_mode, tolerance=tolerance
-    )
+    return check_nash(f, phi, p, c1, c2, gradient_mode=gradient_mode, tolerance=tolerance)
 
 
 def _sobolev_runner(mode):
     def run(f, *, p=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant=None):
-        pf = prepare(f)
-        n = pf.grid.dim
-        if p is None:
-            p = float(n) if mode == "exp" else 1.0
-        return check_sobolev(pf, n, p, mode, gradient_mode, tolerance, constant)
+        return check_sobolev(f, p, mode, gradient_mode, tolerance, constant)
 
     return run
 
 
 def _run_polya_szego(f, *, p=1.0, gradient_mode="metric_max", weight="isoperimetric", tolerance=GRID_TOLERANCE):
-    pf = prepare(f)
-    return polya_szego_compare(pf, pf.grid.dim, p, gradient_mode, weight, tolerance)
+    # a call through this module's name, which a tracer can rebind; CHECKERS would hide it
+    return polya_szego_compare(f, p, gradient_mode, weight, tolerance)
 
 
 # Every check by id.  A runner's parameters after its function arguments are
@@ -820,25 +785,34 @@ ARITY = {"binomial_bounds": 0, "oneil": 2}
 CODE_ONLY = frozenset({"phi", "capture_trace", "masses"})
 
 
-def checker_kwargs(name: str, entry: dict, context: dict, arity: int | None = None) -> dict:
-    """Keyword arguments for ``CHECKERS[name]``: the entry's keys over the context's.
+def entry_keys(name: str, entry: dict, arity: int | None = None, config: bool = False) -> tuple[list, dict]:
+    """The keys an entry for ``CHECKERS[name]`` may set, and its own keys (``"id"`` aside).
 
-    The entry's keys (``"id"`` aside) must be parameters of the runner.  The
-    context's run-wide defaults (gradient_mode, tolerance, ...) are passed
-    where the runner declares them and they are not None.  An unknown id or
-    key, or an id taking other than ``arity`` functions, raises ValueError;
-    values are left to the runner, which rejects bad ones when it runs.
+    An unknown id or key, or an id taking other than ``arity`` functions,
+    raises ValueError.  A ``config`` entry (JSON) cannot set ``CODE_ONLY`` keys.
     """
     if name not in CHECKERS:
         raise ValueError(f"unknown inequality id {name!r}; known ids are {sorted(CHECKERS)}")
     takes = ARITY.get(name, 1)
     if arity is not None and takes != arity:
         raise ValueError(f"{name!r} takes {takes} functions, not {arity}")
-    accepted = list(inspect.signature(CHECKERS[name]).parameters)[takes:]
+    runner_keys = list(inspect.signature(CHECKERS[name]).parameters)[takes:]
+    accepted = [k for k in runner_keys if not (config and k in CODE_ONLY)]
     keys = {k: v for k, v in entry.items() if k != "id"}
     unknown = sorted(set(keys) - set(accepted))
     if unknown:
         raise ValueError(f"{name}: unknown keys {unknown}; accepted keys are {accepted}")
+    return accepted, keys
+
+
+def checker_kwargs(name: str, entry: dict, context: dict, arity: int | None = None) -> dict:
+    """Keyword arguments for ``CHECKERS[name]``: the entry's keys over the context's.
+
+    ``entry_keys`` checks the entry, ``CODE_ONLY`` keys allowed.  The context's
+    run-wide defaults (gradient_mode, tolerance, ...) are passed where the
+    runner declares them and they are not None; the runner checks values.
+    """
+    accepted, keys = entry_keys(name, entry, arity)
     defaults = {k: v for k, v in context.items() if k in accepted and v is not None}
     return {**defaults, **keys}
 

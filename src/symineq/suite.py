@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import CorpusSpec, check_keys, generate_corpus
 from .gradient import PreparedFunction
-from .inequalities import ARITY, CHECKERS, CODE_ONLY, check_binomial_bounds, check_oneil, checker_kwargs
+from .inequalities import ARITY, CHECKERS, check_binomial_bounds, check_oneil, checker_kwargs, entry_keys
 from .report import CheckReport, best_constant
 
 __all__ = ["SuiteConfig", "run_suite", "emit_report", "load_report", "DEFAULT_INEQUALITIES"]
@@ -46,7 +46,7 @@ DEFAULT_INEQUALITIES = (
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Which checks to run and how; unknown ids and entry keys, and ``CODE_ONLY`` keys, are rejected."""
+    """Which checks to run and how; unknown ids and entry keys, ``CODE_ONLY`` ones included, are rejected."""
 
     inequalities: tuple = DEFAULT_INEQUALITIES
     gradient_mode: str = "metric_max"
@@ -57,10 +57,7 @@ class SuiteConfig:
 
     def __post_init__(self):
         for entry in self.inequalities:
-            checker_kwargs(entry.get("id"), entry, {})
-            code_only = sorted(CODE_ONLY.intersection(entry))
-            if code_only:
-                raise ValueError(f"{entry['id']}: unknown keys {code_only}; a suite config cannot set them")
+            entry_keys(entry.get("id"), entry, config=True)
 
     def to_json(self, path=None):
         doc = {

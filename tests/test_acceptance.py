@@ -95,7 +95,7 @@ def _tail_integral_loop(mf, lam):
 
 def test_c04_p1_reduction_matches_direct_form(default_corpus, phi_euclid_2d):
     worst = 0.0
-    params = InequalityParams(p=1.0, n=2)
+    params = InequalityParams(p=1.0)
     for cid, f in default_corpus:
         report = sq.check_oscillation_p(f, phi_euclid_2d, params, capture_trace=True)
         prof = sq.decreasing_rearrangement(sq.grid_to_mass(f))
@@ -121,7 +121,7 @@ def test_c05_cone_oracle_numbers(cone512, phi_euclid_2d):
     prof = sq.decreasing_rearrangement(mass)
     weak_sup = float(np.max(prof.levels * prof.breakpoints[1:] ** 0.5))
     ratio = sq.check_s_phi_p(
-        cone512, phi_euclid_2d, InequalityParams(p=1.0, n=2)
+        cone512, phi_euclid_2d, InequalityParams(p=1.0)
     ).worst_ratio
 
     ok_norm1 = abs(norm1 - math.pi / 3) / (math.pi / 3) <= 0.01
@@ -142,7 +142,7 @@ def test_c06_theorem_chain_on_corpus(default_corpus, phi_euclid_2d):
     start = time.perf_counter()
     failures = []
     for p in (1.0, 1.5, 2.0, 3.0):
-        params = InequalityParams(p=p, n=2)
+        params = InequalityParams(p=p)
         limit = params.oscillation_constant * 1.05 * 1.05
         for cid, f in default_corpus:
             s = sq.check_s_phi_p(f, phi_euclid_2d, params)
@@ -164,8 +164,8 @@ def test_c06_theorem_chain_on_corpus(default_corpus, phi_euclid_2d):
 
 
 def test_c07_polya_szego_extremals(cone512, tent4096):
-    cone_report = sq.polya_szego_compare(cone512, 2, 1.0, weight="isoperimetric")
-    tent_report = sq.polya_szego_compare(tent4096, 1, 2.0, weight="bare_power")
+    cone_report = sq.polya_szego_compare(cone512, 1.0, weight="isoperimetric")
+    tent_report = sq.polya_szego_compare(tent4096, 2.0, weight="bare_power")
     ok_cone = abs(cone_report.worst_ratio - 1.0) <= 0.02
     ok_tent = abs(tent_report.worst_ratio - 0.5) / 0.5 <= 0.02
     record(
@@ -177,7 +177,7 @@ def test_c07_polya_szego_extremals(cone512, tent4096):
 
 
 def test_c08_morrey_averaged_bound(tent4096):
-    report = sq.check_sobolev(tent4096, 1, 2.0, "morrey")
+    report = sq.check_sobolev(tent4096, 2.0, "morrey")
     drop = report.params["ess_sup"] - report.params["mean"]
     grad2 = sq.lp_norm(sq.grid_to_mass(sq.metric_gradient_modulus(tent4096)), 2)
     bound = 2.0 * grad2
@@ -192,7 +192,7 @@ def test_c08_morrey_averaged_bound(tent4096):
 
 
 def test_c09_sharpness_trend(disk_ladder_512, phi_euclid_2d):
-    params = InequalityParams(p=1.0, n=2)
+    params = InequalityParams(p=1.0)
     ratios = [
         sq.check_s_phi_p(f, phi_euclid_2d, params).worst_ratio
         for f in disk_ladder_512

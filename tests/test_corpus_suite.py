@@ -15,7 +15,7 @@ import symineq as sq
 from symineq import inequalities
 from symineq.cli import main as cli_main
 from symineq.corpus import FAMILIES
-from symineq.inequalities import checker_kwargs
+from symineq.inequalities import CODE_ONLY, checker_kwargs
 from symineq.report import CheckReport
 from symineq.suite import SuiteConfig, suite_exit_code, summarize
 
@@ -52,7 +52,7 @@ class TestCorpus:
         assert sq.lp_norm(mass, 1) == pytest.approx(math.pi / 3, rel=0.01)
 
     def test_disk_ladder_ratios_increase(self, default_corpus, phi_euclid_2d):
-        params = sq.InequalityParams(p=1.0, n=2)
+        params = sq.InequalityParams(p=1.0)
         ratios = [
             sq.check_s_phi_p(f, phi_euclid_2d, params).worst_ratio
             for cid, f in default_corpus
@@ -124,6 +124,31 @@ class TestSuite:
         ):
             with pytest.raises(ValueError):
                 SuiteConfig(inequalities=(entry,))
+
+    def test_parse_errors_list_only_the_keys_a_config_can_set(self):
+        for entry in ({"id": "s_phi_p", "n": 3}, {"id": "oneil", "n": 3}, {"id": "s_phi_p", "phi": None}):
+            with pytest.raises(ValueError, match="accepted keys") as info:
+                SuiteConfig(inequalities=(entry,))
+            accepted = str(info.value).split("accepted keys are")[1]
+            assert not [key for key in CODE_ONLY if repr(key) in accepted], str(info.value)
+        # code and the command line still pass them
+        assert checker_kwargs("s_phi_p", {"phi": None}, {}) == {"phi": None}
+
+    def test_family_values_are_checked_at_parse(self):
+        with pytest.raises(ValueError, match="smoothed_noise: radius"):
+            sq.CorpusSpec(extents=32, families=({"kind": "smoothed_noise", "radius": 1.5},))
+        with pytest.raises(ValueError, match="multi_bump: bumps"):
+            sq.CorpusSpec(families=({"kind": "multi_bump", "bumps": -1},))
+        with pytest.raises(ValueError, match="cone: count"):
+            sq.CorpusSpec(families=({"kind": "cone", "count": 0},))
+        for key in ("count", "bumps"):
+            with pytest.raises(ValueError, match=f"multi_bump: {key}"):
+                sq.CorpusSpec(families=({"kind": "multi_bump", key: 2.0},))
+        whole = sq.CorpusSpec(extents=32, families=({"kind": "smoothed_noise", "radius": 2.0},))
+        ints = sq.CorpusSpec(extents=32, families=({"kind": "smoothed_noise", "radius": 2},))
+        assert [f.values.tobytes() for _, f in sq.generate_corpus(whole)] == [
+            f.values.tobytes() for _, f in sq.generate_corpus(ints)
+        ]
 
     def test_context_defaults_reach_declaring_checkers_only(self):
         context = {"n": 3, "gradient_mode": "euclidean_central", "capture_trace": True}
@@ -670,6 +695,11 @@ class TestCli:
             {"extents": 20},  # too small for the default noise smoothing radius
             {"families": [{"kind": "cone", "radius": 0.6}], "extents": 32},
             {"families": [{"kind": "cone", "count": "2"}]},
+            {"families": [{"kind": "smoothed_noise", "radius": -1}], "extents": 32},
+            {"families": [{"kind": "smoothed_noise", "radius": 1.5}], "extents": 32},
+            {"families": [{"kind": "multi_bump", "bumps": -1}]},
+            {"families": [{"kind": "multi_bump", "bumps": 0}]},
+            {"families": [{"kind": "tensor_bump", "count": 0}]},
         ],
         ids=[
             "family_key",
@@ -678,6 +708,11 @@ class TestCli:
             "noise_margin",
             "cone_margin",
             "count_type",
+            "noise_radius_negative",
+            "noise_radius_fraction",
+            "bumps_negative",
+            "bumps_zero",
+            "count_zero",
         ],
     )
     def test_spec_that_cannot_be_built_is_an_input_error(self, tmp_path, capsys, spec):

@@ -44,6 +44,14 @@ class TestInequalityParams:
         with pytest.raises(ValueError):
             InequalityParams(constant_mode="exact")
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_p_that_is_not_finite_is_an_input_error_row(self, p):
+        with pytest.raises(ValueError, match="finite"):
+            InequalityParams(p=p)
+        config = sq.SuiteConfig(inequalities=({"id": "s_phi_p", "p": p},))
+        (report,) = sq.run_suite(config, [("cone", small_cone(32))])
+        assert report.status.startswith("input_error")
+
     def test_binomial_falling_factorial(self):
         assert binomial_coefficient(2.0, 1) == pytest.approx(2.0)
         assert binomial_coefficient(2.5, 2) == pytest.approx(2.5 * 1.5 / 2)
@@ -52,7 +60,7 @@ class TestInequalityParams:
 
 class TestSPhiP:
     def test_cone_worked_example(self, cone512, phi_euclid_2d):
-        params = InequalityParams(p=1.0, n=2)
+        params = InequalityParams(p=1.0)
         report = sq.check_s_phi_p(cone512, phi_euclid_2d, params)
         assert report.worst_ratio == pytest.approx(2 / 3, rel=0.02)
         assert report.params["support_measure"] == pytest.approx(math.pi, rel=0.01)
@@ -60,28 +68,28 @@ class TestSPhiP:
 
     def test_zero_function_passes(self, phi_euclid_2d):
         f = GridFunction(0.1, np.zeros((8, 8)))
-        report = sq.check_s_phi_p(f, phi_euclid_2d, InequalityParams(p=2.0, n=2))
+        report = sq.check_s_phi_p(f, phi_euclid_2d, InequalityParams(p=2.0))
         assert report.worst_ratio == 0.0
         assert report.passed
 
     def test_scale_invariance(self, phi_euclid_2d):
         f = small_cone(128)
         g = GridFunction(f.spacing, 17.5 * f.values)
-        params = InequalityParams(p=1.5, n=2)
+        params = InequalityParams(p=1.5)
         a = sq.check_s_phi_p(f, phi_euclid_2d, params).worst_ratio
         b = sq.check_s_phi_p(g, phi_euclid_2d, params).worst_ratio
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_fitted_mode_records_constant(self, phi_euclid_2d):
         f = small_cone(128)
-        params = InequalityParams(p=1.0, n=2, constant_mode="fitted")
+        params = InequalityParams(p=1.0, constant_mode="fitted")
         report = sq.check_s_phi_p(f, phi_euclid_2d, params)
         assert report.params["fitted_constant"] == report.worst_ratio
         assert report.passed
 
     def test_sharper_mollification_raises_ratio(self, phi_euclid_2d):
         h = 1.0 / 256
-        params = InequalityParams(p=1.0, n=2)
+        params = InequalityParams(p=1.0)
         ratios = []
         for eps in (0.2, 0.1, 0.05):
             mask = disk_mask((256, 256), h, (0.5, 0.5), 0.25)
@@ -95,7 +103,7 @@ class TestOscillationP:
         # at p = 1 the check must agree with the plain f** - f* form at every
         # grid point to 1e-12
         for _, f in default_corpus[:3]:
-            params = InequalityParams(p=1.0, n=2)
+            params = InequalityParams(p=1.0)
             report = sq.check_oscillation_p(f, phi_euclid_2d, params, capture_trace=True)
             prof = sq.decreasing_rearrangement(sq.grid_to_mass(f))
             grad = sq.decreasing_rearrangement(
@@ -111,7 +119,7 @@ class TestOscillationP:
                 )
 
     def test_cone_passes_with_margin(self, cone512, phi_euclid_2d):
-        params = InequalityParams(p=1.0, n=2)
+        params = InequalityParams(p=1.0)
         report = sq.check_oscillation_p(cone512, phi_euclid_2d, params)
         assert report.passed
         assert report.worst_ratio < 0.95
@@ -120,7 +128,7 @@ class TestOscillationP:
         f = small_cone(128)
         supp = sq.support_measure(sq.grid_to_mass(f))
         grid = TGridSpec(8 * f.cell_measure, 2 * supp)
-        params = InequalityParams(p=2.0, n=2, t_grid=grid)
+        params = InequalityParams(p=2.0, t_grid=grid)
         report = sq.check_oscillation_p(f, phi_euclid_2d, params, capture_trace=True)
         t_last, lhs_last, rhs_last = report.trace[-1]
         assert t_last == pytest.approx(2 * supp)
@@ -134,21 +142,21 @@ class TestOscillationP:
     def test_scale_invariance_of_verdicts(self, phi_euclid_2d):
         f = small_cone(128)
         g = GridFunction(f.spacing, 0.03 * f.values)
-        params = InequalityParams(p=2.0, n=2)
+        params = InequalityParams(p=2.0)
         a = sq.check_oscillation_p(f, phi_euclid_2d, params).worst_ratio
         b = sq.check_oscillation_p(g, phi_euclid_2d, params).worst_ratio
         assert a == pytest.approx(b, rel=1e-11)
 
     def test_zero_function(self, phi_euclid_2d):
         f = GridFunction(0.1, np.zeros((8, 8)))
-        report = sq.check_oscillation_p(f, phi_euclid_2d, InequalityParams(p=1.0, n=2))
+        report = sq.check_oscillation_p(f, phi_euclid_2d, InequalityParams(p=1.0))
         assert report.passed and report.worst_ratio == 0.0
 
 
 class TestDerivativeP:
     def test_p1_pointwise_is_oscillation_over_t(self, phi_euclid_2d):
         f = small_cone(128)
-        params = InequalityParams(p=1.0, n=2)
+        params = InequalityParams(p=1.0)
         report = sq.check_derivative_p(
             f, phi_euclid_2d, params, form="pointwise", capture_trace=True
         )
@@ -159,7 +167,7 @@ class TestDerivativeP:
         assert report.passed  # cone passes at constant 2 with margin
 
     def test_integrated_cone_passes_both_constants(self, cone512, phi_euclid_2d):
-        params = InequalityParams(p=2.0, n=2)
+        params = InequalityParams(p=2.0)
         report = sq.check_derivative_p(cone512, phi_euclid_2d, params)
         assert report.passed
         assert report.params["pass_at_base_constant"]
@@ -168,7 +176,7 @@ class TestDerivativeP:
         h = 1.0 / 128
         mask = disk_mask((128, 128), h, (0.5, 0.5), 0.2)
         f = indicator_mollify(mask, h, 0.1)
-        params = InequalityParams(p=2.0, n=2)
+        params = InequalityParams(p=2.0)
         report = sq.check_derivative_p(
             f, phi_euclid_2d, params, form="pointwise", capture_trace=True
         )
@@ -182,7 +190,7 @@ class TestDerivativeP:
         h = 1.0 / 256
         mask = disk_mask((256, 256), h, (0.5, 0.5), 0.25)
         f = indicator_mollify(mask, h, 2.5 * h)
-        params = InequalityParams(p=2.0, n=2)
+        params = InequalityParams(p=2.0)
         integrated = sq.check_derivative_p(f, phi_euclid_2d, params)
         pointwise = sq.check_derivative_p(f, phi_euclid_2d, params, form="pointwise")
         assert integrated.passed
@@ -191,7 +199,7 @@ class TestDerivativeP:
     def test_pointwise_trace_is_dform_derivative(self, phi_euclid_2d):
         h = 1.0 / 128
         f = indicator_mollify(disk_mask((128, 128), h, (0.5, 0.5), 0.2), h, 0.1)
-        params = InequalityParams(p=2.0, n=2)
+        params = InequalityParams(p=2.0)
         report = sq.check_derivative_p(
             f, phi_euclid_2d, params, form="pointwise", capture_trace=True
         )
@@ -203,7 +211,7 @@ class TestDerivativeP:
         f = small_cone(64, radius=0.3)
         with pytest.raises(ValueError):
             sq.check_derivative_p(
-                f, phi_euclid_2d, InequalityParams(p=1.0, n=2), form="spectral"
+                f, phi_euclid_2d, InequalityParams(p=1.0), form="spectral"
             )
 
 
@@ -266,7 +274,7 @@ class TestTgridCaches:
 
     def test_a_plain_callable_phi_gives_the_handle_verdicts(self, phi_euclid_2d):
         f = small_cone(64)
-        params = InequalityParams(p=2.0, n=2)
+        params = InequalityParams(p=2.0)
         for check in (sq.check_oscillation_p, sq.check_derivative_p):
             by_handle = check(f, phi_euclid_2d, params)
             by_callable = check(f, lambda t: phi_euclid_2d(t), params)
@@ -274,7 +282,7 @@ class TestTgridCaches:
 
     def test_integrated_rhs_equals_the_inline_sum(self, phi_euclid_2d):
         f = small_cone(64)
-        report = sq.check_derivative_p(f, phi_euclid_2d, InequalityParams(p=2.0, n=2), capture_trace=True)
+        report = sq.check_derivative_p(f, phi_euclid_2d, InequalityParams(p=2.0), capture_trace=True)
         grad = sq.decreasing_rearrangement(sq.grid_to_mass(sq.metric_gradient_modulus(f)))
         gp = sq.powered_profile(grad, 2.0)
         sub = _inline_subgrid(TGridSpec(8 * f.cell_measure, f.domain_measure).points(), 16)
@@ -418,7 +426,7 @@ class TestONeil:
 
 class TestNash:
     def test_classical_cone_constant(self, cone512):
-        report = sq.check_nash(cone512, None, 2.0, classical=True, n=2)
+        report = sq.check_nash(cone512, None, 2.0, classical=True)
         # closed form for radial cones: ||f||_2^2/(||f||_1 ||grad f||_2)
         # = (pi R^2/6)/((pi R^2/3) sqrt(pi)) = 1/(2 sqrt(pi)), any R
         assert report.params["fitted_constant"] == pytest.approx(
@@ -426,21 +434,21 @@ class TestNash:
         )
 
     def test_grid_stability(self):
-        a = sq.check_nash(small_cone(256), None, 2.0, classical=True, n=2)
-        b = sq.check_nash(small_cone(512), None, 2.0, classical=True, n=2)
+        a = sq.check_nash(small_cone(256), None, 2.0, classical=True)
+        b = sq.check_nash(small_cone(512), None, 2.0, classical=True)
         ca, cb = a.params["fitted_constant"], b.params["fitted_constant"]
         assert abs(ca - cb) / cb < 0.02
 
     def test_scaling_invariance(self):
         f = small_cone(128)
         g = GridFunction(f.spacing, 42.0 * f.values)
-        a = sq.check_nash(f, None, 2.0, classical=True, n=2).worst_ratio
-        b = sq.check_nash(g, None, 2.0, classical=True, n=2).worst_ratio
+        a = sq.check_nash(f, None, 2.0, classical=True).worst_ratio
+        b = sq.check_nash(g, None, 2.0, classical=True).worst_ratio
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_dilation_sweep_constant_in_radius(self):
         consts = [
-            sq.check_nash(small_cone(256, radius=r), None, 2.0, classical=True, n=2)
+            sq.check_nash(small_cone(256, radius=r), None, 2.0, classical=True)
             .params["fitted_constant"]
             for r in (0.25, 0.32, 0.4)
         ]
@@ -450,20 +458,20 @@ class TestNash:
         f = small_cone(128)
         phi = ProfileHandle("power_law", 1.0, 0.5)  # t^(1/n) for n = 2
         general = sq.check_nash(f, phi, 2.0)
-        classical = sq.check_nash(f, None, 2.0, classical=True, n=2)
+        classical = sq.check_nash(f, None, 2.0, classical=True)
         assert general.worst_ratio == pytest.approx(classical.worst_ratio, rel=1e-12)
 
     def test_zero_function_rejected(self):
         f = GridFunction(0.1, np.zeros((8, 8)))
         with pytest.raises(ValueError):
-            sq.check_nash(f, None, 2.0, classical=True, n=2)
+            sq.check_nash(f, None, 2.0, classical=True)
         with pytest.raises(ValueError):
             sq.check_nash(small_cone(64, radius=0.3), None, 1.0)
 
 
 class TestSobolev:
     def test_weak_cone_worked_example(self, cone512):
-        report = sq.check_sobolev(cone512, 2, 1.0, "weak")
+        report = sq.check_sobolev(cone512, 1.0, "weak")
         # sup_t sqrt(t) f*(t) = sqrt(pi)/4 at t = pi/4; || |grad f| ||_1 = pi
         assert report.worst_ratio == pytest.approx(
             math.sqrt(math.pi) / 4 / math.pi, rel=0.02
@@ -471,9 +479,9 @@ class TestSobolev:
         assert report.worst_location == pytest.approx(math.pi / 4, rel=0.05)
 
     def test_strong_and_exp_record_fitted(self, cone512):
-        strong = sq.check_sobolev(cone512, 2, 1.0, "strong")
+        strong = sq.check_sobolev(cone512, 1.0, "strong")
         assert strong.passed and strong.params["fitted_constant"] > 0
-        expo = sq.check_sobolev(cone512, 2, 2.0, "exp")
+        expo = sq.check_sobolev(cone512, 2.0, "exp")
         assert expo.passed and expo.params["fitted_constant"] > 0
 
     def test_exp_matches_oscillation_functional_up_to_tail(self, cone512):
@@ -481,7 +489,7 @@ class TestSobolev:
         # domain as well; the domain-limited value must sit just below it
         prof = sq.decreasing_rearrangement(sq.grid_to_mass(cone512))
         full = sq.lorentz_norm(prof, math.inf, 2.0)
-        report = sq.check_sobolev(cone512, 2, 2.0, "exp")
+        report = sq.check_sobolev(cone512, 2.0, "exp")
         grad = sq.lp_norm(
             sq.grid_to_mass(sq.metric_gradient_modulus(cone512)), 2.0
         )
@@ -489,7 +497,7 @@ class TestSobolev:
         assert domain_limited < full <= domain_limited * 1.5
 
     def test_morrey_tent_worked_example(self, tent4096):
-        report = sq.check_sobolev(tent4096, 1, 2.0, "morrey")
+        report = sq.check_sobolev(tent4096, 2.0, "morrey")
         assert report.params["ess_sup"] - report.params["mean"] == pytest.approx(
             0.25, rel=0.01
         )
@@ -499,37 +507,35 @@ class TestSobolev:
     def test_zero_function_any_mode(self):
         values = np.zeros(16)
         f = GridFunction(1.0 / 16, values)
-        report = sq.check_sobolev(f, 1, 2.0, "morrey")
+        report = sq.check_sobolev(f, 2.0, "morrey")
         assert report.passed and report.worst_ratio == 0.0
 
     def test_scale_invariance(self):
         f = small_cone(128)
         g = GridFunction(f.spacing, 3.7 * f.values)
         for mode, p in (("weak", 1.0), ("strong", 1.0)):
-            a = sq.check_sobolev(f, 2, p, mode).worst_ratio
-            b = sq.check_sobolev(g, 2, p, mode).worst_ratio
+            a = sq.check_sobolev(f, p, mode).worst_ratio
+            b = sq.check_sobolev(g, p, mode).worst_ratio
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_parameter_validation(self, cone512, tent4096):
         with pytest.raises(ValueError):
-            sq.check_sobolev(cone512, 2, 2.0, "weak")  # needs p < n
+            sq.check_sobolev(cone512, 2.0, "weak")  # needs p < n
         with pytest.raises(ValueError):
-            sq.check_sobolev(cone512, 2, 1.0, "exp")  # needs p = n
+            sq.check_sobolev(cone512, 1.0, "exp")  # needs p = n
         with pytest.raises(ValueError):
-            sq.check_sobolev(cone512, 2, 3.0, "morrey")  # unit domain required
+            sq.check_sobolev(cone512, 3.0, "morrey")  # unit domain required
         with pytest.raises(ValueError):
-            sq.check_sobolev(tent4096, 1, 0.5, "morrey")
+            sq.check_sobolev(tent4096, 0.5, "morrey")
         with pytest.raises(ValueError):
-            sq.check_sobolev(cone512, 3, 1.0, "weak")  # n != dim
-        with pytest.raises(ValueError):
-            sq.check_sobolev(cone512, 2, 1.0, "average")
+            sq.check_sobolev(cone512, 1.0, "average")
 
 
 class TestEmpiricalBestConstant:
     def test_singleton_and_zero_padding(self, phi_euclid_2d):
         f = small_cone(128)
         solo = empirical_best_constant("s_phi_p", [f], {"p": 1.0})
-        report = sq.check_s_phi_p(f, phi_euclid_2d, InequalityParams(p=1.0, n=2))
+        report = sq.check_s_phi_p(f, phi_euclid_2d, InequalityParams(p=1.0))
         assert solo == report.worst_ratio
         zero = GridFunction(f.spacing, np.zeros(f.extents))
         padded = empirical_best_constant("s_phi_p", [f, zero], {"p": 1.0})
@@ -550,7 +556,7 @@ class TestEmpiricalBestConstant:
     def test_dimension_defaults_to_the_function(self):
         f = sq.cone_grid(32, dim=3, radius=0.8)
         phi3 = sq.phi_from_profile(sq.euclidean_profile(3))
-        report = sq.check_s_phi_p(f, phi3, InequalityParams(p=1.0, n=3))
+        report = sq.check_s_phi_p(f, phi3, InequalityParams(p=1.0))
         assert empirical_best_constant("s_phi_p", [f], {"p": 1.0}) == report.worst_ratio
 
     def test_flagged_rows_are_left_out_as_in_the_summary(self):

@@ -86,6 +86,21 @@ class TestMassFunction:
         assert mf.total_mass == pytest.approx(expected, rel=1e-12)
 
 
+    @given(st.one_of(
+        st.tuples(tied_values, uniform_masses),
+        atom_lists.map(lambda atoms: ([v for v, _ in atoms], np.array([m for _, m in atoms]))),
+    ))
+    @settings(max_examples=200)
+    def test_canonical_form_on_both_routes(self, values_masses):
+        values, masses = values_masses
+        mf = MassFunction(values, masses)
+        assert np.all(np.diff(mf.values) < 0)  # strictly decreasing: ties merged
+        assert np.all(mf.masses > 0)
+        assert mf.cum_masses[-1] == mf.total_mass
+        assert mf.total_mass == pytest.approx(math.fsum(mf.masses), rel=1e-12)
+        assert mf.total_mass == pytest.approx(math.fsum(np.broadcast_to(masses, len(values))), rel=1e-12)
+
+
 class TestGridFunction:
     def test_boundary_layer_enforced(self):
         values = np.ones((4, 4))

@@ -169,8 +169,47 @@ def test_dimension_comes_from_each_function():
     assert len(reports) == 2 * len(corpus)
     assert {(r.status, r.params["n"]) for r in reports} == {("ok", 3)}
     phi3 = sq.phi_from_profile(sq.euclidean_profile(3))
-    direct = sq.check_s_phi_p(corpus[0][1], phi3, sq.InequalityParams(p=1.0, n=3))
+    direct = sq.check_s_phi_p(corpus[0][1], phi3, sq.InequalityParams(p=1.0))
     assert reports[0].worst_ratio == direct.worst_ratio
+
+
+def test_direct_checkers_take_n_and_phi_from_a_3d_grid():
+    f3d = sq.cone_grid(32, dim=3, radius=0.8)
+    phi3 = sq.phi_from_profile(sq.euclidean_profile(3))
+    params = sq.InequalityParams(p=1.0)
+    for check in (sq.check_s_phi_p, sq.check_oscillation_p, sq.check_derivative_p):
+        default, explicit = check(f3d, None, params), check(f3d, phi3, params)
+        assert default.params["n"] == 3
+        assert default.to_dict() == explicit.to_dict()
+    classical = sq.check_nash(f3d, None, 2.0, classical=True)
+    assert classical.params["n"] == 3
+    assert sq.check_nash(f3d, None, 2.0).worst_ratio == sq.check_nash(f3d, phi3, 2.0).worst_ratio
+    expo = sq.check_sobolev(f3d, None, "exp")
+    assert (expo.params["n"], expo.params["p"]) == (3, 3.0)
+    assert expo.worst_ratio == sq.check_sobolev(f3d, 3.0, "exp").worst_ratio
+    assert sq.check_sobolev(f3d, None, "weak").params["p"] == 1.0
+    assert sq.polya_szego_compare(f3d, 1.0).params["n"] == 3
+
+
+def test_an_underflowed_gradient_is_an_input_error_not_a_trivial_pass():
+    """Every cell of 1e-200 * cone is nonzero, but each squared gradient component underflows."""
+    cone = sq.cone_grid(64)
+    tiny = sq.GridFunction(cone.spacing, 1e-200 * cone.values)
+    assert not np.any(sq.metric_gradient_modulus(tiny).values)
+    entries = tuple(e for e in DEFAULT_INEQUALITIES if e["id"] not in ("binomial_bounds", "oneil"))
+    config = SuiteConfig(inequalities=entries)
+    for got, want in zip(sq.run_suite(config, [("tiny", tiny)]), sq.run_suite(config, [("cone", cone)])):
+        assert got.status.startswith("input_error") or got.worst_ratio == want.worst_ratio, got.inequality_id
+    with pytest.raises(ValueError, match="zero gradient"):
+        prepare(tiny).grad()
+    # at 1e-120 the gradient survives, but f^3 and |grad f|^3 underflow: no 0/0 escapes a checker
+    cubed = sq.GridFunction(cone.spacing, 1e-120 * cone.values)
+    cubic = tuple({"id": name, "p": 3.0} for name in ("s_phi_p", "nash", "polya_szego"))
+    rows = sq.run_suite(SuiteConfig(inequalities=cubic), [("cubed", cubed)])
+    assert [r.status.split(":")[0] for r in rows] == ["input_error"] * 3
+    assert all("underflows" in r.status for r in rows)
+    zero = sq.GridFunction(cone.spacing, np.zeros(cone.extents))
+    assert prepare(zero).is_zero and not np.any(prepare(zero).grad().values)
 
 
 def test_default_suite_builds_each_artifact_once(small_corpus, monkeypatch):

@@ -93,6 +93,22 @@ class TestDecreasingRearrangement:
             )
 
 
+    # bounded values and masses, so no product overflows; the equimeasurability
+    # of the profile is TestDistribution.test_equimeasurable_with_rearrangement
+    @given(st.one_of(
+        st.tuples(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=25), st.floats(0.01, 10.0)),
+        atom_lists.map(lambda atoms: ([v for v, _ in atoms], np.array([m for _, m in atoms]))),
+    ))
+    @settings(max_examples=200)
+    def test_levels_and_integral_on_both_routes(self, values_masses):
+        mf = MassFunction(*values_masses)
+        prof = sq.decreasing_rearrangement(mf)
+        assert np.all(np.diff(prof.levels) <= 0)
+        assert prof.total_integral == pytest.approx(
+            math.fsum(mf.values * mf.masses), rel=1e-9, abs=1e-300
+        )
+
+
 class TestStepProfile:
     def test_validation(self):
         with pytest.raises(ValueError):
