@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .measure import GridFunction
-from .isoperimetry import disk_mask, indicator_mollify
+from .isoperimetry import disk_mask, mollify_ladder
 
 __all__ = ["CorpusSpec", "generate_corpus", "cone_grid", "tent_grid"]
 
@@ -225,11 +225,8 @@ def _mollified_disk(spec: CorpusSpec, rng, *, radius=None, eps_ladder=(0.2, 0.1,
     h, side = spec.spacing, spec.side
     radius = 0.25 * side if radius is None else radius
     center = (side / 2.0,) * spec.dim
-    out = []
-    for eps_rel in eps_ladder:
-        mask = disk_mask(shape, h, center, radius)
-        out.append(indicator_mollify(mask, h, max(eps_rel * side, h)))
-    return out
+    mask = disk_mask(shape, h, center, radius)
+    return mollify_ladder(mask, h, [max(eps_rel * side, h) for eps_rel in eps_ladder])
 
 
 NOISE_RADIUS = 4  # default box-smoothing radius of smoothed_noise, in cells

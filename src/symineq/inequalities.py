@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .measure import GridFunction, MassFunction, support_measure
+from .measure import GridFunction, MassFunction, require_finite_p, support_measure
 from .rearrangement import (
     StepProfile,
     decreasing_rearrangement,
@@ -28,7 +28,6 @@ from .rearrangement import (
 )
 from .gradient import (
     PreparedFunction,
-    _axis_slices,
     metric_gradient_modulus,
     polya_szego_compare,
     prepare,
@@ -141,8 +140,7 @@ class InequalityParams:
     t_grid: TGridSpec | None = None
 
     def __post_init__(self):
-        if not 1 <= self.p < math.inf:  # an infinite p has no k; a NaN p fails here too
-            raise ValueError("p must be finite and >= 1")
+        require_finite_p(self.p)  # an infinite p has no k
         if self.constant_mode not in ("analytic", "fitted"):
             raise ValueError(f"unknown constant_mode {self.constant_mode!r}")
         if not (self.k < self.p <= self.k + 1):
@@ -177,12 +175,19 @@ def _ratio(lhs, rhs):
     """Elementwise LHS/RHS with 0/0 -> 0 and positive/0 -> inf."""
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    out = np.full(np.broadcast(lhs, rhs).shape, np.inf)
-    zero = (rhs == 0) & (lhs <= 0)
+    out = np.empty(np.broadcast(lhs, rhs).shape)
+    out[...] = lhs
+    return _ratio_in_place(out, rhs)
+
+
+def _ratio_in_place(lhs: np.ndarray, rhs) -> np.ndarray:
+    """``_ratio(lhs, rhs)`` written over the float array ``lhs``; rhs broadcasts to it."""
     pos = rhs > 0
-    out[zero] = 0.0
-    np.divide(lhs, rhs, out=out, where=pos)
-    return out
+    zero = (rhs == 0) & (lhs <= 0)
+    np.divide(lhs, rhs, out=lhs, where=pos)
+    np.copyto(lhs, np.inf, where=~pos)
+    np.copyto(lhs, 0.0, where=zero)
+    return lhs
 
 
 def _tgrid_spec(f: GridFunction, params: InequalityParams) -> TGridSpec:
@@ -416,11 +421,24 @@ def check_binomial_bounds(
 
 
 def _local_stencil_max(values: np.ndarray) -> np.ndarray:
-    padded = np.pad(values, 1)
+    """Each cell's max over itself and its axis neighbours; an out-of-grid neighbour is 0.
+
+    As in the gradient kernel, a neighbour along an axis is a flat shift of
+    the C-ordered cells.  The shift is wrong only on the face it moves
+    toward, so that face is kept aside and maxed with 0 instead.
+    """
+    values = np.ascontiguousarray(values)
     out = values.copy()
+    flat, o = values.reshape(-1), out.reshape(-1)
     for ax in range(values.ndim):
-        np.maximum(out, padded[_axis_slices(values.ndim, ax, +1)], out=out)
-        np.maximum(out, padded[_axis_slices(values.ndim, ax, -1)], out=out)
+        s = math.prod(values.shape[ax + 1 :])
+        om = np.moveaxis(out, ax, 0)
+        face = om[-1:].copy()
+        np.maximum(o[:-s], flat[s:], out=o[:-s])
+        np.maximum(face, 0.0, out=om[-1:])
+        face = om[:1].copy()
+        np.maximum(o[s:], flat[:-s], out=o[s:])
+        np.maximum(face, 0.0, out=om[:1])
     return out
 
 
@@ -463,10 +481,13 @@ def check_chain_rule(
         raise ValueError("chain rule check expects a nonnegative function")
     powered = GridFunction(grid.spacing, grid.values**r)
     lhs = metric_gradient_modulus(powered, gradient_mode).values
-    base = pf.grad(gradient_mode).values
-    local_max = _local_stencil_max(grid.values)
-    rhs = 2.0 * r * local_max ** (r - 1.0) * base
-    grid_ratios = _ratio(lhs, rhs)
+    del powered  # only its gradient is read
+    # rhs = (2r * fhat^(r-1)) * |grad f|, built in place in that order
+    rhs = _local_stencil_max(grid.values)
+    rhs **= r - 1.0
+    rhs *= 2.0 * r
+    rhs *= pf.grad(gradient_mode).values
+    grid_ratios = _ratio_in_place(lhs, rhs)
     g_idx = int(np.argmax(grid_ratios))
     grid_worst = float(grid_ratios.ravel()[g_idx])
     scalar_worst, scalar_a, scalar_b = _scalar_chain_sweep(r, a_max, grid_points)
@@ -593,6 +614,7 @@ def check_nash(
     """
     if p <= 1:
         raise ValueError("the Nash form needs p > 1")
+    require_finite_p(p)
     pf = prepare(f)
     if pf.is_zero:
         raise ValueError("||f||_p must be positive")

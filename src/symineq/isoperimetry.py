@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .measure import GridFunction
 
@@ -25,6 +24,7 @@ __all__ = [
     "phi_from_profile",
     "validate_profile",
     "indicator_mollify",
+    "mollify_ladder",
     "disk_mask",
     "unit_ball_volume",
 ]
@@ -249,13 +249,25 @@ def indicator_mollify(mask: np.ndarray, spacing: float, eps: float) -> GridFunct
     and (1 + h/eps)/eps per axis) and a computable perimeter proxy
     (measure(A_eps) - measure(A)) / eps.
     """
+    return mollify_ladder(mask, spacing, (eps,))[0]
+
+
+def mollify_ladder(mask: np.ndarray, spacing: float, eps_ladder) -> list[GridFunction]:
+    """``indicator_mollify(mask, spacing, eps)`` for each eps, from one distance transform."""
     mask = np.asarray(mask, dtype=bool)
     h = float(spacing)
-    if eps < h:
+    if any(eps < h for eps in eps_ladder):
         raise ValueError("mollification width eps must be at least the cell spacing")
     if not mask.any():
         raise ValueError("cell set is empty")
+    from scipy import ndimage  # imported on first use: it is most of the package's import time
+
     dist = ndimage.distance_transform_edt(~mask, sampling=h)
+    return [_collar(dist, h, eps) for eps in eps_ladder]
+
+
+def _collar(dist: np.ndarray, h: float, eps: float) -> GridFunction:
+    """1 - dist/eps clipped to [0, 1]; its support must keep two cells from the boundary."""
     values = np.clip(1.0 - dist / eps, 0.0, 1.0)
     for ax in range(values.ndim):
         for idx in (0, 1, -2, -1):

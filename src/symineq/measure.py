@@ -196,6 +196,12 @@ def support_measure(f: MassFunction, threshold: float = 0.0) -> float:
     return float(f.cum_masses[k - 1]) if k else 0.0
 
 
+def require_finite_p(p: float) -> None:
+    """Reject an exponent that is not a finite real >= 1; an infinite or NaN p fails too."""
+    if not 1 <= p < math.inf:
+        raise ValueError("p must be finite and >= 1")
+
+
 def lp_norm(f: MassFunction, p: float) -> float:
     """(sum value**p * mass)**(1/p); the max value for p = inf."""
     if math.isinf(p):

@@ -599,6 +599,27 @@ class TestCli:
         assert rows[0]["status"].startswith("input_error")
         assert not rows[0]["pass"]
 
+    @pytest.mark.parametrize("name", ["polya_szego", "nash"])
+    def test_infinite_p_is_an_input_error(self, tmp_path, capsys, name):
+        # JSON's Infinity: these runners take p without InequalityParams
+        config_file = tmp_path / "config.json"
+        config_file.write_text(
+            json.dumps(
+                {
+                    "inequalities": [{"id": name, "p": math.inf}],
+                    "corpus": {"seed": 4, "extents": 32, "families": [{"kind": "cone"}]},
+                }
+            )
+        )
+        out = tmp_path / "out"
+        assert cli_main(["suite", "--config", str(config_file), "--out", str(out)]) == 2
+        rows = json.loads((out / "reports.json").read_text())["reports"]
+        assert [r["status"] for r in rows] == ["input_error: p must be finite and >= 1"]
+        cone_file = tmp_path / "cone.json"
+        sq.cone_grid(32, radius=0.5).to_json(cone_file)
+        assert cli_main(["check", "--ineq", name, "--fn", str(cone_file), "--p", "inf"]) == 2
+        assert "p must be finite and >= 1" in capsys.readouterr().err
+
     def test_check_unknown_inequality(self, tmp_path, capsys):
         assert cli_main(["check", "--ineq", "nope", "--fn", "x.json"]) == 2
 

@@ -9,6 +9,7 @@ from symineq.isoperimetry import (
     disk_mask,
     euclidean_profile,
     indicator_mollify,
+    mollify_ladder,
     phi_from_profile,
     unit_ball_volume,
     validate_profile,
@@ -148,6 +149,21 @@ class TestIndicatorMollify:
         proxy = (sq.support_measure(mass) - sq.distribution(mass, 1.0 - 1e-9)) / eps
         # collar area = pi ((R+eps)^2 - R^2) = perimeter * eps + pi eps^2
         assert proxy == pytest.approx(2 * math.pi * radius + math.pi * eps, rel=0.03)
+
+    def test_ladder_equals_one_call_per_eps(self):
+        h = 1.0 / 48
+        mask = disk_mask((48, 48), h, (0.5, 0.5), 0.25)
+        ladder = (0.2, 0.1, 0.05, h)
+        for f, eps in zip(mollify_ladder(mask, h, ladder), ladder):
+            assert f.values.tobytes() == indicator_mollify(mask, h, eps).values.tobytes()
+
+    def test_ladder_checks_every_eps(self):
+        h = 1.0 / 64
+        mask = disk_mask((64, 64), h, (0.5, 0.5), 0.2)
+        with pytest.raises(ValueError, match="at least the cell spacing"):
+            mollify_ladder(mask, h, (0.1, 0.5 * h))
+        with pytest.raises(ValueError, match="two cells away"):
+            mollify_ladder(mask, h, (0.05, 0.4))
 
     def test_eps_below_spacing_rejected(self):
         mask = disk_mask((64, 64), 1 / 64, (0.5, 0.5), 0.2)
