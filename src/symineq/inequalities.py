@@ -518,9 +518,34 @@ def check_chain_rule(
 
 
 def _merged_product_profile(sf: StepProfile, sg: StepProfile) -> StepProfile:
-    merged = np.union1d(sf.breakpoints, sg.breakpoints)
-    left = merged[:-1]
-    levels = sf.value(left) * sg.value(left)
+    """The profile t -> f*(t) g*(t) on the union of the two breakpoint sets.
+
+    Both breakpoint arrays are sorted, so one stable sort of their
+    concatenation is a single run merge.  Of each run of equal points the
+    last is kept: the f breakpoints up to it, less one, index f's level there
+    (one past the end reads 0, beyond f's extent), and the g breakpoints
+    index g's.  The levels are the products ``sf.value(t) * sg.value(t)`` at
+    each merged left end, bit for bit.
+    """
+    bf, bg = sf.breakpoints, sg.breakpoints
+    points = np.concatenate((bf, bg))
+    counts = np.argsort(points, kind="stable")
+    points = points[counts]
+    np.cumsum(counts < bf.size, out=counts)  # f breakpoints at or before each merged position
+    # the last of each run of equal points, the run at the right edge excepted
+    ends = np.not_equal(points[1:], points[:-1])
+    kept = np.flatnonzero(ends)
+    del ends
+    idx_f = counts[kept]
+    del counts
+    merged = np.append(points[kept], points[-1])
+    del points
+    idx_g = kept  # kept + 1 breakpoints so far, idx_f of them from f; the rest less one
+    idx_g -= idx_f
+    idx_f -= 1
+    levels = np.append(sf.levels, 0.0)[idx_f]
+    del idx_f
+    levels *= np.append(sg.levels, 0.0)[idx_g]
     return StepProfile(merged, levels)
 
 
@@ -568,8 +593,9 @@ def check_oneil(
         prof_g = decreasing_rearrangement(MassFunction(vg, cell_masses))
         vfg = vf * vg
 
-    prof_fg = decreasing_rearrangement(MassFunction(vfg, cell_masses))
+    # the merge's temporaries are freed before the product sort builds its own
     hl_profile = _merged_product_profile(prof_f, prof_g)
+    prof_fg = decreasing_rearrangement(MassFunction(vfg, cell_masses))
 
     if t_grid is None:
         total = gf.domain_measure if grid_pair else prof_fg.total_measure

@@ -31,8 +31,13 @@ class MassFunction:
     bitwise equal.  It is stored as the tail of ``breakpoints`` =
     [0, cum_masses...], which the decreasing rearrangement uses as is.
 
-    A scalar ``masses`` gives every atom that mass (a grid's cells, say); the
-    values are then sorted directly instead of through a stable permutation.
+    A scalar ``masses`` m gives every atom that mass (a grid's cells, say).
+    The values are then sorted directly instead of through a stable
+    permutation, and the masses come from run lengths: an atom of k tied
+    cells has mass k*m, and the breakpoint after the first j cells is j*m.
+    Each is one correctly rounded product of an exact integer, so on a
+    dyadic m (a power of two) it equals the running sum of the per-cell
+    masses bit for bit.
     """
 
     __slots__ = ("values", "masses", "cum_masses", "breakpoints")
@@ -41,37 +46,55 @@ class MassFunction:
         values = np.atleast_1d(np.asarray(values, dtype=float))
         masses = np.asarray(masses, dtype=float)
         uniform = masses.ndim == 0
-        masses = np.full(values.shape, masses) if uniform else np.atleast_1d(masses)
-        if values.shape != masses.shape or values.ndim != 1:
+        if values.ndim != 1 or (not uniform and masses.shape != values.shape):
             raise ValueError("values and masses must be 1-d arrays of equal length")
         if values.size == 0:
             raise ValueError("a mass function needs at least one atom")
-        if not np.all(np.isfinite(values)) or not np.all(np.isfinite(masses)):
-            raise ValueError("atoms must be finite")
-        if np.any(values < 0):
-            raise ValueError("atom values must be nonnegative")
-        if np.any(masses <= 0):
-            raise ValueError("atom masses must be positive")
-
         if uniform:
+            m = float(masses)
+            if not math.isfinite(m):
+                raise ValueError("atoms must be finite")
+            if not m > 0:
+                raise ValueError("atom masses must be positive")
             # equal masses make the order of tied values irrelevant: no permutation needed
-            v, m = np.sort(values)[::-1], masses
+            v = np.sort(values)[::-1]
         else:
+            if not np.all(np.isfinite(masses)):
+                raise ValueError("atoms must be finite")
+            if np.any(masses <= 0):
+                raise ValueError("atom masses must be positive")
             order = np.argsort(-values, kind="stable")
             v = values[order]
             m = masses[order]
             del order  # one cell-sized array less at the peak of the build
-        # merge exact ties so the canonical form has strictly decreasing values
-        cut = np.flatnonzero(v[1:] != v[:-1]) + 1
-        starts = np.concatenate(([0], cut))
-        self.values = v[starts]
+        # sorted, the extreme values (NaN and infinities included) sit at the two ends
+        if not (math.isfinite(v[0]) and math.isfinite(v[-1])):
+            raise ValueError("atoms must be finite")
+        if v[-1] < 0:
+            raise ValueError("atom values must be nonnegative")
+        # merge exact ties so the canonical form has strictly decreasing values:
+        # bounds = [0, ..., len(v)] are the edges of the runs of tied values
+        edge = np.empty(v.size + 1, dtype=bool)
+        edge[0] = edge[-1] = True
+        np.not_equal(v[1:], v[:-1], out=edge[1:-1])
+        bounds = np.flatnonzero(edge)
+        del edge
+        self.values = v[bounds[:-1]]
+        del v  # the sorted copy, before the mass arrays are made
         if self.values[-1] == 0.0:
             self.values[-1] = 0.0  # -0.0 ties with 0.0; store the zero atom as +0.0
-        self.breakpoints = np.empty(self.values.size + 1)
-        self.breakpoints[0] = 0.0
+        self.breakpoints = np.empty(bounds.size)
+        self.cum_masses = self.breakpoints[1:]
         with np.errstate(over="ignore"):  # an overflow is reported below, as a ValueError
-            self.masses = np.add.reduceat(m, starts)
-            self.cum_masses = np.cumsum(self.masses, out=self.breakpoints[1:])
+            if uniform:
+                # run-length masses: one rounding of (exact integer) * m each
+                np.multiply(bounds, m, out=self.breakpoints)
+                self.masses = np.subtract(bounds[1:], bounds[:-1], dtype=float)
+                self.masses *= m
+            else:
+                self.breakpoints[0] = 0.0
+                self.masses = np.add.reduceat(m, bounds[:-1])
+                np.cumsum(self.masses, out=self.cum_masses)
         if not math.isfinite(self.cum_masses[-1]):
             raise ValueError("the total mass overflows a float")
 

@@ -46,28 +46,37 @@ class StepProfile:
     """Right-continuous non-increasing step function on (0, M].
 
     ``breakpoints`` is the increasing array [0, t_1, ..., M]; ``levels[i]`` is
-    the value on [t_i, t_{i+1}).  Beyond M the profile is 0.
+    the value on [t_i, t_{i+1}).  Beyond M the profile is 0.  Passing another
+    profile as ``breakpoints`` shares its breakpoints, which were checked when
+    it was built; only the new levels are checked then.
     """
 
     __slots__ = ("breakpoints", "levels", "_cum_integral")
 
     def __init__(self, breakpoints, levels):
-        breakpoints = np.asarray(breakpoints, dtype=float)
         levels = np.asarray(levels, dtype=float)
+        checked = isinstance(breakpoints, StepProfile)
+        breakpoints = breakpoints.breakpoints if checked else np.asarray(breakpoints, dtype=float)
         if breakpoints.ndim != 1 or levels.ndim != 1:
             raise ValueError("breakpoints and levels must be 1-d")
         if breakpoints.size != levels.size + 1:
             raise ValueError("need exactly one more breakpoint than levels")
         if breakpoints[0] != 0.0:
             raise ValueError("breakpoints must start at 0")
-        if np.any(levels < 0) or np.any(np.diff(levels) > 0):
+        # non-increasing, so the last level is the least
+        if levels.size and (levels[-1] < 0 or np.any(levels[1:] > levels[:-1])):
             raise ValueError("levels must be nonnegative and non-increasing")
-        widths = np.diff(breakpoints)
-        if np.any(widths <= 0):
+        # [0, widths...], turned into the prefix integrals [0, cumsum(levels * widths)...] in place
+        cum = np.empty(breakpoints.size)
+        cum[0] = 0.0
+        widths = np.subtract(breakpoints[1:], breakpoints[:-1], out=cum[1:])
+        if not checked and np.any(widths <= 0):
             raise ValueError("breakpoints must be strictly increasing")
+        widths *= levels
+        np.cumsum(widths, out=widths)
         self.breakpoints = breakpoints
         self.levels = levels
-        self._cum_integral = np.concatenate(([0.0], np.cumsum(levels * widths)))
+        self._cum_integral = cum
 
     @property
     def total_measure(self) -> float:
@@ -79,7 +88,7 @@ class StepProfile:
 
     @property
     def max_level(self) -> float:
-        return float(self.levels[0])
+        return float(self.levels[0]) if self.levels.size else 0.0  # a profile with no steps is 0
 
     def _segment_index(self, t: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.breakpoints, t, side="right") - 1
@@ -151,7 +160,7 @@ def powered_profile(s: StepProfile, p: float) -> StepProfile:
         raise ValueError("p must be >= 1")
     if p == 1.0:
         return s
-    return StepProfile(s.breakpoints, s.levels**p)
+    return StepProfile(s, s.levels**p)
 
 
 def layer_cake_excess(f: MassFunction, lam: float) -> float:

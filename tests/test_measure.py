@@ -36,6 +36,19 @@ uniform_masses = st.one_of(
     st.floats(1e-3, 1.0).map(lambda h: h**3),  # a 3-d cell measure
 )
 
+dyadic_masses = st.integers(-1074, 1000).map(lambda k: math.ldexp(1.0, k))
+
+
+def is_dyadic(mass: float) -> bool:
+    return math.frexp(mass)[0] == 0.5
+
+
+def run_lengths(values):
+    """Per-atom tie counts and their running ends, in decreasing value order (-0.0 ties 0.0)."""
+    _, counts = np.unique(np.abs(np.asarray(values, dtype=float)), return_counts=True)
+    counts = counts[::-1]
+    return counts, np.cumsum(counts)
+
 
 class TestMassFunction:
     def test_canonical_order_and_merge(self):
@@ -64,14 +77,36 @@ class TestMassFunction:
             MassFunction([1.0, 1.0], 1e308 if uniform else np.full(2, 1e308))
         assert MassFunction([1.0, 2.0], 8e307 if uniform else np.full(2, 8e307)).total_mass == 1.6e308
 
-    @given(tied_values, uniform_masses)
+    @given(tied_values, st.one_of(uniform_masses, dyadic_masses))
     @settings(max_examples=300)
     def test_scalar_mass_equals_full_mass_array(self, values, mass):
+        """Run-length masses; the running sum of a per-cell mass array equals them up to rounding.
+
+        On a dyadic mass every multiple is exact, so the two routes agree bit for bit.
+        """
+        uniform = MassFunction(values, mass)
+        general = MassFunction(values, np.full(len(values), mass))
+        counts, ends = run_lengths(values)
+        assert uniform.masses.tobytes() == (counts * mass).tobytes()
+        assert uniform.breakpoints.tobytes() == (np.concatenate(([0], ends)) * mass).tobytes()
+        assert uniform.values.tobytes() == general.values.tobytes()
+        for name in ("masses", "cum_masses", "breakpoints"):
+            got, want = getattr(uniform, name), getattr(general, name)
+            assert got.dtype == want.dtype, name
+            if is_dyadic(mass):
+                assert got.tobytes() == want.tobytes(), name
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=name)
+
+    @pytest.mark.parametrize("mass", [5e-324, 2.0**-1060, 2.0**-20, 1.0, 2.0**1000])
+    def test_dyadic_scalar_mass_matches_the_array_route(self, mass):
+        values = [3.0, 0.0, 1.0, 3.0, -0.0, 1.0, 1.0, 5e-324, 0.0]
         uniform = MassFunction(values, mass)
         general = MassFunction(values, np.full(len(values), mass))
         for name in ("values", "masses", "cum_masses", "breakpoints"):
-            got, want = getattr(uniform, name), getattr(general, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            assert getattr(uniform, name).tobytes() == getattr(general, name).tobytes(), name
+        assert uniform.masses.tolist() == [2 * mass, 3 * mass, mass, 3 * mass]
+        assert uniform.breakpoints.tolist() == [0.0, 2 * mass, 5 * mass, 6 * mass, 9 * mass]
 
     @pytest.mark.parametrize("values", [[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [-0.0, 1.0]])
     @pytest.mark.parametrize("uniform", [True, False], ids=["scalar", "array"])

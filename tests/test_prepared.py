@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from collections import Counter
 
@@ -93,12 +94,28 @@ class TestPreparedFunction:
     ids=["2d-128", "3d-40"],
 )
 def test_scalar_cell_mass_matches_full_mass_array(spec):
-    """The suite's uniform-mass builds equal the explicit per-cell mass arrays bit for bit."""
+    """The suite's uniform-mass builds have run-length masses and match explicit per-cell mass arrays.
+
+    Masses are tie counts times the cell measure and breakpoints are running
+    counts times it, each one rounding.  The explicit array's running sum
+    agrees bit for bit on a dyadic cell measure (2-d, 128 cells of 1/64) and
+    to rounding on the non-dyadic 3-d one (40 cells of 1/20).
+    """
 
     def assert_same(uniform, values, cell_measure):
         general = sq.MassFunction(values, np.full(values.size, cell_measure))
-        for name in ("values", "masses", "cum_masses", "breakpoints"):
-            assert getattr(uniform, name).tobytes() == getattr(general, name).tobytes(), name
+        _, counts = np.unique(values, return_counts=True)
+        counts = counts[::-1]
+        assert uniform.values.tobytes() == general.values.tobytes()
+        assert uniform.masses.tobytes() == (counts * cell_measure).tobytes()
+        ends = np.concatenate(([0], np.cumsum(counts)))
+        assert uniform.breakpoints.tobytes() == (ends * cell_measure).tobytes()
+        for name in ("masses", "cum_masses", "breakpoints"):
+            got, want = getattr(uniform, name), getattr(general, name)
+            if math.frexp(cell_measure)[0] == 0.5:
+                assert got.tobytes() == want.tobytes(), name
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
 
     corpus = [f for _, f in sq.generate_corpus(spec)]
     for f in corpus:
