@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .measure import GridFunction
+from .measure import GridFunction, require_finite_measure
 from .isoperimetry import disk_mask, mollify_ladder
 
 __all__ = ["CorpusSpec", "generate_corpus", "cone_grid", "tent_grid"]
@@ -46,6 +47,9 @@ class CorpusSpec:
     def __post_init__(self):
         if self.extents < 16:
             raise ValueError("grid too small for the corpus features")
+        if not 0 < self.side < math.inf:
+            raise ValueError("side must be a positive finite real")
+        require_finite_measure(self.spacing, (self.extents,) * self.dim)
         for fam in self.families:
             keys = _family_kwargs(fam)
             for key in sorted({"count", "bumps"}.intersection(keys)):

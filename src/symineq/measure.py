@@ -148,6 +148,7 @@ class GridFunction:
                     "values must vanish on the outermost cell layer "
                     "(compact support inside the domain)"
                 )
+        require_finite_measure(spacing, values.shape)
         self.spacing = float(spacing)
         self.values = values
 
@@ -219,6 +220,16 @@ def support_measure(f: MassFunction, threshold: float = 0.0) -> float:
     return float(f.cum_masses[k - 1]) if k else 0.0
 
 
+def require_finite_measure(spacing: float, extents) -> None:
+    """Reject a grid whose cell measure spacing**dim or domain measure is 0 or not finite."""
+    try:
+        domain = float(spacing) ** len(extents) * math.prod(extents)
+    except OverflowError:  # a float power raises where numpy would give inf
+        domain = math.inf
+    if not 0 < domain < math.inf:
+        raise ValueError("the cell measure spacing**dim and the domain measure must be positive and finite")
+
+
 def require_finite_p(p: float) -> None:
     """Reject an exponent that is not a finite real >= 1; an infinite or NaN p fails too."""
     if not 1 <= p < math.inf:
@@ -231,5 +242,8 @@ def lp_norm(f: MassFunction, p: float) -> float:
         return f.max_value
     if p < 1:
         raise ValueError("p must be >= 1")
-    total = float(np.dot(f.values**p, f.masses))
-    return total ** (1.0 / p)
+    # a pairwise sum, not np.dot: BLAS splits a long dot over its threads, so
+    # its last bits would depend on the core count
+    terms = f.values**p
+    terms *= f.masses
+    return float(np.add.reduce(terms)) ** (1.0 / p)

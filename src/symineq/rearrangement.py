@@ -173,7 +173,9 @@ def layer_cake_excess(f: MassFunction, lam: float) -> float:
     k = int(np.count_nonzero(f.values > lam))
     if k == 0:
         return 0.0
-    return float(np.dot(f.values[:k] - lam, f.masses[:k]))
+    terms = f.values[:k] - lam  # summed pairwise, not by a threaded BLAS dot
+    terms *= f.masses[:k]
+    return float(np.add.reduce(terms))
 
 
 def oscillation_norm(s: StepProfile, q: float, inv_pbar: float = 0.0, tail: bool = False) -> float:

@@ -3,6 +3,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -77,6 +80,12 @@ class TestCorpus:
             sq.CorpusSpec.from_json(
                 {"seed": 0, "families": [{"kind": "fractal"}]}
             )
+
+    @pytest.mark.parametrize("side", [0.0, -1.0, math.nan, math.inf, 1e159])
+    def test_side_must_give_a_finite_positive_domain(self, side):
+        with pytest.raises(ValueError):
+            sq.CorpusSpec(side=side)
+        assert sq.CorpusSpec(dim=3, side=1e100).side == 1e100  # (1e100)**3 is still a float
 
     def test_spec_json_round_trip(self, tmp_path):
         spec = sq.CorpusSpec(seed=9, extents=64, side=2.0)
@@ -486,6 +495,28 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
         assert outputs[0][2].count(b"\r\n") > 100
 
+    def test_rows_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """The default 128² suite writes the same rows with one BLAS thread and with two.
+
+        A BLAS dot splits long sums across its threads, so its last bits
+        depend on the thread count; no reduction may go through it.
+        """
+        code = (
+            "import sys, symineq as sq\n"
+            "config = sq.SuiteConfig(corpus=sq.CorpusSpec(seed=0, extents=128))\n"
+            "sq.emit_report(sq.run_suite(config), 'csv', sys.argv[1])\n"
+        )
+        src = os.path.dirname(os.path.dirname(sq.__file__))
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        rows = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"reports_{threads}.csv"
+            env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-c", code, str(path)], check=True, env=env, timeout=300)
+            rows.append(path.read_bytes())
+        assert rows[0].count(b"\r\n") == 151  # header and 150 rows
+        assert rows[0] == rows[1]
+
     def test_trace_array_equals_the_float_list_form(self, small_config, monkeypatch):
         captured = []
         original = inequalities._trace
@@ -619,6 +650,20 @@ class TestCli:
         sq.cone_grid(32, radius=0.5).to_json(cone_file)
         assert cli_main(["check", "--ineq", name, "--fn", str(cone_file), "--p", "inf"]) == 2
         assert "p must be finite and >= 1" in capsys.readouterr().err
+
+    def test_an_overflowing_cell_measure_is_an_input_error(self, tmp_path, capsys):
+        # (1e159)**2 overflows a float: the grid and the corpus spec reject it up front
+        values = np.zeros((8, 8))
+        values[3, 3] = 1.0
+        doc = {"dim": 2, "spacing": 1e159, "extents": [8, 8], "values": values.ravel().tolist()}
+        fn = tmp_path / "huge.json"
+        fn.write_text(json.dumps(doc))
+        assert cli_main(["check", "--ineq", "s_phi_p", "--fn", str(fn)]) == 2
+        assert "cell measure" in capsys.readouterr().err
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"corpus": {"extents": 64, "side": 1e159}}))
+        assert cli_main(["suite", "--config", str(config_file), "--out", str(tmp_path / "out")]) == 2
+        assert "cell measure" in capsys.readouterr().err
 
     def test_check_unknown_inequality(self, tmp_path, capsys):
         assert cli_main(["check", "--ineq", "nope", "--fn", "x.json"]) == 2

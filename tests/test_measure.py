@@ -156,6 +156,13 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction(0.5, bad)
 
+    @pytest.mark.parametrize("spacing, shape", [(1e159, (8, 8)), (1e-200, (3, 3)), (1e154, (8, 8))])
+    def test_cell_and_domain_measure_must_be_finite_and_positive(self, spacing, shape):
+        # h**2 overflows, h**2 underflows to 0, and h**2 * 64 cells overflows
+        with pytest.raises(ValueError, match="cell measure"):
+            GridFunction(spacing, np.zeros(shape))
+        assert GridFunction(1e159, np.zeros(8)).domain_measure == 8e159  # 1-d is fine
+
     def test_json_round_trip(self, tmp_path):
         values = np.zeros((3, 4))
         values[1, 1:3] = [1.0, 2.0]
