@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import inspect
 import json
-import math
 import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -47,8 +46,6 @@ class CorpusSpec:
     def __post_init__(self):
         if self.extents < 16:
             raise ValueError("grid too small for the corpus features")
-        if not 0 < self.side < math.inf:
-            raise ValueError("side must be a positive finite real")
         require_finite_measure(self.spacing, (self.extents,) * self.dim)
         for fam in self.families:
             keys = _family_kwargs(fam)

@@ -136,10 +136,9 @@ class GridFunction:
         values = np.asarray(values, dtype=float)
         if values.ndim < 1:
             raise ValueError("grid values must have at least one axis")
-        if not (spacing > 0) or not math.isfinite(spacing):
-            raise ValueError("spacing must be a positive finite real")
         if any(n < 3 for n in values.shape):
             raise ValueError("every axis needs at least 3 cells")
+        require_finite_measure(spacing, values.shape)
         if not np.all(np.isfinite(values)):
             raise ValueError("grid values must be finite")
         for ax in range(values.ndim):
@@ -148,7 +147,6 @@ class GridFunction:
                     "values must vanish on the outermost cell layer "
                     "(compact support inside the domain)"
                 )
-        require_finite_measure(spacing, values.shape)
         self.spacing = float(spacing)
         self.values = values
 
@@ -221,7 +219,10 @@ def support_measure(f: MassFunction, threshold: float = 0.0) -> float:
 
 
 def require_finite_measure(spacing: float, extents) -> None:
-    """Reject a grid whose cell measure spacing**dim or domain measure is 0 or not finite."""
+    """Reject a grid spacing that is not a positive finite real, or whose cell
+    measure spacing**dim or domain measure is 0 or not finite."""
+    if not 0 < spacing < math.inf:
+        raise ValueError("spacing must be a positive finite real")
     try:
         domain = float(spacing) ** len(extents) * math.prod(extents)
     except OverflowError:  # a float power raises where numpy would give inf

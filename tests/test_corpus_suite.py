@@ -499,12 +499,19 @@ class TestDeterminism:
         """The default 128² suite writes the same rows with one BLAS thread and with two.
 
         A BLAS dot splits long sums across its threads, so its last bits
-        depend on the thread count; no reduction may go through it.
+        depend on the thread count; no reduction may go through it.  The
+        three norm reductions are also run on 300,000 atoms, well past the
+        size at which OpenBLAS starts its threads.
         """
         code = (
-            "import sys, symineq as sq\n"
+            "import sys, numpy as np, symineq as sq\n"
             "config = sq.SuiteConfig(corpus=sq.CorpusSpec(seed=0, extents=128))\n"
             "sq.emit_report(sq.run_suite(config), 'csv', sys.argv[1])\n"
+            "rng = np.random.default_rng(0)\n"
+            "mf = sq.MassFunction(rng.random(300_000), rng.random(300_000) + 0.5)\n"
+            "profile = sq.decreasing_rearrangement(mf)\n"
+            "print(repr(sq.lp_norm(mf, 2.0)), repr(sq.layer_cake_excess(mf, 0.25)),\n"
+            "      repr(sq.polya_szego_lhs(profile, 2, 1.5)))\n"
         )
         src = os.path.dirname(os.path.dirname(sq.__file__))
         pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -512,9 +519,11 @@ class TestDeterminism:
         for threads in ("1", "2"):
             path = tmp_path / f"reports_{threads}.csv"
             env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS=threads)
-            subprocess.run([sys.executable, "-c", code, str(path)], check=True, env=env, timeout=300)
-            rows.append(path.read_bytes())
-        assert rows[0].count(b"\r\n") == 151  # header and 150 rows
+            out = subprocess.run(
+                [sys.executable, "-c", code, str(path)], check=True, env=env, timeout=300, capture_output=True
+            )
+            rows.append((path.read_bytes(), out.stdout))
+        assert rows[0][0].count(b"\r\n") == 151  # header and 150 rows
         assert rows[0] == rows[1]
 
     def test_trace_array_equals_the_float_list_form(self, small_config, monkeypatch):
