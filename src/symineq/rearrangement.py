@@ -63,8 +63,8 @@ class StepProfile:
             raise ValueError("need exactly one more breakpoint than levels")
         if breakpoints[0] != 0.0:
             raise ValueError("breakpoints must start at 0")
-        # non-increasing, so the last level is the least
-        if levels.size and (levels[-1] < 0 or np.any(levels[1:] > levels[:-1])):
+        # non-increasing, so the last level is the least; a NaN fails both comparisons
+        if levels.size and not (levels[-1] >= 0 and np.all(levels[1:] <= levels[:-1])):
             raise ValueError("levels must be nonnegative and non-increasing")
         # [0, widths...], turned into the prefix integrals [0, cumsum(levels * widths)...] in place
         cum = np.empty(breakpoints.size)

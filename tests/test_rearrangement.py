@@ -119,6 +119,21 @@ class TestStepProfile:
             StepProfile([0.0, 1.0, 1.0], [2.0, 1.0])  # not increasing
         with pytest.raises(ValueError):
             StepProfile([0.0, 1.0, 2.0], [1.0, 2.0])  # levels increase
+        for levels in ([2.0, -1.0], [math.nan, 1.0], [2.0, math.nan], [3.0, math.nan, 1.0], [math.nan]):
+            with pytest.raises(ValueError):  # negative, or a NaN anywhere
+                StepProfile(np.arange(len(levels) + 1.0), levels)
+        empty = StepProfile([0.0], [])
+        assert empty.max_level == 0.0 and "0 steps" in repr(empty)
+
+    def test_a_profile_as_breakpoints_shares_them_and_checks_only_the_levels(self):
+        prof = sq.decreasing_rearrangement(MassFunction([3.0, 1.0], [0.5, 1.0]))
+        cubed = StepProfile(prof, prof.levels**3)
+        assert cubed.breakpoints is prof.breakpoints
+        assert cubed.total_integral == 27.0 * 0.5 + 1.0
+        with pytest.raises(ValueError):
+            StepProfile(prof, [1.0, 3.0])
+        with pytest.raises(ValueError):
+            StepProfile(prof, [1.0])
 
     def test_prefix_integral_matches_riemann_sum(self):
         rng = np.random.default_rng(3)
