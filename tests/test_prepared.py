@@ -98,8 +98,8 @@ def test_scalar_cell_mass_matches_full_mass_array(spec):
 
     Masses are tie counts times the cell measure and breakpoints are running
     counts times it, each one rounding.  The explicit array's running sum
-    agrees bit for bit on a dyadic cell measure (2-d, 128 cells of 1/64) and
-    to rounding on the non-dyadic 3-d one (40 cells of 1/20).
+    agrees bit for bit on a dyadic cell measure (2-d, h = 1/128) and to
+    rounding on the non-dyadic 3-d one (h = 1/40, m = 1/64000).
     """
 
     def assert_same(uniform, values, cell_measure):
