@@ -30,8 +30,10 @@ def assert_same_profile(got: StepProfile, want: StepProfile) -> None:
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-positive = st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False)
-levels_values = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 1e150))
+# Breakpoints reach 50 * 1.5e200 and product levels 1e100, so every integral,
+# of a profile and of a product of two, stays below 1e302 and finite.
+positive = st.floats(1e-300, 1e200, allow_nan=False, allow_infinity=False)
+levels_values = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 1e50))
 
 
 @st.composite
