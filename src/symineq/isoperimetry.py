@@ -233,7 +233,20 @@ def validate_profile(
 def disk_mask(
     extents: tuple[int, ...], spacing: float, center: tuple[float, ...], radius: float
 ) -> np.ndarray:
-    """Boolean cell mask of a ball: cells whose center lies within radius."""
+    """Boolean cell mask of a ball: cells whose center lies within radius.
+
+    The largest squared distance from the center to a cell center, and radius**2,
+    must be finite; otherwise this raises ValueError before any array is made.
+    """
+    far = 0.0  # the sum below at the farthest corner, in the same order
+    for n, c in zip(extents, center):
+        reach = max(abs(0.5 * spacing - c), abs((n - 0.5) * spacing - c))
+        far += reach * reach
+    if not (far < math.inf and radius * radius < math.inf and 0 < spacing < math.inf):
+        raise ValueError(
+            "disk_mask needs a positive finite spacing, and the squared distances "
+            "across the grid and radius**2 must be finite"
+        )
     axes = [(np.arange(n) + 0.5) * spacing for n in extents]
     grids = np.meshgrid(*axes, indexing="ij")
     d2 = sum((g - c) ** 2 for g, c in zip(grids, center))
@@ -260,9 +273,7 @@ def mollify_ladder(mask: np.ndarray, spacing: float, eps_ladder) -> list[GridFun
         raise ValueError("mollification width eps must be at least the cell spacing")
     if not mask.any():
         raise ValueError("cell set is empty")
-    from scipy import ndimage  # imported on first use: it is most of the package's import time
-
-    dist = ndimage.distance_transform_edt(~mask, sampling=h)
+    dist = _distance_to_cells(mask, h)
     return [_collar(dist, h, eps) for eps in eps_ladder]
 
 
@@ -277,3 +288,163 @@ def _collar(dist: np.ndarray, h: float, eps: float) -> GridFunction:
                     "two cells away from the domain boundary"
                 )
     return GridFunction(h, values)
+
+
+def _distance_to_cells(cells: np.ndarray, h: float) -> np.ndarray:
+    """Distance from each cell centre to the nearest centre of a ``cells`` cell, at spacing h.
+
+    Bit for bit ``scipy.ndimage.distance_transform_edt(~cells, sampling=h)``: the same
+    feature for every cell (``_feature_transform``), then scipy's own arithmetic for the
+    distance.  The offsets go into one (rank,) + shape float64 array, as scipy's do; summing
+    axis by axis gives the same bits, but without the free of that larger array glibc keeps
+    a lower mmap threshold, and later cell-sized arrays of a run fault in fresh pages.
+    """
+    ft = _feature_transform(cells, h)
+    dt = (ft - np.indices(cells.shape, dtype=ft.dtype)).astype(np.float64)
+    dt *= h
+    np.multiply(dt, dt, out=dt)
+    return np.sqrt(np.add.reduce(dt, axis=0))
+
+
+def _feature_transform(cells: np.ndarray, h: float) -> np.ndarray:
+    """Index of the nearest ``cells`` cell of every cell, as a (rank,) + shape int32 array.
+
+    The separable Voronoi algorithm of Maurer, Qi & Raghavan (IEEE TPAMI 25, 2003), as
+    scipy.ndimage compiles it, with its floating-point tests and tie rules, so every cell
+    gets scipy's feature.  Pass d runs along the lines of axis d, vectorised over lines:
+    every cell that already has a feature offers it, with its squared distance over axes
+    0..d-1 as a height, and each cell of the line takes the offer that minimises
+    height + (h * offset along d)**2.  ``cells`` must hold at least one cell.
+    """
+    shape = cells.shape
+    rank = cells.ndim
+    ft = np.empty((rank,) + shape, np.int32)
+    heights = None
+    # which cells have a feature before pass d depends only on the axes from d on
+    plane = cells.reshape(shape[0], -1)
+    for d, n in enumerate(shape):
+        before = math.prod(shape[:d])
+        live = plane.any(axis=0)
+        found = np.flatnonzero(live)
+        span = slice(found[0], found[-1] + 1)  # featureless lines inside it cost time, not bits
+
+        def lanes(a):
+            """The lines of the span as columns: (n, lines before d, lines after d)."""
+            return a.reshape(before, n, -1)[:, :, span].transpose(1, 0, 2)
+
+        has = np.broadcast_to(plane[:, None, span], lanes(cells).shape).reshape(n, -1)
+        with np.errstate(over="ignore"):
+            q = np.arange(n) * h
+            q *= q
+        if d == 0 and np.all(q[1:] > q[:-1]) and q[-1] < math.inf:
+            sel, dist = _nearest_on_lines(has, q)
+        else:  # later axes, and an axis 0 whose squared offsets tie by under- or overflow
+            start = np.zeros(has.shape) if heights is None else lanes(heights).reshape(n, -1)
+            sel, dist = _envelope_on_lines(start, has, h)
+        lanes(ft[d])[...] = sel.reshape(n, before, -1)
+        if d + 1 < rank:
+            if heights is None:
+                heights = np.empty(shape)
+            lanes(heights)[...] = dist.reshape(n, before, -1)
+            plane = live.reshape(shape[d + 1], -1)
+    # ft[d] holds the position along axis d chosen by pass d; the other coordinates of a
+    # cell's feature are those of the cell that choice names, so compose from the last axis
+    src = np.arange(cells.size).reshape(shape)
+    for d in range(rank - 2, -1, -1):
+        offset = ft[d + 1] - np.arange(shape[d + 1]).reshape((-1,) + (1,) * (rank - d - 2))
+        src += offset * math.prod(shape[d + 2:])
+        ft[d] = ft[d].reshape(-1).take(src)
+    return ft
+
+
+def _nearest_on_lines(has: np.ndarray, q: np.ndarray):
+    """Pass 0 when q[k] = (k*h)**2 strictly increases: the nearest feature, ties to the lower index.
+
+    ``has`` is (n, lines).  With no height yet, the compiled pass keeps every feature and
+    its walk stops at the first feature no farther than the next, which is this choice.
+    Returns the chosen positions and their squared distances; a line without features
+    gets garbage.
+    """
+    n = has.shape[0]
+    q = np.append(q, math.inf)
+    pos = np.arange(n, dtype=np.int32)[:, None]
+    left = np.where(has, pos, np.int32(-n))
+    np.maximum.accumulate(left, axis=0, out=left)
+    right = np.where(has, pos, np.int32(2 * n))
+    np.minimum.accumulate(right[::-1], axis=0, out=right[::-1])
+    to_left = q.take(np.minimum(pos - left, n))
+    to_right = q.take(np.minimum(right - pos, n))
+    go_right = to_left > to_right
+    return np.where(go_right, right, left), np.where(go_right, to_right, to_left)
+
+
+def _envelope_on_lines(heights: np.ndarray, has: np.ndarray, h: float):
+    """One pass of the compiled ``_VoronoiFT`` on every column of the (n, lines) arrays.
+
+    A stack per line keeps the offered features that can be nearest somewhere on it.  A new
+    feature pops the top while ``c*vR - b*uR - a*wR - a*b*c <= 0`` fails, where a is h times
+    the gap from the second feature to the top one, b the gap from the top to the new one,
+    c = a + b, and uR, vR, wR are the heights of the second, the top and the new feature.
+    A walk along the line then moves to the next stacked feature only while it is strictly
+    nearer.  The products and sums are the compiled code's, in its order, so the choices are
+    its choices.  Returns the chosen positions (as floats) and their squared distances.
+    """
+    n, lines = has.shape
+    # stack slot s of line j is entry s*lines + j; zeros keep featureless lines finite
+    stack_pos = np.zeros(n * lines)  # as floats, as the compiled code subtracts them
+    stack_height = np.zeros(n * lines)
+    top = np.arange(lines) - lines  # entry of each line's top; negative while empty
+    every = np.arange(lines)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            idx = np.flatnonzero(has[i])
+            if not idx.size:
+                continue
+            if idx.size == lines:
+                idx, w = every, heights[i]
+            else:
+                w = heights[i].take(idx)
+            t = top.take(idx)
+            act = np.flatnonzero(t >= lines)
+            while act.size:
+                k = t.take(act)
+                g1 = stack_pos.take(k)
+                a = (g1 - stack_pos.take(k - lines)) * h
+                b = (i - g1) * h
+                c = a + b
+                v, u = stack_height.take(k), stack_height.take(k - lines)
+                keep = c * v - b * u - a * w.take(act) - a * b * c <= 0.0  # a NaN pops, as compiled
+                act = act[~keep]
+                k = k[~keep] - lines
+                t[act] = k
+                act = act[k >= lines]
+            t += lines
+            stack_pos[t] = i
+            stack_height[t] = w
+            top[idx] = t
+        sel = np.empty((n, lines))
+        dist = np.empty((n, lines))
+        k = every.copy()
+        for i in range(n):
+            s, d1 = sel[i], dist[i]
+            np.take(stack_pos, k, out=s)
+            t = s - i
+            t *= h
+            t *= t
+            np.add(stack_height.take(k), t, out=d1)
+            act = np.flatnonzero(k < top)
+            while act.size:
+                k2 = k.take(act) + lines
+                g2 = stack_pos.take(k2)
+                t = g2 - i
+                t *= h
+                t *= t
+                t += stack_height.take(k2)
+                step = d1.take(act) > t  # no NaN here: heights and squares are >= 0
+                act = act[step]
+                k2 = k2[step]
+                k[act] = k2
+                d1[act] = t[step]
+                s[act] = g2[step]
+                act = act[k2 < top.take(act)]
+    return sel, dist

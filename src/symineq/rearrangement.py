@@ -72,8 +72,11 @@ class StepProfile:
         widths = np.subtract(breakpoints[1:], breakpoints[:-1], out=cum[1:])
         if not checked and np.any(widths <= 0):
             raise ValueError("breakpoints must be strictly increasing")
-        widths *= levels
-        np.cumsum(widths, out=widths)
+        with np.errstate(over="ignore", invalid="ignore"):
+            widths *= levels
+            np.cumsum(widths, out=widths)
+        if not cum[-1] < math.inf:  # the prefix integrals rise, so an inf or NaN ends up last
+            raise ValueError("the integral of the profile must be finite")
         self.breakpoints = breakpoints
         self.levels = levels
         self._cum_integral = cum

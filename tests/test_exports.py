@@ -20,9 +20,14 @@ def test_every_exported_name_resolves(name):
 
 
 def test_import_leaves_scipy_ndimage_unloaded():
-    # the distance transform imports it on first use; it is most of the import time
-    code = "import sys, symineq; print('scipy.ndimage' in sys.modules)"
+    # numpy is the one runtime dependency: neither the import nor the default corpus,
+    # whose mollified disks need a distance transform, loads any scipy module
+    code = (
+        "import sys, symineq; print('scipy.ndimage' in sys.modules); "
+        "symineq.generate_corpus(symineq.CorpusSpec()); "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
     src = os.path.dirname(os.path.dirname(symineq.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "[]"]

@@ -175,6 +175,20 @@ class TestIndicatorMollify:
         with pytest.raises(ValueError):
             indicator_mollify(mask, 1 / 64, 0.1)
 
+    @pytest.mark.parametrize(
+        "extents, spacing, center, radius",
+        [
+            ((16, 16), 1e159, (8e159, 8e159), 4e159),  # the squares of the coordinates overflow
+            ((16,), 1e299, (8e299,), 4e299),  # a finite domain measure, but not its squares
+            ((8, 8), 0.125, (0.5, 0.5), 1e200),  # radius**2 overflows
+            ((8, 8), 0.125, (0.5, math.nan), 0.25),
+            ((8, 8), 0.0, (0.5, 0.5), 0.25),
+        ],
+    )
+    def test_disk_mask_rejects_squares_that_are_not_finite(self, extents, spacing, center, radius):
+        with pytest.raises(ValueError, match="must be finite"):
+            disk_mask(extents, spacing, center, radius)
+
     def test_single_cell_spike(self):
         # degenerate but legal: a one-cell set with eps = h
         mask = np.zeros((9, 9), dtype=bool)

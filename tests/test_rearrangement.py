@@ -125,6 +125,16 @@ class TestStepProfile:
         empty = StepProfile([0.0], [])
         assert empty.max_level == 0.0 and "0 steps" in repr(empty)
 
+    def test_an_integral_that_overflows_is_rejected(self):
+        # 1.5e200 * 1.2e108 overflows; a RuntimeWarning first would fail this test too
+        for breakpoints, levels in [([0.0, 1.5e200], [1.2e108]), ([0.0, 1.0, math.inf], [1.0, 0.0])]:
+            with pytest.raises(ValueError, match="integral of the profile must be finite"):
+                StepProfile(breakpoints, levels)
+        prof = StepProfile([0.0, 1e300, 1.5e300], [1.0, 0.5])
+        assert prof.total_integral == 1e300 + 0.5 * 0.5e300
+        with pytest.raises(ValueError, match="must be finite"):
+            StepProfile(prof, [1e10, 1e10])
+
     def test_a_profile_as_breakpoints_shares_them_and_checks_only_the_levels(self):
         prof = sq.decreasing_rearrangement(MassFunction([3.0, 1.0], [0.5, 1.0]))
         cubed = StepProfile(prof, prof.levels**3)
