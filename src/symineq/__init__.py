@@ -33,12 +33,11 @@ from .isoperimetry import (
 )
 from .inequalities import (
     CHECKERS,
-    InequalityParams,
-    TGridSpec,
     check_chain_rule,
     check_derivative_p,
     check_binomial_bounds,
     check_nash,
+    check_nash_classical,
     check_oneil,
     check_oscillation_p,
     check_s_phi_p,
@@ -56,16 +55,15 @@ __all__ = [
     "CheckReport",
     "CorpusSpec",
     "GridFunction",
-    "InequalityParams",
     "MassFunction",
     "ProfileHandle",
     "StepProfile",
     "SuiteConfig",
-    "TGridSpec",
     "check_chain_rule",
     "check_derivative_p",
     "check_binomial_bounds",
     "check_nash",
+    "check_nash_classical",
     "check_oneil",
     "check_oscillation_p",
     "check_s_phi_p",

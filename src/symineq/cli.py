@@ -23,6 +23,15 @@ from .suite import SuiteConfig, emit_report, load_report, run_suite, suite_exit_
 __all__ = ["main"]
 
 
+def _print(text: str) -> None:
+    """Print a command's result; a reader that closed stdout early (``| head``) is no error."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the command still returns its own code; the flush at exit goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _out_dir(value) -> Path:
     path = Path(value or os.environ.get("SYMINEQ_OUT") or ".")
     path.mkdir(parents=True, exist_ok=True)
@@ -45,7 +54,7 @@ def _cmd_corpus(args) -> int:
         manifest.append({"id": function_id, "file": name})
     spec.to_json(out / "corpus_spec.json")
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
-    print(f"wrote {len(corpus)} functions to {out}")
+    _print(f"wrote {len(corpus)} functions to {out}")
     return 0
 
 
@@ -77,7 +86,7 @@ def _cmd_check(args) -> int:
     except (ValueError, KeyError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
+    _print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
     return 0 if report.passed else 1
 
 
@@ -103,7 +112,7 @@ def _cmd_suite(args) -> int:
     emit_report(reports, "csv", out / "reports.csv", detail=config.detail, seed=seed)
     code = suite_exit_code(reports)
     passed = sum(1 for r in reports if r.passed)
-    print(f"{passed}/{len(reports)} checks passed; reports in {out}")
+    _print(f"{passed}/{len(reports)} checks passed; reports in {out}")
     return code
 
 
@@ -119,7 +128,7 @@ def _cmd_report(args) -> int:
     out = _out_dir(args.out)
     target = out / f"reports_rendered.{args.format}"
     emit_report(reports, args.format, target, detail=args.detail)
-    print(f"re-rendered {len(reports)} reports to {target}")
+    _print(f"re-rendered {len(reports)} reports to {target}")
     return 0
 
 

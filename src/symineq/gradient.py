@@ -33,7 +33,7 @@ from .rearrangement import (
     power_segment_integral,
     powered_profile,
 )
-from .report import CheckReport
+from .report import GRID_TOLERANCE, CheckReport
 from .isoperimetry import euclidean_profile
 
 __all__ = [
@@ -249,10 +249,11 @@ def polya_szego_lhs(
 
 def polya_szego_compare(
     f: GridFunction | PreparedFunction,
-    p: float,
+    *,
+    p: float = 1.0,
     gradient_mode: str = "metric_max",
     weight: str = "isoperimetric",
-    tolerance: float = 0.05,
+    tolerance: float = GRID_TOLERANCE,
 ) -> CheckReport:
     """Ratio of the rearranged-derivative integral to the gradient L^p norm.
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -33,11 +32,9 @@ from .gradient import (
     prepare,
 )
 from .isoperimetry import ProfileHandle, euclidean_profile, phi_from_profile
-from .report import CheckReport, best_constant
+from .report import GRID_TOLERANCE, CheckReport, best_constant
 
 __all__ = [
-    "InequalityParams",
-    "TGridSpec",
     "check_s_phi_p",
     "check_oscillation_p",
     "check_derivative_p",
@@ -45,6 +42,7 @@ __all__ = [
     "check_chain_rule",
     "check_oneil",
     "check_nash",
+    "check_nash_classical",
     "check_sobolev",
     "empirical_best_constant",
     "CHECKERS",
@@ -53,10 +51,17 @@ __all__ = [
     "checker_kwargs",
     "entry_keys",
     "binomial_coefficient",
+    "power_k",
+    "oscillation_constant",
+    "derivative_base_constant",
+    "derivative_constant",
 ]
 
 SCALAR_TOLERANCE = 1e-10
-GRID_TOLERANCE = 0.05
+
+# The (a, b) lattice of the scalar sweeps: [0, SWEEP_A_MAX]^2 at SWEEP_POINTS per axis.
+SWEEP_A_MAX = 20.0
+SWEEP_POINTS = 400
 
 # Geometric pieces per t-grid interval in the derivative form's lower sum.
 DERIVATIVE_REFINE = 16
@@ -67,24 +72,12 @@ DERIVATIVE_REFINE = 16
 # value) that no grid refinement removes; eight cells is past every observed
 # spike while staying three orders of magnitude below desk-scale supports.
 TGRID_FLOOR_CELLS = 8
-
-
-@dataclass(frozen=True)
-class TGridSpec:
-    """Geometric evaluation grid: (t_min, t_max, points per decade)."""
-
-    t_min: float
-    t_max: float
-    points_per_decade: int = 64
-
-    def points(self) -> np.ndarray:
-        return geometric_tgrid(self.t_min, self.t_max, self.points_per_decade)
-
+TGRID_POINTS_PER_DECADE = 64
 
 # Every t-grid artifact depends on the grid shape (and phi) only, not on the
-# function, so each is built once per key and shared read-only.  The caches
-# are bounded: a run has one or two shapes, and an entry is a few hundred
-# floats, or (points - 1) x refine for a refined grid.
+# function, so each is built once per span (t_min, t_max, points_per_decade)
+# and shared read-only.  The caches are bounded: a run has one or two shapes,
+# and an entry is a few hundred floats, or (points - 1) x refine if refined.
 TGRID_CACHE_SIZE = 16
 
 
@@ -94,25 +87,25 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=TGRID_CACHE_SIZE)
-def _tgrid(spec: TGridSpec) -> np.ndarray:
-    """``spec.points()``, built once per spec."""
-    return _read_only(spec.points())
+def _tgrid(span: tuple) -> np.ndarray:
+    """``geometric_tgrid(t_min, t_max, points_per_decade)`` of the span, built once per span."""
+    return _read_only(geometric_tgrid(*span))
 
 
 @lru_cache(maxsize=TGRID_CACHE_SIZE)
-def _phi_on_tgrid(spec: TGridSpec, phi: ProfileHandle) -> np.ndarray:
-    """phi on the spec's t-grid."""
-    return _read_only(phi(_tgrid(spec)))
+def _phi_on_tgrid(span: tuple, phi: ProfileHandle) -> np.ndarray:
+    """phi on the span's t-grid."""
+    return _read_only(phi(_tgrid(span)))
 
 
 @lru_cache(maxsize=TGRID_CACHE_SIZE)
-def _refined_tgrid(spec: TGridSpec, phi: ProfileHandle, refine: int):
+def _refined_tgrid(span: tuple, phi: ProfileHandle, refine: int):
     """Each t-grid interval cut geometrically into ``refine`` pieces, one row per interval.
 
     Returns the right end s of every piece, phi(s)/s there, and the piece
     widths, each an (intervals, refine) array.
     """
-    t = _tgrid(spec)
+    t = _tgrid(span)
     steps = np.arange(refine + 1)
     growth = (t[1:] / t[:-1]) ** (1.0 / refine)
     sub = t[:-1, None] * growth[:, None] ** steps[None, :]
@@ -124,43 +117,24 @@ def _refined_tgrid(spec: TGridSpec, phi: ProfileHandle, refine: int):
     )
 
 
-@dataclass(frozen=True)
-class InequalityParams:
-    """Shared parameters of the p-dependent checks.
+def power_k(p: float) -> int:
+    """The unique integer k with k < p <= k+1 (so integer p gives p-1)."""
+    return int(math.ceil(p)) - 1
 
-    ``k`` is the unique integer with k < p <= k+1 (so integer p gives p-1);
-    the oscillation constant is 2^((k+1)/p - 1).  The derivative-form check
-    asserts p * 2^((k+1)/p) and also records the verdict at the bare
-    2^((k+1)/p).
-    """
 
-    p: float = 1.0
-    constant_mode: str = "analytic"  # or "fitted"
-    tolerance: float = GRID_TOLERANCE
-    t_grid: TGridSpec | None = None
+def oscillation_constant(p: float) -> float:
+    """The oscillation form's constant 2^((k+1)/p - 1)."""
+    return 2.0 ** ((power_k(p) + 1) / p - 1.0)
 
-    def __post_init__(self):
-        require_finite_p(self.p)  # an infinite p has no k
-        if self.constant_mode not in ("analytic", "fitted"):
-            raise ValueError(f"unknown constant_mode {self.constant_mode!r}")
-        if not (self.k < self.p <= self.k + 1):
-            raise AssertionError("k derivation broken")
 
-    @property
-    def k(self) -> int:
-        return int(math.ceil(self.p)) - 1
+def derivative_base_constant(p: float) -> float:
+    """The bare derivative-form constant 2^((k+1)/p), whose verdict is also recorded."""
+    return 2.0 ** ((power_k(p) + 1) / p)
 
-    @property
-    def oscillation_constant(self) -> float:
-        return 2.0 ** ((self.k + 1) / self.p - 1.0)
 
-    @property
-    def derivative_base_constant(self) -> float:
-        return 2.0 ** ((self.k + 1) / self.p)
-
-    @property
-    def derivative_constant(self) -> float:
-        return self.p * self.derivative_base_constant
+def derivative_constant(p: float) -> float:
+    """The derivative-form constant the check asserts, p * 2^((k+1)/p)."""
+    return p * derivative_base_constant(p)
 
 
 def binomial_coefficient(p: float, j: int) -> float:
@@ -190,16 +164,21 @@ def _ratio_in_place(lhs: np.ndarray, rhs) -> np.ndarray:
     return lhs
 
 
-def _tgrid_spec(f: GridFunction, params: InequalityParams) -> TGridSpec:
-    return params.t_grid or TGridSpec(TGRID_FLOOR_CELLS * f.cell_measure, f.domain_measure)
+def _check_span(f: GridFunction) -> tuple:
+    """The t-grid span of a p-check on f: from the floor's measure to the domain measure."""
+    return (TGRID_FLOOR_CELLS * f.cell_measure, f.domain_measure, TGRID_POINTS_PER_DECADE)
 
 
-def _grid_params(f: GridFunction, params: InequalityParams, gradient_mode: str) -> dict:
+def _grid_params(f: GridFunction, p: float, constant_mode: str, gradient_mode: str) -> dict:
+    """The params record of a p-check; a p without a k or an unknown constant_mode raises."""
+    require_finite_p(p)  # an infinite p has no k
+    if constant_mode not in ("analytic", "fitted"):
+        raise ValueError(f"unknown constant_mode {constant_mode!r}")
     return {
-        "p": params.p,
+        "p": p,
         "n": f.dim,
-        "k": params.k,
-        "constant_mode": params.constant_mode,
+        "k": power_k(p),
+        "constant_mode": constant_mode,
         "gradient_mode": gradient_mode,
         "grid": f.shape_label,
         "spacing": f.spacing,
@@ -215,17 +194,17 @@ def _phi_for(pf: PreparedFunction, phi: ProfileHandle | None) -> ProfileHandle:
     return phi if phi is not None else phi_from_profile(euclidean_profile(pf.grid.dim))
 
 
-def _finalize(report_id, params_dict, worst, location, constant, params, trace=None):
-    if params.constant_mode == "fitted":
-        params_dict["fitted_constant"] = worst
+def _finalize(report_id, doc, worst, location, constant, tolerance, trace=None):
+    if doc["constant_mode"] == "fitted":
+        doc["fitted_constant"] = worst
         constant = worst if worst > 0 else 1.0
     return CheckReport(
         inequality_id=report_id,
-        params=params_dict,
+        params=doc,
         worst_ratio=worst,
         worst_location=location,
         constant_used=constant,
-        tolerance=params.tolerance,
+        tolerance=tolerance,
         trace=trace,
     )
 
@@ -237,20 +216,22 @@ def _finalize(report_id, params_dict, worst, location, constant, params, trace=N
 
 def check_s_phi_p(
     f: GridFunction | PreparedFunction,
-    phi: ProfileHandle | None,
-    params: InequalityParams,
+    *,
+    p: float = 1.0,
+    phi: ProfileHandle | None = None,
     gradient_mode: str = "metric_max",
+    tolerance: float = GRID_TOLERANCE,
+    constant_mode: str = "analytic",
 ) -> CheckReport:
     """``phi`` None means that of R^n, n the dimension of f's grid (as in every phi check)."""
-    p = params.p
     pf = prepare(f)
-    doc = _grid_params(pf.grid, params, gradient_mode)
+    doc = _grid_params(pf.grid, p, constant_mode, gradient_mode)
     if pf.is_zero:
-        return CheckReport.trivial_pass("s_phi_p", doc, 1.0, params.tolerance)
+        return CheckReport.trivial_pass("s_phi_p", doc, 1.0, tolerance)
     norm_p, grad_norm = pf.norm(p), pf.norm(p, gradient_mode)
     supp = doc["support_measure"] = support_measure(pf.mass)
     ratio = norm_p / (_phi_for(pf, phi)(supp) * grad_norm)
-    return _finalize("s_phi_p", doc, float(ratio), supp, 1.0, params)
+    return _finalize("s_phi_p", doc, float(ratio), supp, 1.0, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -260,30 +241,32 @@ def check_s_phi_p(
 
 def check_oscillation_p(
     f: GridFunction | PreparedFunction,
-    phi: ProfileHandle | None,
-    params: InequalityParams,
+    *,
+    p: float = 1.0,
+    phi: ProfileHandle | None = None,
     gradient_mode: str = "metric_max",
+    tolerance: float = GRID_TOLERANCE,
+    constant_mode: str = "analytic",
     capture_trace: bool = False,
 ) -> CheckReport:
-    p = params.p
     pf = prepare(f)
-    doc = _grid_params(pf.grid, params, gradient_mode)
-    constant = params.oscillation_constant
+    doc = _grid_params(pf.grid, p, constant_mode, gradient_mode)
+    constant = oscillation_constant(p)
     doc["constant_formula"] = "2^((k+1)/p - 1)"
     if pf.is_zero:
-        return CheckReport.trivial_pass("oscillation_p", doc, constant, params.tolerance)
+        return CheckReport.trivial_pass("oscillation_p", doc, constant, tolerance)
     fp = pf.powered(pf.profile, p)
     gp = pf.powered(pf.grad_profile(gradient_mode), p)
-    spec = _tgrid_spec(pf.grid, params)
-    t = _tgrid(spec)
-    phi_t = _phi_on_tgrid(spec, _phi_for(pf, phi))
+    span = _check_span(pf.grid)
+    t = _tgrid(span)
+    phi_t = _phi_on_tgrid(span, _phi_for(pf, phi))
     lhs = (maximal_average(fp, t) ** (1.0 / p) - fp.value(t) ** (1.0 / p)) / phi_t
     rhs = maximal_average(gp, t) ** (1.0 / p)
     ratios = _ratio(lhs, rhs)
     j = int(np.argmax(ratios))
     trace = _trace(t, lhs, rhs) if capture_trace else None
     return _finalize(
-        "oscillation_p", doc, float(ratios[j]), float(t[j]), constant, params, trace
+        "oscillation_p", doc, float(ratios[j]), float(t[j]), constant, tolerance, trace
     )
 
 
@@ -294,9 +277,12 @@ def check_oscillation_p(
 
 def check_derivative_p(
     f: GridFunction | PreparedFunction,
-    phi: ProfileHandle | None,
-    params: InequalityParams,
+    *,
+    p: float = 1.0,
+    phi: ProfileHandle | None = None,
     gradient_mode: str = "metric_max",
+    tolerance: float = GRID_TOLERANCE,
+    constant_mode: str = "analytic",
     form: str = "integrated",
     capture_trace: bool = False,
 ) -> CheckReport:
@@ -312,39 +298,37 @@ def check_derivative_p(
     integrand is non-increasing), so passing is conservative.  C defaults to
     p * 2^((k+1)/p); the verdict at the bare 2^((k+1)/p) is also recorded.
     """
+    pf = prepare(f)
+    doc = _grid_params(pf.grid, p, constant_mode, gradient_mode)
     if form not in ("integrated", "pointwise"):
         raise ValueError(f"unknown form {form!r}")
-    p = params.p
-    pf = prepare(f)
-    doc = _grid_params(pf.grid, params, gradient_mode)
     doc["form"] = form
-    constant = params.derivative_constant
-    base = params.derivative_base_constant
-    doc["base_constant"] = base
+    constant = derivative_constant(p)
+    base = doc["base_constant"] = derivative_base_constant(p)
     if pf.is_zero:
-        return CheckReport.trivial_pass("derivative_p", doc, constant, params.tolerance)
+        return CheckReport.trivial_pass("derivative_p", doc, constant, tolerance)
     phi = _phi_for(pf, phi)
     gp = pf.powered(pf.grad_profile(gradient_mode), p)
-    spec = _tgrid_spec(pf.grid, params)
-    t = _tgrid(spec)
+    span = _check_span(pf.grid)
+    t = _tgrid(span)
     if form == "integrated":
         amplitude = maximal_average(pf.powered(pf.profile, p), t) ** (1.0 / p)
         lhs = amplitude[:-1] - amplitude[1:]
-        right, phi_over_t, widths = _refined_tgrid(spec, phi, DERIVATIVE_REFINE)
+        right, phi_over_t, widths = _refined_tgrid(span, phi, DERIVATIVE_REFINE)
         vals = phi_over_t * maximal_average(gp, right) ** (1.0 / p)
         # right-endpoint sums under-estimate the decreasing integrand
         rhs = np.sum(vals * widths, axis=1)
         locs = t[:-1]
     else:
         lhs = dform_derivative(pf.profile, p, t)
-        rhs = _phi_on_tgrid(spec, phi) / t * maximal_average(gp, t) ** (1.0 / p)
+        rhs = _phi_on_tgrid(span, phi) / t * maximal_average(gp, t) ** (1.0 / p)
         locs = t
     ratios = _ratio(lhs, rhs)
     j = int(np.argmax(ratios))
     worst = float(ratios[j])
-    doc["pass_at_base_constant"] = bool(worst <= base * (1.0 + params.tolerance))
+    doc["pass_at_base_constant"] = bool(worst <= base * (1.0 + tolerance))
     trace = _trace(locs, lhs, rhs) if capture_trace else None
-    return _finalize("derivative_p", doc, worst, float(locs[j]), constant, params, trace)
+    return _finalize("derivative_p", doc, worst, float(locs[j]), constant, tolerance, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +338,8 @@ def check_derivative_p(
 
 def check_binomial_bounds(
     p: float,
-    a_max: float = 20.0,
-    grid_points: int = 400,
+    a_max: float = SWEEP_A_MAX,
+    grid_points: int = SWEEP_POINTS,
     tolerance: float = SCALAR_TOLERANCE,
 ) -> CheckReport:
     """Brute-force sweep of the two binomial-variant bounds over a >= b >= 0.
@@ -372,8 +356,7 @@ def check_binomial_bounds(
     """
     if p <= 1:
         raise ValueError("the sweep needs p > 1")
-    params = InequalityParams(p=p)
-    k, c_p = params.k, params.oscillation_constant
+    k, c_p = power_k(p), oscillation_constant(p)
     axis = np.linspace(0.0, a_max, grid_points)
     a, b = np.meshgrid(axis, axis, indexing="ij")
     keep = a >= b
@@ -443,13 +426,13 @@ def _local_stencil_max(values: np.ndarray) -> np.ndarray:
 
 
 @lru_cache
-def _scalar_chain_sweep(r: float, a_max: float, grid_points: int) -> tuple[float, float, float]:
+def _scalar_chain_sweep(r: float) -> tuple[float, float, float]:
     """Worst |a^r - b^r| / (r (a^(r-1) + b^(r-1)) |a-b|) over the (a, b) lattice.
 
-    Returns (worst ratio, a, b); it depends on the sweep parameters only, so
-    it is computed once per parameter set, not once per grid function.
+    Returns (worst ratio, a, b); it depends on r only, so it is computed once
+    per r, not once per grid function.
     """
-    axis = np.linspace(0.0, a_max, grid_points)
+    axis = np.linspace(0.0, SWEEP_A_MAX, SWEEP_POINTS)
     a, b = np.meshgrid(axis, axis, indexing="ij")
     scalar_lhs = np.abs(a**r - b**r)
     scalar_rhs = r * (a ** (r - 1.0) + b ** (r - 1.0)) * np.abs(a - b)
@@ -460,10 +443,9 @@ def _scalar_chain_sweep(r: float, a_max: float, grid_points: int) -> tuple[float
 
 def check_chain_rule(
     f: GridFunction | PreparedFunction,
-    r: float,
+    *,
+    r: float = 2.0,
     gradient_mode: str = "metric_max",
-    a_max: float = 20.0,
-    grid_points: int = 400,
     tolerance: float = SCALAR_TOLERANCE,
 ) -> CheckReport:
     """Discrete chain-rule bound |grad f^r| <= 2r fhat^(r-1) |grad f|.
@@ -490,7 +472,7 @@ def check_chain_rule(
     grid_ratios = _ratio_in_place(lhs, rhs)
     g_idx = int(np.argmax(grid_ratios))
     grid_worst = float(grid_ratios.ravel()[g_idx])
-    scalar_worst, scalar_a, scalar_b = _scalar_chain_sweep(r, a_max, grid_points)
+    scalar_worst, scalar_a, scalar_b = _scalar_chain_sweep(r)
 
     params_doc = {
         "r": r,
@@ -599,7 +581,7 @@ def check_oneil(
 
     if t_grid is None:
         total = gf.domain_measure if grid_pair else prof_fg.total_measure
-        t_grid = _tgrid(TGridSpec(total * 1e-5, total, points_per_decade))
+        t_grid = _tgrid((total * 1e-5, total, points_per_decade))
     t_grid = np.asarray(t_grid, dtype=float)
     lhs = maximal_average(prof_fg, t_grid)
     rhs = hl_profile.prefix_integral(t_grid) / t_grid
@@ -620,31 +602,15 @@ def check_oneil(
 # ---------------------------------------------------------------------------
 
 
-def check_nash(
-    f: GridFunction | PreparedFunction,
-    phi: ProfileHandle | None,
-    p: float,
-    c1: float = 1.0,
-    c2: float = 1.0,
-    classical: bool = False,
-    gradient_mode: str = "metric_max",
-    tolerance: float = GRID_TOLERANCE,
-    constant_mode: str = "fitted",
-) -> CheckReport:
-    """Nash-form bound ||f||_p <= c1 phi(c2 (||f||_1/||f||_p)^(p/(p-1))) || |grad f| ||_p.
-
-    In classical mode (p = 2, phi(t) = t^(1/n), n the dimension of f's grid;
-    ``phi`` is not read) ||f||_2^(1+2/n) <= c ||f||_1^(2/n) || |grad f| ||_2
-    is evaluated and the fitted c recorded; in general mode ``phi`` None means
-    that of R^n.  Ratios in either mode are invariant under f -> lambda f.
-    """
+def _nash_setup(f, p: float, c1: float, c2: float, classical: bool, gradient_mode: str):
+    """f prepared, its params record, and its ||f||_p, ||f||_1 and || |grad f| ||_p."""
     if p <= 1:
         raise ValueError("the Nash form needs p > 1")
     require_finite_p(p)
     pf = prepare(f)
     if pf.is_zero:
         raise ValueError("||f||_p must be positive")
-    norm_p, norm_1, grad_norm = pf.norm(p), pf.norm(1.0), pf.norm(p, gradient_mode)
+    norms = pf.norm(p), pf.norm(1.0), pf.norm(p, gradient_mode)
     doc = {
         "p": p,
         "c1": c1,
@@ -653,24 +619,57 @@ def check_nash(
         "gradient_mode": gradient_mode,
         "grid": pf.grid.shape_label,
     }
-    if classical:
-        if p != 2:
-            raise ValueError("classical mode is the p = 2 case")
-        n = doc["n"] = pf.grid.dim
-        ratio = norm_p ** (1.0 + 2.0 / n) / (norm_1 ** (2.0 / n) * grad_norm)
-    else:
-        arg = c2 * (norm_1 / norm_p) ** (p / (p - 1.0))
-        ratio = norm_p / (c1 * _phi_for(pf, phi)(arg) * grad_norm)
-    doc["fitted_constant"] = float(ratio) * (1.0 if classical else c1)
-    constant = float(ratio) if constant_mode == "fitted" else (c1 if classical else 1.0)
+    return pf, doc, norms
+
+
+def _nash_report(report_id: str, doc: dict, ratio, tolerance: float) -> CheckReport:
+    """The observed ratio is the constant used; the fitted constant is ratio * c1."""
+    doc["fitted_constant"] = float(ratio) * doc["c1"]
     return CheckReport(
-        inequality_id="nash_classical" if classical else "nash",
+        inequality_id=report_id,
         params=doc,
         worst_ratio=float(ratio),
         worst_location=None,
-        constant_used=float(constant),
+        constant_used=float(ratio),
         tolerance=tolerance,
     )
+
+
+def check_nash(
+    f: GridFunction | PreparedFunction,
+    *,
+    p: float = 2.0,
+    phi: ProfileHandle | None = None,
+    c1: float = 1.0,
+    c2: float = 1.0,
+    gradient_mode: str = "metric_max",
+    tolerance: float = GRID_TOLERANCE,
+) -> CheckReport:
+    """Nash-form bound ||f||_p <= c1 phi(c2 (||f||_1/||f||_p)^(p/(p-1))) || |grad f| ||_p.
+
+    ``phi`` None means that of R^n.  The ratio is invariant under f -> lambda f.
+    """
+    pf, doc, (norm_p, norm_1, grad_norm) = _nash_setup(f, p, c1, c2, False, gradient_mode)
+    arg = c2 * (norm_1 / norm_p) ** (p / (p - 1.0))
+    ratio = norm_p / (c1 * _phi_for(pf, phi)(arg) * grad_norm)
+    return _nash_report("nash", doc, ratio, tolerance)
+
+
+def check_nash_classical(
+    f: GridFunction | PreparedFunction,
+    *,
+    gradient_mode: str = "metric_max",
+    tolerance: float = GRID_TOLERANCE,
+) -> CheckReport:
+    """The Nash form at p = 2 with phi(t) = t^(1/n), n the dimension of f's grid.
+
+    ||f||_2^(1+2/n) <= c ||f||_1^(2/n) || |grad f| ||_2 is evaluated and the
+    fitted c recorded.  The ratio is invariant under f -> lambda f.
+    """
+    pf, doc, (norm_p, norm_1, grad_norm) = _nash_setup(f, 2.0, 1.0, 1.0, True, gradient_mode)
+    n = doc["n"] = pf.grid.dim
+    ratio = norm_p ** (1.0 + 2.0 / n) / (norm_1 ** (2.0 / n) * grad_norm)
+    return _nash_report("nash_classical", doc, ratio, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +679,9 @@ def check_nash(
 
 def check_sobolev(
     f: GridFunction | PreparedFunction,
-    p: float | None,
     mode: str,
+    *,
+    p: float | None = None,
     gradient_mode: str = "metric_max",
     tolerance: float = GRID_TOLERANCE,
     constant: float | None = None,
@@ -768,58 +768,36 @@ def check_sobolev(
 # ---------------------------------------------------------------------------
 
 
-def _run_s_phi_p(f, *, p=1.0, phi=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant_mode="analytic"):
-    params = InequalityParams(p=p, tolerance=tolerance, constant_mode=constant_mode)
-    return check_s_phi_p(f, phi, params, gradient_mode)
+def _sobolev_mode(mode: str):
+    """``check_sobolev`` with ``mode`` fixed; its keys are check_sobolev's, ``mode`` aside."""
+
+    def check(f, **kwargs):
+        return check_sobolev(f, mode, **kwargs)
+
+    params = inspect.signature(check_sobolev).parameters.values()
+    check.__signature__ = inspect.Signature([param for param in params if param.name != "mode"])
+    return check
 
 
-def _run_oscillation_p(f, *, p=1.0, phi=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant_mode="analytic", capture_trace=False):
-    params = InequalityParams(p=p, tolerance=tolerance, constant_mode=constant_mode)
-    return check_oscillation_p(f, phi, params, gradient_mode, capture_trace)
-
-
-def _run_derivative_p(f, *, p=1.0, phi=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant_mode="analytic", form="integrated", capture_trace=False):
-    params = InequalityParams(p=p, tolerance=tolerance, constant_mode=constant_mode)
-    return check_derivative_p(f, phi, params, gradient_mode, form, capture_trace)
-
-
-def _run_chain_rule(f, *, r=2.0, gradient_mode="metric_max", tolerance=SCALAR_TOLERANCE):
-    return check_chain_rule(f, r, gradient_mode, tolerance=tolerance)
-
-
-def _run_nash_classical(f, *, gradient_mode="metric_max", tolerance=GRID_TOLERANCE):
-    return check_nash(f, None, 2.0, classical=True, gradient_mode=gradient_mode, tolerance=tolerance)
-
-
-def _run_nash(f, *, p=2.0, phi=None, c1=1.0, c2=1.0, gradient_mode="metric_max", tolerance=GRID_TOLERANCE):
-    return check_nash(f, phi, p, c1, c2, gradient_mode=gradient_mode, tolerance=tolerance)
-
-
-def _sobolev_runner(mode):
-    def run(f, *, p=None, gradient_mode="metric_max", tolerance=GRID_TOLERANCE, constant=None):
-        return check_sobolev(f, p, mode, gradient_mode, tolerance, constant)
-
-    return run
-
-
-def _run_polya_szego(f, *, p=1.0, gradient_mode="metric_max", weight="isoperimetric", tolerance=GRID_TOLERANCE):
+@wraps(polya_szego_compare)
+def _run_polya_szego(f, **kwargs):
     # a call through this module's name, which a tracer can rebind; CHECKERS would hide it
-    return polya_szego_compare(f, p, gradient_mode, weight, tolerance)
+    return polya_szego_compare(f, **kwargs)
 
 
-# Every check by id.  A runner's parameters after its function arguments are
+# Every check by id.  A checker's parameters after its function arguments are
 # the keys a suite entry or the command line may set; nothing else declares them.
 CHECKERS = {
-    "s_phi_p": _run_s_phi_p,
-    "oscillation_p": _run_oscillation_p,
-    "derivative_p": _run_derivative_p,
-    "chain_rule": _run_chain_rule,
-    "nash": _run_nash,
-    "nash_classical": _run_nash_classical,
-    "sobolev_weak": _sobolev_runner("weak"),
-    "sobolev_strong": _sobolev_runner("strong"),
-    "sobolev_exp": _sobolev_runner("exp"),
-    "sobolev_morrey": _sobolev_runner("morrey"),
+    "s_phi_p": check_s_phi_p,
+    "oscillation_p": check_oscillation_p,
+    "derivative_p": check_derivative_p,
+    "chain_rule": check_chain_rule,
+    "nash": check_nash,
+    "nash_classical": check_nash_classical,
+    "sobolev_weak": _sobolev_mode("weak"),
+    "sobolev_strong": _sobolev_mode("strong"),
+    "sobolev_exp": _sobolev_mode("exp"),
+    "sobolev_morrey": _sobolev_mode("morrey"),
     "polya_szego": _run_polya_szego,
     "binomial_bounds": check_binomial_bounds,
     "oneil": check_oneil,
@@ -828,7 +806,7 @@ CHECKERS = {
 # Function arguments per check: the corpus-free sweep, the pair check, else 1.
 ARITY = {"binomial_bounds": 0, "oneil": 2}
 
-# Runner keys only code can set: a JSON config cannot give a phi handle, the
+# Checker keys only code can set: a JSON config cannot give a phi handle, the
 # suite's detail flag sets capture_trace, and grid functions carry their masses.
 CODE_ONLY = frozenset({"phi", "capture_trace", "masses"})
 
@@ -844,8 +822,8 @@ def entry_keys(name: str, entry: dict, arity: int | None = None, config: bool = 
     takes = ARITY.get(name, 1)
     if arity is not None and takes != arity:
         raise ValueError(f"{name!r} takes {takes} functions, not {arity}")
-    runner_keys = list(inspect.signature(CHECKERS[name]).parameters)[takes:]
-    accepted = [k for k in runner_keys if not (config and k in CODE_ONLY)]
+    checker_keys = list(inspect.signature(CHECKERS[name]).parameters)[takes:]
+    accepted = [k for k in checker_keys if not (config and k in CODE_ONLY)]
     keys = {k: v for k, v in entry.items() if k != "id"}
     unknown = sorted(set(keys) - set(accepted))
     if unknown:
@@ -858,7 +836,7 @@ def checker_kwargs(name: str, entry: dict, context: dict, arity: int | None = No
 
     ``entry_keys`` checks the entry, ``CODE_ONLY`` keys allowed.  The context's
     run-wide defaults (gradient_mode, tolerance, ...) are passed where the
-    runner declares them and they are not None; the runner checks values.
+    checker declares them and they are not None; the checker checks values.
     """
     accepted, keys = entry_keys(name, entry, arity)
     defaults = {k: v for k, v in context.items() if k in accepted and v is not None}

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .measure import GridFunction
+from .measure import GridFunction, require_finite_measure
 
 __all__ = [
     "ProfileHandle",
@@ -37,15 +37,18 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
+# The JSON keys of each profile kind, "kind" aside.
+_KIND_KEYS = {"power_law": ("coefficient", "exponent"), "table": ("samples",)}
+
+
 @dataclass(frozen=True)
 class ProfileHandle:
-    """Power law c*t^alpha or a monotone sampled table, on (0, domain_max]."""
+    """Power law c*t^alpha or a monotone sampled table, on t > 0."""
 
     kind: str  # "power_law" | "table"
     coefficient: float | None = None
     exponent: float | None = None
     samples: tuple | None = None  # ((t, value), ...) with t increasing
-    domain_max: float = math.inf
 
     def __post_init__(self):
         if self.kind == "power_law":
@@ -95,16 +98,9 @@ class ProfileHandle:
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def to_json(self, path=None):
-        if self.kind == "power_law":
-            doc = {
-                "kind": "power_law",
-                "coefficient": self.coefficient,
-                "exponent": self.exponent,
-            }
-        else:
-            doc = {"kind": "table", "samples": [list(s) for s in self.samples]}
-        if math.isfinite(self.domain_max):
-            doc["domain_max"] = self.domain_max
+        doc = {"kind": self.kind, **{key: getattr(self, key) for key in _KIND_KEYS[self.kind]}}
+        if self.kind == "table":
+            doc["samples"] = [list(s) for s in self.samples]
         if path is None:
             return doc
         Path(path).write_text(json.dumps(doc), encoding="utf-8")
@@ -115,16 +111,18 @@ class ProfileHandle:
         doc = source if isinstance(source, dict) else json.loads(
             Path(source).read_text(encoding="utf-8")
         )
-        domain_max = float(doc.get("domain_max", math.inf))
-        if doc["kind"] == "power_law":
-            return cls(
-                kind="power_law",
-                coefficient=float(doc["coefficient"]),
-                exponent=float(doc["exponent"]),
-                domain_max=domain_max,
-            )
+        if not isinstance(doc, dict):
+            raise ValueError("a profile handle must be a JSON object")
+        kind = doc.get("kind")
+        if kind not in _KIND_KEYS:
+            raise ValueError(f"unknown profile kind {kind!r}")
+        unknown = sorted(set(doc) - {"kind", *_KIND_KEYS[kind]})
+        if unknown:
+            raise ValueError(f"unknown {kind} profile keys {unknown}")
+        if kind == "power_law":
+            return cls(kind=kind, coefficient=float(doc["coefficient"]), exponent=float(doc["exponent"]))
         samples = tuple((float(t), float(v)) for t, v in doc["samples"])
-        return cls(kind="table", samples=samples, domain_max=domain_max)
+        return cls(kind=kind, samples=samples)
 
 
 def euclidean_profile(n: int) -> ProfileHandle:
@@ -148,10 +146,9 @@ def phi_from_profile(profile: ProfileHandle) -> ProfileHandle:
             kind="power_law",
             coefficient=1.0 / profile.coefficient,
             exponent=1.0 - profile.exponent,
-            domain_max=profile.domain_max,
         )
     samples = tuple((t, t / v) for t, v in profile.samples)
-    return ProfileHandle(kind="table", samples=samples, domain_max=profile.domain_max)
+    return ProfileHandle(kind="table", samples=samples)
 
 
 @dataclass(frozen=True)
@@ -166,19 +163,17 @@ class ProfileViolation:
 
 def validate_profile(
     profile: ProfileHandle,
-    t_max: float | None = None,
+    t_max: float = 1.0,
     points: int = 512,
     rel_tol: float = 1e-9,
 ) -> list[ProfileViolation]:
-    """Admissibility checks on a dense grid.
+    """Admissibility checks on a dense grid of (0, t_max].
 
     Verifies concavity (midpoint test), a vanishing limit at the origin, and
     that the quotient t / I(t) is non-decreasing.  Constant profiles (the n=1
     Euclidean case) are exempt from the origin condition: the quotient still
     increases, which is what the checkers rely on.
     """
-    if t_max is None:
-        t_max = profile.domain_max if math.isfinite(profile.domain_max) else 1.0
     grid = np.linspace(t_max / points, t_max, points)
     vals = profile(grid)
     violations: list[ProfileViolation] = []
@@ -266,9 +261,20 @@ def indicator_mollify(mask: np.ndarray, spacing: float, eps: float) -> GridFunct
 
 
 def mollify_ladder(mask: np.ndarray, spacing: float, eps_ladder) -> list[GridFunction]:
-    """``indicator_mollify(mask, spacing, eps)`` for each eps, from one distance transform."""
+    """``indicator_mollify(mask, spacing, eps)`` for each eps, from one distance transform.
+
+    The cell and domain measures and the squared distances across the grid
+    must be finite; otherwise this raises ValueError before any array is made.
+    """
     mask = np.asarray(mask, dtype=bool)
     h = float(spacing)
+    require_finite_measure(h, mask.shape)
+    far = 0.0
+    for n in mask.shape:
+        reach = (n - 1) * h
+        far += reach * reach
+    if not far < math.inf:
+        raise ValueError("the squared distances across the grid must be finite")
     if any(eps < h for eps in eps_ladder):
         raise ValueError("mollification width eps must be at least the cell spacing")
     if not mask.any():

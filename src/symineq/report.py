@@ -7,7 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CheckReport", "best_constant"]
+__all__ = ["CheckReport", "best_constant", "GRID_TOLERANCE"]
+
+# Default slack of the grid-function checks, for discretization error.
+GRID_TOLERANCE = 0.05
 
 
 @dataclass

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import symineq as sq
-from symineq.inequalities import InequalityParams
+from symineq.inequalities import oscillation_constant
 from symineq.isoperimetry import disk_mask, indicator_mollify
 from symineq.suite import SuiteConfig
 
@@ -95,9 +95,8 @@ def _tail_integral_loop(mf, lam):
 
 def test_c04_p1_reduction_matches_direct_form(default_corpus, phi_euclid_2d):
     worst = 0.0
-    params = InequalityParams(p=1.0)
     for cid, f in default_corpus:
-        report = sq.check_oscillation_p(f, phi_euclid_2d, params, capture_trace=True)
+        report = sq.check_oscillation_p(f, phi=phi_euclid_2d, p=1.0, capture_trace=True)
         prof = sq.decreasing_rearrangement(sq.grid_to_mass(f))
         grad = sq.decreasing_rearrangement(
             sq.grid_to_mass(sq.metric_gradient_modulus(f))
@@ -120,9 +119,7 @@ def test_c05_cone_oracle_numbers(cone512, phi_euclid_2d):
     grad1 = sq.lp_norm(sq.grid_to_mass(sq.metric_gradient_modulus(cone512)), 1)
     prof = sq.decreasing_rearrangement(mass)
     weak_sup = float(np.max(prof.levels * prof.breakpoints[1:] ** 0.5))
-    ratio = sq.check_s_phi_p(
-        cone512, phi_euclid_2d, InequalityParams(p=1.0)
-    ).worst_ratio
+    ratio = sq.check_s_phi_p(cone512, phi=phi_euclid_2d, p=1.0).worst_ratio
 
     ok_norm1 = abs(norm1 - math.pi / 3) / (math.pi / 3) <= 0.01
     ok_grad1 = abs(grad1 - math.pi) / math.pi <= 0.01
@@ -142,16 +139,15 @@ def test_c06_theorem_chain_on_corpus(default_corpus, phi_euclid_2d):
     start = time.perf_counter()
     failures = []
     for p in (1.0, 1.5, 2.0, 3.0):
-        params = InequalityParams(p=p)
-        limit = params.oscillation_constant * 1.05 * 1.05
+        limit = oscillation_constant(p) * 1.05 * 1.05
         for cid, f in default_corpus:
-            s = sq.check_s_phi_p(f, phi_euclid_2d, params)
+            s = sq.check_s_phi_p(f, phi=phi_euclid_2d, p=p)
             if s.worst_ratio > 1.05:
                 continue
-            o = sq.check_oscillation_p(f, phi_euclid_2d, params)
+            o = sq.check_oscillation_p(f, phi=phi_euclid_2d, p=p)
             if o.worst_ratio > limit:
                 failures.append((p, cid, "oscillation", o.worst_ratio, limit))
-            d = sq.check_derivative_p(f, phi_euclid_2d, params)
+            d = sq.check_derivative_p(f, phi=phi_euclid_2d, p=p)
             if not d.passed:
                 failures.append((p, cid, "derivative", d.worst_ratio, d.constant_used))
     elapsed = time.perf_counter() - start
@@ -164,8 +160,8 @@ def test_c06_theorem_chain_on_corpus(default_corpus, phi_euclid_2d):
 
 
 def test_c07_polya_szego_extremals(cone512, tent4096):
-    cone_report = sq.polya_szego_compare(cone512, 1.0, weight="isoperimetric")
-    tent_report = sq.polya_szego_compare(tent4096, 2.0, weight="bare_power")
+    cone_report = sq.polya_szego_compare(cone512, p=1.0, weight="isoperimetric")
+    tent_report = sq.polya_szego_compare(tent4096, p=2.0, weight="bare_power")
     ok_cone = abs(cone_report.worst_ratio - 1.0) <= 0.02
     ok_tent = abs(tent_report.worst_ratio - 0.5) / 0.5 <= 0.02
     record(
@@ -177,7 +173,7 @@ def test_c07_polya_szego_extremals(cone512, tent4096):
 
 
 def test_c08_morrey_averaged_bound(tent4096):
-    report = sq.check_sobolev(tent4096, 2.0, "morrey")
+    report = sq.check_sobolev(tent4096, "morrey", p=2.0)
     drop = report.params["ess_sup"] - report.params["mean"]
     grad2 = sq.lp_norm(sq.grid_to_mass(sq.metric_gradient_modulus(tent4096)), 2)
     bound = 2.0 * grad2
@@ -192,11 +188,7 @@ def test_c08_morrey_averaged_bound(tent4096):
 
 
 def test_c09_sharpness_trend(disk_ladder_512, phi_euclid_2d):
-    params = InequalityParams(p=1.0)
-    ratios = [
-        sq.check_s_phi_p(f, phi_euclid_2d, params).worst_ratio
-        for f in disk_ladder_512
-    ]
+    ratios = [sq.check_s_phi_p(f, phi=phi_euclid_2d, p=1.0).worst_ratio for f in disk_ladder_512]
     increasing = ratios[0] < ratios[1] < ratios[2]
     bounded = max(ratios) <= 1.05
     record(

@@ -55,9 +55,8 @@ class TestCorpus:
         assert sq.lp_norm(mass, 1) == pytest.approx(math.pi / 3, rel=0.01)
 
     def test_disk_ladder_ratios_increase(self, default_corpus, phi_euclid_2d):
-        params = sq.InequalityParams(p=1.0)
         ratios = [
-            sq.check_s_phi_p(f, phi_euclid_2d, params).worst_ratio
+            sq.check_s_phi_p(f, phi=phi_euclid_2d, p=1.0).worst_ratio
             for cid, f in default_corpus
             if cid.startswith("mollified_disk")
         ]
@@ -641,7 +640,7 @@ class TestCli:
 
     @pytest.mark.parametrize("name", ["polya_szego", "nash"])
     def test_infinite_p_is_an_input_error(self, tmp_path, capsys, name):
-        # JSON's Infinity: these runners take p without InequalityParams
+        # JSON's Infinity as p: an input error in these checks too, not only in the p-checks
         config_file = tmp_path / "config.json"
         config_file.write_text(
             json.dumps(
@@ -702,6 +701,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert "not admissible" in err
         assert "not_concave" in err and "quotient_decreasing" in err
+
+    def test_check_rejects_an_unknown_phi_key(self, cone_file, tmp_path, capsys):
+        phi_file = tmp_path / "phi.json"
+        phi_file.write_text(json.dumps({"kind": "power_law", "coefficient": 0.28, "exponent": 0.5, "tolernce": 3}))
+        code = cli_main(["check", "--ineq", "oscillation_p", "--fn", str(cone_file), "--phi", str(phi_file)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot load phi" in err and "'tolernce'" in err
+
+    @pytest.mark.parametrize("ineq, code", [("s_phi_p", 0), ("polya_szego", 1)])
+    def test_check_into_a_closed_pipe_exits_with_its_own_code(self, tmp_path, ineq, code):
+        # the reader is gone before the report is written: no traceback, the check's own code;
+        # Polya-Szego flags the square's indicator as a jump, which never passes
+        values = np.zeros((16, 16))
+        values[4:12, 4:12] = 1.0
+        fn = tmp_path / "square.json"
+        sq.GridFunction(1 / 16, values).to_json(fn)
+        src = os.path.dirname(os.path.dirname(sq.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for unbuffered in ("", "1"):
+            env["PYTHONUNBUFFERED"] = unbuffered
+            args = [sys.executable, "-m", "symineq.cli", "check", "--ineq", ineq, "--fn", str(fn)]
+            proc = subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=120) == code
+            assert stderr == b""
 
     def test_check_accepts_a_sampled_euclidean_phi_table(self, cone_file, tmp_path, capsys):
         phi = sq.phi_from_profile(sq.euclidean_profile(2))

@@ -102,20 +102,20 @@ class TestPolyaSzego:
         prof = sq.decreasing_rearrangement(sq.grid_to_mass(tent4096))
         lhs = polya_szego_lhs(prof, 1, 2.0, weight="bare_power")
         assert lhs == pytest.approx(0.5, rel=0.01)
-        report = sq.polya_szego_compare(tent4096, 2.0, weight="bare_power")
+        report = sq.polya_szego_compare(tent4096, p=2.0, weight="bare_power")
         assert report.worst_ratio == pytest.approx(0.5, rel=0.02)
         assert report.passed
 
     def test_radial_cone_extremal(self, cone512):
         # radially decreasing extremizer: equality at the isoperimetric weight
-        report = sq.polya_szego_compare(cone512, 1.0)
+        report = sq.polya_szego_compare(cone512, p=1.0)
         assert report.worst_ratio == pytest.approx(1.0, rel=0.02)
         assert report.status == "ok"
         assert report.passed
 
     def test_zero_function_degenerate(self):
         f = GridFunction(0.1, np.zeros((8, 8)))
-        report = sq.polya_szego_compare(f, 1.0)
+        report = sq.polya_szego_compare(f, p=1.0)
         assert report.worst_ratio == 0.0
         assert report.passed
 
@@ -123,7 +123,7 @@ class TestPolyaSzego:
         values = np.zeros((32, 32))
         values[10:22, 10:22] = 1.0
         f = GridFunction(1 / 32, values)
-        report = sq.polya_szego_compare(f, 2.0)
+        report = sq.polya_szego_compare(f, p=2.0)
         assert report.status == "flagged:jump"
         assert report.params["jump_flag"]
         assert not report.passed

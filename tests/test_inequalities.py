@@ -6,10 +6,12 @@ import pytest
 import symineq as sq
 from symineq import inequalities
 from symineq.inequalities import (
-    InequalityParams,
-    TGridSpec,
     binomial_coefficient,
+    derivative_base_constant,
+    derivative_constant,
     empirical_best_constant,
+    oscillation_constant,
+    power_k,
 )
 from symineq.isoperimetry import ProfileHandle, disk_mask, indicator_mollify
 from symineq.measure import GridFunction
@@ -22,32 +24,36 @@ def small_cone(extents=256, radius=0.35, side=1.0, offset=(0.0, 0.0)):
     return sq.cone_grid(extents, 2, side, radius, 1.0, center)
 
 
-class TestInequalityParams:
+class TestAnalyticConstants:
     def test_k_derivation(self):
-        assert InequalityParams(p=1.0).k == 0
-        assert InequalityParams(p=2.0).k == 1
-        assert InequalityParams(p=2.5).k == 2
-        assert InequalityParams(p=4.7).k == 4
+        assert power_k(1.0) == 0
+        assert power_k(2.0) == 1
+        assert power_k(2.5) == 2
+        assert power_k(4.7) == 4
 
     def test_analytic_constants(self):
-        assert InequalityParams(p=1.0).oscillation_constant == pytest.approx(1.0)
-        assert InequalityParams(p=1.5).oscillation_constant == pytest.approx(2 ** (1 / 3))
-        assert InequalityParams(p=2.0).oscillation_constant == pytest.approx(1.0)
+        assert oscillation_constant(1.0) == pytest.approx(1.0)
+        assert oscillation_constant(1.5) == pytest.approx(2 ** (1 / 3))
+        assert oscillation_constant(2.0) == pytest.approx(1.0)
         # derivative form: base 2^((k+1)/p), asserted with the extra factor p
-        params = InequalityParams(p=2.0)
-        assert params.derivative_base_constant == pytest.approx(2.0)
-        assert params.derivative_constant == pytest.approx(4.0)
+        assert derivative_base_constant(2.0) == pytest.approx(2.0)
+        assert derivative_constant(2.0) == pytest.approx(4.0)
 
-    def test_validation(self):
+    @pytest.mark.parametrize(
+        "check", [sq.check_s_phi_p, sq.check_oscillation_p, sq.check_derivative_p], ids=lambda c: c.__name__
+    )
+    def test_validation(self, check):
+        f = small_cone(32)
         with pytest.raises(ValueError):
-            InequalityParams(p=0.5)
+            check(f, p=0.5)
         with pytest.raises(ValueError):
-            InequalityParams(constant_mode="exact")
+            check(f, constant_mode="exact")
 
     @pytest.mark.parametrize("p", [math.inf, math.nan])
     def test_p_that_is_not_finite_is_an_input_error_row(self, p):
-        with pytest.raises(ValueError, match="finite"):
-            InequalityParams(p=p)
+        for check in (sq.check_s_phi_p, sq.check_oscillation_p, sq.check_derivative_p):
+            with pytest.raises(ValueError, match="finite"):
+                check(small_cone(32), p=p)
         config = sq.SuiteConfig(inequalities=({"id": "s_phi_p", "p": p},))
         (report,) = sq.run_suite(config, [("cone", small_cone(32))])
         assert report.status.startswith("input_error")
@@ -60,41 +66,37 @@ class TestInequalityParams:
 
 class TestSPhiP:
     def test_cone_worked_example(self, cone512, phi_euclid_2d):
-        params = InequalityParams(p=1.0)
-        report = sq.check_s_phi_p(cone512, phi_euclid_2d, params)
+        report = sq.check_s_phi_p(cone512, phi=phi_euclid_2d, p=1.0)
         assert report.worst_ratio == pytest.approx(2 / 3, rel=0.02)
         assert report.params["support_measure"] == pytest.approx(math.pi, rel=0.01)
         assert report.passed
 
     def test_zero_function_passes(self, phi_euclid_2d):
         f = GridFunction(0.1, np.zeros((8, 8)))
-        report = sq.check_s_phi_p(f, phi_euclid_2d, InequalityParams(p=2.0))
+        report = sq.check_s_phi_p(f, phi=phi_euclid_2d, p=2.0)
         assert report.worst_ratio == 0.0
         assert report.passed
 
     def test_scale_invariance(self, phi_euclid_2d):
         f = small_cone(128)
         g = GridFunction(f.spacing, 17.5 * f.values)
-        params = InequalityParams(p=1.5)
-        a = sq.check_s_phi_p(f, phi_euclid_2d, params).worst_ratio
-        b = sq.check_s_phi_p(g, phi_euclid_2d, params).worst_ratio
+        a = sq.check_s_phi_p(f, phi=phi_euclid_2d, p=1.5).worst_ratio
+        b = sq.check_s_phi_p(g, phi=phi_euclid_2d, p=1.5).worst_ratio
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_fitted_mode_records_constant(self, phi_euclid_2d):
         f = small_cone(128)
-        params = InequalityParams(p=1.0, constant_mode="fitted")
-        report = sq.check_s_phi_p(f, phi_euclid_2d, params)
+        report = sq.check_s_phi_p(f, phi=phi_euclid_2d, p=1.0, constant_mode="fitted")
         assert report.params["fitted_constant"] == report.worst_ratio
         assert report.passed
 
     def test_sharper_mollification_raises_ratio(self, phi_euclid_2d):
         h = 1.0 / 256
-        params = InequalityParams(p=1.0)
         ratios = []
         for eps in (0.2, 0.1, 0.05):
             mask = disk_mask((256, 256), h, (0.5, 0.5), 0.25)
             f = indicator_mollify(mask, h, eps)
-            ratios.append(sq.check_s_phi_p(f, phi_euclid_2d, params).worst_ratio)
+            ratios.append(sq.check_s_phi_p(f, phi=phi_euclid_2d, p=1.0).worst_ratio)
         assert ratios[0] < ratios[1] < ratios[2] <= 1.05
 
 
@@ -103,8 +105,7 @@ class TestOscillationP:
         # at p = 1 the check must agree with the plain f** - f* form at every
         # grid point to 1e-12
         for _, f in default_corpus[:3]:
-            params = InequalityParams(p=1.0)
-            report = sq.check_oscillation_p(f, phi_euclid_2d, params, capture_trace=True)
+            report = sq.check_oscillation_p(f, phi=phi_euclid_2d, p=1.0, capture_trace=True)
             prof = sq.decreasing_rearrangement(sq.grid_to_mass(f))
             grad = sq.decreasing_rearrangement(
                 sq.grid_to_mass(sq.metric_gradient_modulus(f))
@@ -119,19 +120,18 @@ class TestOscillationP:
                 )
 
     def test_cone_passes_with_margin(self, cone512, phi_euclid_2d):
-        params = InequalityParams(p=1.0)
-        report = sq.check_oscillation_p(cone512, phi_euclid_2d, params)
+        report = sq.check_oscillation_p(cone512, phi=phi_euclid_2d, p=1.0)
         assert report.passed
         assert report.worst_ratio < 0.95
 
     def test_tail_regime_beyond_support(self, phi_euclid_2d):
+        # the t-grid ends at the domain measure, here 2.6 times the support's
         f = small_cone(128)
         supp = sq.support_measure(sq.grid_to_mass(f))
-        grid = TGridSpec(8 * f.cell_measure, 2 * supp)
-        params = InequalityParams(p=2.0, t_grid=grid)
-        report = sq.check_oscillation_p(f, phi_euclid_2d, params, capture_trace=True)
+        assert f.domain_measure > 2 * supp
+        report = sq.check_oscillation_p(f, phi=phi_euclid_2d, p=2.0, capture_trace=True)
         t_last, lhs_last, rhs_last = report.trace[-1]
-        assert t_last == pytest.approx(2 * supp)
+        assert t_last == pytest.approx(f.domain_measure)
         prof = sq.decreasing_rearrangement(sq.grid_to_mass(f))
         assert prof.value(t_last) == 0.0
         powered = sq.powered_profile(prof, 2.0)
@@ -142,23 +142,21 @@ class TestOscillationP:
     def test_scale_invariance_of_verdicts(self, phi_euclid_2d):
         f = small_cone(128)
         g = GridFunction(f.spacing, 0.03 * f.values)
-        params = InequalityParams(p=2.0)
-        a = sq.check_oscillation_p(f, phi_euclid_2d, params).worst_ratio
-        b = sq.check_oscillation_p(g, phi_euclid_2d, params).worst_ratio
+        a = sq.check_oscillation_p(f, phi=phi_euclid_2d, p=2.0).worst_ratio
+        b = sq.check_oscillation_p(g, phi=phi_euclid_2d, p=2.0).worst_ratio
         assert a == pytest.approx(b, rel=1e-11)
 
     def test_zero_function(self, phi_euclid_2d):
         f = GridFunction(0.1, np.zeros((8, 8)))
-        report = sq.check_oscillation_p(f, phi_euclid_2d, InequalityParams(p=1.0))
+        report = sq.check_oscillation_p(f, phi=phi_euclid_2d, p=1.0)
         assert report.passed and report.worst_ratio == 0.0
 
 
 class TestDerivativeP:
     def test_p1_pointwise_is_oscillation_over_t(self, phi_euclid_2d):
         f = small_cone(128)
-        params = InequalityParams(p=1.0)
         report = sq.check_derivative_p(
-            f, phi_euclid_2d, params, form="pointwise", capture_trace=True
+            f, phi=phi_euclid_2d, p=1.0, form="pointwise", capture_trace=True
         )
         prof = sq.decreasing_rearrangement(sq.grid_to_mass(f))
         for t, lhs, _ in report.trace[:50]:
@@ -167,8 +165,7 @@ class TestDerivativeP:
         assert report.passed  # cone passes at constant 2 with margin
 
     def test_integrated_cone_passes_both_constants(self, cone512, phi_euclid_2d):
-        params = InequalityParams(p=2.0)
-        report = sq.check_derivative_p(cone512, phi_euclid_2d, params)
+        report = sq.check_derivative_p(cone512, phi=phi_euclid_2d, p=2.0)
         assert report.passed
         assert report.params["pass_at_base_constant"]
 
@@ -176,9 +173,8 @@ class TestDerivativeP:
         h = 1.0 / 128
         mask = disk_mask((128, 128), h, (0.5, 0.5), 0.2)
         f = indicator_mollify(mask, h, 0.1)
-        params = InequalityParams(p=2.0)
         report = sq.check_derivative_p(
-            f, phi_euclid_2d, params, form="pointwise", capture_trace=True
+            f, phi=phi_euclid_2d, p=2.0, form="pointwise", capture_trace=True
         )
         plateau = sq.distribution(sq.grid_to_mass(f), 1.0 - 1e-9)
         inside = [row for row in report.trace if row[0] < 0.5 * plateau]
@@ -190,18 +186,16 @@ class TestDerivativeP:
         h = 1.0 / 256
         mask = disk_mask((256, 256), h, (0.5, 0.5), 0.25)
         f = indicator_mollify(mask, h, 2.5 * h)
-        params = InequalityParams(p=2.0)
-        integrated = sq.check_derivative_p(f, phi_euclid_2d, params)
-        pointwise = sq.check_derivative_p(f, phi_euclid_2d, params, form="pointwise")
+        integrated = sq.check_derivative_p(f, phi=phi_euclid_2d, p=2.0)
+        pointwise = sq.check_derivative_p(f, phi=phi_euclid_2d, p=2.0, form="pointwise")
         assert integrated.passed
         assert pointwise.worst_ratio > integrated.worst_ratio
 
     def test_pointwise_trace_is_dform_derivative(self, phi_euclid_2d):
         h = 1.0 / 128
         f = indicator_mollify(disk_mask((128, 128), h, (0.5, 0.5), 0.2), h, 0.1)
-        params = InequalityParams(p=2.0)
         report = sq.check_derivative_p(
-            f, phi_euclid_2d, params, form="pointwise", capture_trace=True
+            f, phi=phi_euclid_2d, p=2.0, form="pointwise", capture_trace=True
         )
         t, lhs, _ = np.array(report.trace).T
         prof = sq.decreasing_rearrangement(sq.grid_to_mass(f))
@@ -210,12 +204,10 @@ class TestDerivativeP:
     def test_unknown_form_rejected(self, phi_euclid_2d):
         f = small_cone(64, radius=0.3)
         with pytest.raises(ValueError):
-            sq.check_derivative_p(
-                f, phi_euclid_2d, InequalityParams(p=1.0), form="spectral"
-            )
+            sq.check_derivative_p(f, phi=phi_euclid_2d, p=1.0, form="spectral")
 
 
-_SPEC = TGridSpec(8 / 64**2, 1.0)
+_SPAN = (8 / 64**2, 1.0, 64)
 _PHIS = {
     "power_law": sq.phi_from_profile(sq.euclidean_profile(2)),
     "table": ProfileHandle("table", samples=((0.01, 0.03), (0.1, 0.09), (1.0, 0.3))),
@@ -230,19 +222,19 @@ def _inline_subgrid(t, refine):
 
 
 class TestTgridCaches:
-    def test_tgrid_is_the_spec_points_and_read_only(self):
-        t = inequalities._tgrid(_SPEC)
-        assert t.shape == _SPEC.points().shape
-        assert t.tobytes() == _SPEC.points().tobytes()
-        assert inequalities._tgrid(TGridSpec(8 / 64**2, 1.0)) is t
+    def test_tgrid_is_the_span_points_and_read_only(self):
+        t = inequalities._tgrid(_SPAN)
+        assert t.shape == sq.geometric_tgrid(*_SPAN).shape
+        assert t.tobytes() == sq.geometric_tgrid(*_SPAN).tobytes()
+        assert inequalities._tgrid((8 / 64**2, 1.0, 64)) is t
         with pytest.raises(ValueError):
             t[0] = 1.0
 
     @pytest.mark.parametrize("kind", sorted(_PHIS))
     def test_phi_on_tgrid_equals_a_direct_call(self, kind):
         phi = _PHIS[kind]
-        got = inequalities._phi_on_tgrid(_SPEC, phi)
-        want = phi(_SPEC.points())
+        got = inequalities._phi_on_tgrid(_SPAN, phi)
+        want = phi(sq.geometric_tgrid(*_SPAN))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert not got.flags.writeable
 
@@ -263,9 +255,9 @@ class TestTgridCaches:
     @pytest.mark.parametrize("refine", [1, 16])
     def test_refined_tgrid_equals_the_inline_construction(self, kind, refine):
         phi = _PHIS[kind]
-        sub = _inline_subgrid(_SPEC.points(), refine)
+        sub = _inline_subgrid(sq.geometric_tgrid(*_SPAN), refine)
         phi_over_t = (phi(sub.ravel()) / sub.ravel()).reshape(sub.shape)
-        got = inequalities._refined_tgrid(_SPEC, phi, refine)
+        got = inequalities._refined_tgrid(_SPAN, phi, refine)
         wants = (sub[:, 1:], phi_over_t[:, 1:], np.diff(sub, axis=1))
         for array, want in zip(got, wants):
             assert array.shape == want.shape
@@ -274,18 +266,17 @@ class TestTgridCaches:
 
     def test_a_plain_callable_phi_gives_the_handle_verdicts(self, phi_euclid_2d):
         f = small_cone(64)
-        params = InequalityParams(p=2.0)
         for check in (sq.check_oscillation_p, sq.check_derivative_p):
-            by_handle = check(f, phi_euclid_2d, params)
-            by_callable = check(f, lambda t: phi_euclid_2d(t), params)
+            by_handle = check(f, phi=phi_euclid_2d, p=2.0)
+            by_callable = check(f, phi=lambda t: phi_euclid_2d(t), p=2.0)
             assert by_callable.worst_ratio == by_handle.worst_ratio
 
     def test_integrated_rhs_equals_the_inline_sum(self, phi_euclid_2d):
         f = small_cone(64)
-        report = sq.check_derivative_p(f, phi_euclid_2d, InequalityParams(p=2.0), capture_trace=True)
+        report = sq.check_derivative_p(f, phi=phi_euclid_2d, p=2.0, capture_trace=True)
         grad = sq.decreasing_rearrangement(sq.grid_to_mass(sq.metric_gradient_modulus(f)))
         gp = sq.powered_profile(grad, 2.0)
-        sub = _inline_subgrid(TGridSpec(8 * f.cell_measure, f.domain_measure).points(), 16)
+        sub = _inline_subgrid(sq.geometric_tgrid(8 * f.cell_measure, f.domain_measure, 64), 16)
         ts = sub.ravel()
         vals = (phi_euclid_2d(ts) / ts * sq.maximal_average(gp, ts) ** 0.5).reshape(sub.shape)
         rhs = np.sum(vals[:, 1:] * np.diff(sub, axis=1), axis=1)
@@ -301,7 +292,7 @@ class TestBinomialBounds:
     def test_equality_on_diagonal(self):
         # a = b makes part one 0 >= 0 for every p
         for p in (1.5, 2.5, 3.5):
-            k = InequalityParams(p=p).k
+            k = power_k(p)
             series = sum(
                 binomial_coefficient(p, j) * 5.0 ** (p - j) * 0.0**j
                 for j in range(1, k + 1)
@@ -338,7 +329,7 @@ class TestChainRule:
         values = x.copy()
         values[:2] = values[-2:] = 0.0
         f = GridFunction(h, values)
-        report = sq.check_chain_rule(f, 2.0)
+        report = sq.check_chain_rule(f, r=2.0)
         assert report.passed
         # footnote inequality at a=2, b=1, r=3: |8-1| = 7 <= 3*(4+1)*1 = 15
         assert abs(2.0**3 - 1.0**3) <= 3 * (2.0**2 + 1.0**2) * 1.0
@@ -347,13 +338,13 @@ class TestChainRule:
         values = np.zeros((10, 10))
         values[3:-3, 3:-3] = 4.0
         f = GridFunction(0.1, values)
-        report = sq.check_chain_rule(f, 2.5)
+        report = sq.check_chain_rule(f, r=2.5)
         assert report.passed
 
     def test_sweep_r_values(self, default_corpus):
         f = default_corpus[0][1]
         for r in (1.5, 2.0, 3.0, 5.0):
-            report = sq.check_chain_rule(f, r, grid_points=120)
+            report = sq.check_chain_rule(f, r=r)
             assert report.passed, (r, report.worst_ratio)
             assert report.params["scalar_worst_ratio"] <= 1 + 1e-10
 
@@ -361,7 +352,7 @@ class TestChainRule:
         values = np.zeros(9)
         values[3:-3] = -1.0
         with pytest.raises(ValueError):
-            sq.check_chain_rule(GridFunction(0.1, values), 2.0)
+            sq.check_chain_rule(GridFunction(0.1, values), r=2.0)
 
 
 class TestONeil:
@@ -426,7 +417,7 @@ class TestONeil:
 
 class TestNash:
     def test_classical_cone_constant(self, cone512):
-        report = sq.check_nash(cone512, None, 2.0, classical=True)
+        report = sq.check_nash_classical(cone512)
         # closed form for radial cones: ||f||_2^2/(||f||_1 ||grad f||_2)
         # = (pi R^2/6)/((pi R^2/3) sqrt(pi)) = 1/(2 sqrt(pi)), any R
         assert report.params["fitted_constant"] == pytest.approx(
@@ -434,22 +425,21 @@ class TestNash:
         )
 
     def test_grid_stability(self):
-        a = sq.check_nash(small_cone(256), None, 2.0, classical=True)
-        b = sq.check_nash(small_cone(512), None, 2.0, classical=True)
+        a = sq.check_nash_classical(small_cone(256))
+        b = sq.check_nash_classical(small_cone(512))
         ca, cb = a.params["fitted_constant"], b.params["fitted_constant"]
         assert abs(ca - cb) / cb < 0.02
 
     def test_scaling_invariance(self):
         f = small_cone(128)
         g = GridFunction(f.spacing, 42.0 * f.values)
-        a = sq.check_nash(f, None, 2.0, classical=True).worst_ratio
-        b = sq.check_nash(g, None, 2.0, classical=True).worst_ratio
+        a = sq.check_nash_classical(f).worst_ratio
+        b = sq.check_nash_classical(g).worst_ratio
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_dilation_sweep_constant_in_radius(self):
         consts = [
-            sq.check_nash(small_cone(256, radius=r), None, 2.0, classical=True)
-            .params["fitted_constant"]
+            sq.check_nash_classical(small_cone(256, radius=r)).params["fitted_constant"]
             for r in (0.25, 0.32, 0.4)
         ]
         assert max(consts) / min(consts) < 1.02
@@ -457,21 +447,21 @@ class TestNash:
     def test_general_phi_form_matches_classical(self):
         f = small_cone(128)
         phi = ProfileHandle("power_law", 1.0, 0.5)  # t^(1/n) for n = 2
-        general = sq.check_nash(f, phi, 2.0)
-        classical = sq.check_nash(f, None, 2.0, classical=True)
+        general = sq.check_nash(f, phi=phi, p=2.0)
+        classical = sq.check_nash_classical(f)
         assert general.worst_ratio == pytest.approx(classical.worst_ratio, rel=1e-12)
 
     def test_zero_function_rejected(self):
         f = GridFunction(0.1, np.zeros((8, 8)))
         with pytest.raises(ValueError):
-            sq.check_nash(f, None, 2.0, classical=True)
+            sq.check_nash_classical(f)
         with pytest.raises(ValueError):
-            sq.check_nash(small_cone(64, radius=0.3), None, 1.0)
+            sq.check_nash(small_cone(64, radius=0.3), p=1.0)
 
 
 class TestSobolev:
     def test_weak_cone_worked_example(self, cone512):
-        report = sq.check_sobolev(cone512, 1.0, "weak")
+        report = sq.check_sobolev(cone512, "weak", p=1.0)
         # sup_t sqrt(t) f*(t) = sqrt(pi)/4 at t = pi/4; || |grad f| ||_1 = pi
         assert report.worst_ratio == pytest.approx(
             math.sqrt(math.pi) / 4 / math.pi, rel=0.02
@@ -479,9 +469,9 @@ class TestSobolev:
         assert report.worst_location == pytest.approx(math.pi / 4, rel=0.05)
 
     def test_strong_and_exp_record_fitted(self, cone512):
-        strong = sq.check_sobolev(cone512, 1.0, "strong")
+        strong = sq.check_sobolev(cone512, "strong", p=1.0)
         assert strong.passed and strong.params["fitted_constant"] > 0
-        expo = sq.check_sobolev(cone512, 2.0, "exp")
+        expo = sq.check_sobolev(cone512, "exp", p=2.0)
         assert expo.passed and expo.params["fitted_constant"] > 0
 
     def test_exp_matches_oscillation_functional_up_to_tail(self, cone512):
@@ -489,7 +479,7 @@ class TestSobolev:
         # domain as well; the domain-limited value must sit just below it
         prof = sq.decreasing_rearrangement(sq.grid_to_mass(cone512))
         full = sq.lorentz_norm(prof, math.inf, 2.0)
-        report = sq.check_sobolev(cone512, 2.0, "exp")
+        report = sq.check_sobolev(cone512, "exp", p=2.0)
         grad = sq.lp_norm(
             sq.grid_to_mass(sq.metric_gradient_modulus(cone512)), 2.0
         )
@@ -497,7 +487,7 @@ class TestSobolev:
         assert domain_limited < full <= domain_limited * 1.5
 
     def test_morrey_tent_worked_example(self, tent4096):
-        report = sq.check_sobolev(tent4096, 2.0, "morrey")
+        report = sq.check_sobolev(tent4096, "morrey", p=2.0)
         assert report.params["ess_sup"] - report.params["mean"] == pytest.approx(
             0.25, rel=0.01
         )
@@ -507,35 +497,35 @@ class TestSobolev:
     def test_zero_function_any_mode(self):
         values = np.zeros(16)
         f = GridFunction(1.0 / 16, values)
-        report = sq.check_sobolev(f, 2.0, "morrey")
+        report = sq.check_sobolev(f, "morrey", p=2.0)
         assert report.passed and report.worst_ratio == 0.0
 
     def test_scale_invariance(self):
         f = small_cone(128)
         g = GridFunction(f.spacing, 3.7 * f.values)
         for mode, p in (("weak", 1.0), ("strong", 1.0)):
-            a = sq.check_sobolev(f, p, mode).worst_ratio
-            b = sq.check_sobolev(g, p, mode).worst_ratio
+            a = sq.check_sobolev(f, mode, p=p).worst_ratio
+            b = sq.check_sobolev(g, mode, p=p).worst_ratio
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_parameter_validation(self, cone512, tent4096):
         with pytest.raises(ValueError):
-            sq.check_sobolev(cone512, 2.0, "weak")  # needs p < n
+            sq.check_sobolev(cone512, "weak", p=2.0)  # needs p < n
         with pytest.raises(ValueError):
-            sq.check_sobolev(cone512, 1.0, "exp")  # needs p = n
+            sq.check_sobolev(cone512, "exp", p=1.0)  # needs p = n
         with pytest.raises(ValueError):
-            sq.check_sobolev(cone512, 3.0, "morrey")  # unit domain required
+            sq.check_sobolev(cone512, "morrey", p=3.0)  # unit domain required
         with pytest.raises(ValueError):
-            sq.check_sobolev(tent4096, 0.5, "morrey")
+            sq.check_sobolev(tent4096, "morrey", p=0.5)
         with pytest.raises(ValueError):
-            sq.check_sobolev(cone512, 1.0, "average")
+            sq.check_sobolev(cone512, "average", p=1.0)
 
 
 class TestEmpiricalBestConstant:
     def test_singleton_and_zero_padding(self, phi_euclid_2d):
         f = small_cone(128)
         solo = empirical_best_constant("s_phi_p", [f], {"p": 1.0})
-        report = sq.check_s_phi_p(f, phi_euclid_2d, InequalityParams(p=1.0))
+        report = sq.check_s_phi_p(f, phi=phi_euclid_2d, p=1.0)
         assert solo == report.worst_ratio
         zero = GridFunction(f.spacing, np.zeros(f.extents))
         padded = empirical_best_constant("s_phi_p", [f, zero], {"p": 1.0})
@@ -556,7 +546,7 @@ class TestEmpiricalBestConstant:
     def test_dimension_defaults_to_the_function(self):
         f = sq.cone_grid(32, dim=3, radius=0.8)
         phi3 = sq.phi_from_profile(sq.euclidean_profile(3))
-        report = sq.check_s_phi_p(f, phi3, InequalityParams(p=1.0))
+        report = sq.check_s_phi_p(f, phi=phi3, p=1.0)
         assert empirical_best_constant("s_phi_p", [f], {"p": 1.0}) == report.worst_ratio
 
     def test_flagged_rows_are_left_out_as_in_the_summary(self):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -108,6 +109,27 @@ class TestProfileHandle:
         with pytest.raises(ValueError):
             ProfileHandle("parabola", 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"kind": "power_law", "coefficient": 0.28, "exponent": 0.5, "tolernce": 3}, "tolernce"),
+            ({"kind": "power_law", "coefficient": 0.28, "exponent": 0.5, "samples": [[1, 1], [2, 2]]}, "samples"),
+            ({"kind": "table", "samples": [[0.5, 1.0], [1.0, 1.5]], "exponent": 0.5}, "exponent"),
+            ({"kind": "power_law", "coefficient": 0.28, "exponent": 0.5, "domain_max": 2.0}, "domain_max"),
+        ],
+        ids=["misspelt", "table_key_on_power_law", "power_law_key_on_table", "domain_max"],
+    )
+    def test_from_json_rejects_keys_of_no_field_or_of_the_other_kind(self, doc, key):
+        with pytest.raises(ValueError, match=f"unknown {doc['kind']} profile keys \\['{key}'\\]"):
+            ProfileHandle.from_json(doc)
+
+    @pytest.mark.parametrize("doc", [[1, 2], "power_law", {"coefficient": 1.0, "exponent": 0.5}])
+    def test_from_json_needs_an_object_with_a_known_kind(self, doc, tmp_path):
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            ProfileHandle.from_json(path)
+
 
 class TestIndicatorMollify:
     def test_disk_measures(self):
@@ -188,6 +210,19 @@ class TestIndicatorMollify:
     def test_disk_mask_rejects_squares_that_are_not_finite(self, extents, spacing, center, radius):
         with pytest.raises(ValueError, match="must be finite"):
             disk_mask(extents, spacing, center, radius)
+
+    @pytest.mark.parametrize(
+        "extents, spacing, cell",
+        [
+            ((8, 8), 1e160, (3, 3)),  # the cell measure overflows
+            ((8,), 1e200, (3,)),  # a finite domain measure, but not the squared distances
+        ],
+    )
+    def test_mollify_ladder_rejects_squares_that_are_not_finite(self, extents, spacing, cell):
+        mask = np.zeros(extents, dtype=bool)
+        mask[cell] = True
+        with pytest.raises(ValueError, match="finite"):
+            mollify_ladder(mask, spacing, (10 * spacing,))
 
     def test_single_cell_spike(self):
         # degenerate but legal: a one-cell set with eps = h

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import sys
@@ -126,26 +127,77 @@ def test_scalar_cell_mass_matches_full_mass_array(spec):
         assert_same(sq.MassFunction(product, f.cell_measure), product, f.cell_measure)
 
 
+# The exported checker each id of CHECKERS calls, and the keys its binding fixes.
+EXPORTED = {
+    "s_phi_p": (sq.check_s_phi_p, {}),
+    "oscillation_p": (sq.check_oscillation_p, {}),
+    "derivative_p": (sq.check_derivative_p, {}),
+    "chain_rule": (sq.check_chain_rule, {}),
+    "nash": (sq.check_nash, {}),
+    "nash_classical": (sq.check_nash_classical, {}),
+    **{f"sobolev_{mode}": (sq.check_sobolev, {"mode": mode}) for mode in ("weak", "strong", "exp", "morrey")},
+    "polya_szego": (sq.polya_szego_compare, {}),
+    "binomial_bounds": (sq.check_binomial_bounds, {}),
+    "oneil": (sq.check_oneil, {}),
+}
+
+# The keys a JSON config may set per id, in the order error messages list them.
+CONFIG_KEYS = {
+    "s_phi_p": ("p", "gradient_mode", "tolerance", "constant_mode"),
+    "oscillation_p": ("p", "gradient_mode", "tolerance", "constant_mode"),
+    "derivative_p": ("p", "gradient_mode", "tolerance", "constant_mode", "form"),
+    "chain_rule": ("r", "gradient_mode", "tolerance"),
+    "nash": ("p", "c1", "c2", "gradient_mode", "tolerance"),
+    "nash_classical": ("gradient_mode", "tolerance"),
+    **{f"sobolev_{mode}": ("p", "gradient_mode", "tolerance", "constant") for mode in ("weak", "strong", "exp", "morrey")},
+    "polya_szego": ("p", "gradient_mode", "weight", "tolerance"),
+    "binomial_bounds": ("p", "a_max", "grid_points", "tolerance"),
+    "oneil": ("t_grid", "tolerance", "points_per_decade"),
+}
+
+
+def test_every_id_calls_an_exported_checker_whose_keywords_are_its_keys():
+    """One surface: an id's keys are the keywords of the checker it calls, CODE_ONLY and fixed keys aside."""
+    assert list(inequalities.CHECKERS) == list(EXPORTED) == list(CONFIG_KEYS)
+    assert sum(len(keys) for keys in CONFIG_KEYS.values()) == 50
+    keyword = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    for name, (checker, fixed) in EXPORTED.items():
+        accepted, _ = inequalities.entry_keys(name, {}, config=True)
+        assert tuple(accepted) == CONFIG_KEYS[name], name
+        params = list(inspect.signature(checker).parameters.values())[inequalities.ARITY.get(name, 1):]
+        assert all(param.kind in keyword for param in params), name
+        own = [param.name for param in params if param.name not in inequalities.CODE_ONLY | set(fixed)]
+        assert tuple(own) == CONFIG_KEYS[name], name
+        registered = inequalities.CHECKERS[name]
+        if fixed or name == "polya_szego":
+            # a mode binding or the forwarder the tracer needs: no defaults of its own
+            assert registered.__defaults__ is None and registered.__kwdefaults__ is None, name
+        else:
+            assert registered is checker, name
+    assert inequalities.CHECKERS["polya_szego"].__wrapped__ is sq.polya_szego_compare
+
+
 def _direct_reports(config, corpus):
-    """The suite's rows, entry-major, each from a checker on the plain GridFunction."""
+    """The suite's rows, entry-major, each from the id's exported checker on the plain GridFunction."""
     out = []
     for entry in config.inequalities:
         name = entry["id"]
-        kwargs = {k: v for k, v in entry.items() if k != "id"}
+        checker, fixed = EXPORTED[name]
+        kwargs = {**fixed, **{k: v for k, v in entry.items() if k != "id"}}
         if name == "binomial_bounds":
-            report = sq.check_binomial_bounds(**kwargs)
+            report = checker(**kwargs)
             report.function_id = "-"
             out.append(report)
         elif name == "oneil":
             for (id_a, fa), (id_b, fb) in zip(corpus[:-1], corpus[1:]):
-                report = sq.check_oneil(fa, fb, **kwargs)
+                report = checker(fa, fb, **kwargs)
                 report.function_id = f"{id_a}*{id_b}"
                 out.append(report)
         else:
             if name in TRACED_IDS:
                 kwargs["capture_trace"] = config.detail
             for function_id, f in corpus:
-                report = sq.CHECKERS[name](f, **kwargs)
+                report = checker(f, **kwargs)
                 report.function_id = function_id
                 out.append(report)
     return out
@@ -153,9 +205,13 @@ def _direct_reports(config, corpus):
 
 def test_suite_rows_equal_direct_checker_calls(small_corpus):
     spec, corpus = small_corpus
+    # with the defaults, every id of CHECKERS at least once
     inequalities = DEFAULT_INEQUALITIES + (
         {"id": "s_phi_p", "p": 2.0, "gradient_mode": "euclidean_central"},
         {"id": "oscillation_p", "p": 2.0, "gradient_mode": "euclidean_central"},
+        {"id": "derivative_p", "p": 1.5, "form": "pointwise", "constant_mode": "fitted"},
+        {"id": "nash", "p": 3.0, "c1": 2.0, "c2": 0.5},
+        {"id": "sobolev_morrey", "p": 4.0},
     )
     config = SuiteConfig(inequalities=inequalities, detail=True, corpus=spec)
     suite_rows = sq.run_suite(config, corpus)
@@ -186,26 +242,25 @@ def test_dimension_comes_from_each_function():
     assert len(reports) == 2 * len(corpus)
     assert {(r.status, r.params["n"]) for r in reports} == {("ok", 3)}
     phi3 = sq.phi_from_profile(sq.euclidean_profile(3))
-    direct = sq.check_s_phi_p(corpus[0][1], phi3, sq.InequalityParams(p=1.0))
+    direct = sq.check_s_phi_p(corpus[0][1], phi=phi3, p=1.0)
     assert reports[0].worst_ratio == direct.worst_ratio
 
 
 def test_direct_checkers_take_n_and_phi_from_a_3d_grid():
     f3d = sq.cone_grid(32, dim=3, radius=0.8)
     phi3 = sq.phi_from_profile(sq.euclidean_profile(3))
-    params = sq.InequalityParams(p=1.0)
     for check in (sq.check_s_phi_p, sq.check_oscillation_p, sq.check_derivative_p):
-        default, explicit = check(f3d, None, params), check(f3d, phi3, params)
+        default, explicit = check(f3d, phi=None, p=1.0), check(f3d, phi=phi3, p=1.0)
         assert default.params["n"] == 3
         assert default.to_dict() == explicit.to_dict()
-    classical = sq.check_nash(f3d, None, 2.0, classical=True)
+    classical = sq.check_nash_classical(f3d)
     assert classical.params["n"] == 3
-    assert sq.check_nash(f3d, None, 2.0).worst_ratio == sq.check_nash(f3d, phi3, 2.0).worst_ratio
-    expo = sq.check_sobolev(f3d, None, "exp")
+    assert sq.check_nash(f3d, p=2.0).worst_ratio == sq.check_nash(f3d, phi=phi3, p=2.0).worst_ratio
+    expo = sq.check_sobolev(f3d, "exp", p=None)
     assert (expo.params["n"], expo.params["p"]) == (3, 3.0)
-    assert expo.worst_ratio == sq.check_sobolev(f3d, 3.0, "exp").worst_ratio
-    assert sq.check_sobolev(f3d, None, "weak").params["p"] == 1.0
-    assert sq.polya_szego_compare(f3d, 1.0).params["n"] == 3
+    assert expo.worst_ratio == sq.check_sobolev(f3d, "exp", p=3.0).worst_ratio
+    assert sq.check_sobolev(f3d, "weak", p=None).params["p"] == 1.0
+    assert sq.polya_szego_compare(f3d, p=1.0).params["n"] == 3
 
 
 def test_an_underflowed_gradient_is_an_input_error_not_a_trivial_pass():

@@ -148,9 +148,9 @@ class TestChainRuleOracle:
         expected = pad_chain_rule(f, r, mode)
         if expected is None:
             with pytest.raises(ValueError):
-                sq.check_chain_rule(f, r, mode)
+                sq.check_chain_rule(f, r=r, gradient_mode=mode)
             return
-        report = sq.check_chain_rule(f, r, mode)
+        report = sq.check_chain_rule(f, r=r, gradient_mode=mode)
         grid_worst, idx = expected
         assert same_bits(np.float64(report.params["grid_worst_ratio"]), np.float64(grid_worst))
         scalar_worst = report.params["scalar_worst_ratio"]
@@ -162,6 +162,6 @@ class TestChainRuleOracle:
         lhs = pad_modulus(f.values**3.0, f.spacing, "metric_max")
         rhs = 6.0 * pad_stencil_max(f.values) ** 2.0 * pad_modulus(f.values, f.spacing, "metric_max")
         assert np.any((lhs == 0) & (rhs == 0)) and np.any((lhs > 0) & (rhs == 0))
-        report = sq.check_chain_rule(f, 3.0)
+        report = sq.check_chain_rule(f, r=3.0)
         assert report.params["grid_worst_ratio"] == np.inf
         assert report.worst_location == 3.0
