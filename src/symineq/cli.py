@@ -104,7 +104,11 @@ def _cmd_suite(args) -> int:
         "detail": args.detail or None,
     }
     overrides = {key: value for key, value in flags.items() if value is not None}
-    config = replace(config, **overrides)
+    try:
+        config = replace(config, **overrides)  # the config checks the flags' values too
+    except ValueError as exc:
+        print(f"bad option: {exc}", file=sys.stderr)
+        return 2
     out = _out_dir(args.out)
     reports = run_suite(config, corpus)
     seed = config.corpus.seed

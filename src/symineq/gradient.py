@@ -26,11 +26,11 @@ import math
 
 import numpy as np
 
-from .measure import GridFunction, MassFunction, grid_to_mass, lp_norm, require_finite_p
+from .measure import GridFunction, MassFunction, Scratch, grid_to_mass, lp_norm, require_finite_p
 from .rearrangement import (
     StepProfile,
+    _segment_integrals,
     decreasing_rearrangement,
-    power_segment_integral,
     powered_profile,
 )
 from .report import GRID_TOLERANCE, CheckReport
@@ -51,8 +51,11 @@ GRADIENT_MODES = ("metric_max", "euclidean_central")
 # A single profile drop above this share of the maximum level is a jump.
 JUMP_THRESHOLD = 0.25
 
+# The least normal float: a powered top level below it has underflowed.
+_TINY = np.finfo(float).tiny
 
-def _axis_magnitude(v: np.ndarray, axis: int, mode: str, out: np.ndarray, scratch: np.ndarray) -> None:
+
+def _axis_magnitude(v: np.ndarray, axis: int, mode: str, out: np.ndarray, work: np.ndarray) -> None:
     """Write the undivided difference magnitude of ``v`` along ``axis`` into ``out``.
 
     ``metric_max``: the larger of |v(x) - v(x +- e)|, from one absolute
@@ -61,13 +64,13 @@ def _axis_magnitude(v: np.ndarray, axis: int, mode: str, out: np.ndarray, scratc
     ``v`` and ``out`` are C-contiguous, so a step along ``axis`` is a step of
     ``s`` cells in the flat array; the flat formula is wrong only on the
     axis's two faces, which are then rewritten from the true neighbours.  d is
-    written into the cell-sized ``scratch``.
+    written into the cell-sized ``work``.
     """
     s = math.prod(v.shape[axis + 1 :])
     flat, o = v.reshape(-1), out.reshape(-1)
     vm, om = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)
     if mode == "metric_max":
-        d = np.subtract(flat[s:], flat[:-s], out=scratch[: flat.size - s])
+        d = np.subtract(flat[s:], flat[:-s], out=work[: flat.size - s])
         np.abs(d, out=d)
         np.maximum(d[s:], d[:-s], out=o[s:-s])
         np.maximum(np.abs(vm[1:2] - vm[:1]), np.abs(vm[:1]), out=om[:1])
@@ -79,17 +82,25 @@ def _axis_magnitude(v: np.ndarray, axis: int, mode: str, out: np.ndarray, scratc
         np.abs(vm[-2:-1], out=om[-1:])
 
 
-def _modulus_values(v: np.ndarray, h: float, mode: str) -> np.ndarray:
-    """The gradient modulus of the cell values ``v`` at spacing ``h``, as an array."""
+def _modulus_values(
+    v: np.ndarray, h: float, mode: str, *, scratch: Scratch | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The gradient modulus of the cell values ``v`` at spacing ``h``, as an array.
+
+    It is written into ``out`` if given (a C-contiguous float64 array of
+    ``v``'s shape), else into a fresh array.  The component and difference
+    arrays are work buffers of ``scratch``; without one they are fresh too.
+    """
     v = np.ascontiguousarray(v)
+    scratch = Scratch() if scratch is None else scratch
     step = h if mode == "metric_max" else 2.0 * h
     # the first axis's squared component becomes the sum; later axes reuse one buffer
-    modulus = np.empty_like(v)
-    comp = np.empty_like(v) if v.ndim > 1 else None
-    scratch = np.empty(v.size) if mode == "metric_max" else None
+    modulus = np.empty_like(v) if out is None else out
+    comp = scratch.buffer("grad.component", v.shape) if v.ndim > 1 else None
+    work = scratch.buffer("grad.difference", (v.size,)) if mode == "metric_max" else None
     for ax in range(v.ndim):
         buf = comp if ax else modulus
-        _axis_magnitude(v, ax, mode, buf, scratch)
+        _axis_magnitude(v, ax, mode, buf, work)
         buf /= step
         np.multiply(buf, buf, out=buf)
         if ax:
@@ -97,12 +108,22 @@ def _modulus_values(v: np.ndarray, h: float, mode: str) -> np.ndarray:
     return np.sqrt(modulus, out=modulus)
 
 
-def metric_gradient_modulus(f: GridFunction, mode: str = "metric_max") -> GridFunction:
-    """Per-cell discrete gradient magnitude of a grid function."""
+def metric_gradient_modulus(
+    f: GridFunction,
+    mode: str = "metric_max",
+    *,
+    scratch: Scratch | None = None,
+    out: np.ndarray | None = None,
+) -> GridFunction:
+    """Per-cell discrete gradient magnitude of a grid function.
+
+    ``scratch`` and ``out`` are passed to the kernel: the work buffers, and
+    the array that receives the modulus (a fresh one by default).
+    """
     if mode not in GRADIENT_MODES:
         raise ValueError(f"unknown gradient mode {mode!r}; expected one of {GRADIENT_MODES}")
     try:
-        return GridFunction(f.spacing, _modulus_values(f.values, f.spacing, mode))
+        return GridFunction(f.spacing, _modulus_values(f.values, f.spacing, mode, scratch=scratch, out=out))
     except ValueError as exc:
         raise ValueError(
             "gradient support touches the domain boundary; keep function "
@@ -119,13 +140,21 @@ class PreparedFunction:
     one gradient mode; ``powered(profile, p)`` is the p-th power of either
     profile.  Every artifact is built at most once and is bit-identical to
     building it directly from ``grid``.  ``is_zero`` is the one zero-function
-    test; ``grad`` and ``norm`` reject a nonzero f whose gradient or norm is 0.
+    test; ``grad``, ``norm`` and ``powered`` reject a nonzero f whose
+    gradient, norm or power underflows to nothing.
+
+    ``scratch`` holds the cell-sized work buffers of the builds and of the
+    checkers that read this function; functions that share one (those of a
+    suite run) fault their work memory in once.  Without one the function
+    gets its own.  Every cached artifact is a fresh array, never a view of
+    a work buffer.
     """
 
-    __slots__ = ("grid", "_cache", "_powers")
+    __slots__ = ("grid", "scratch", "_cache", "_powers")
 
-    def __init__(self, grid: GridFunction):
+    def __init__(self, grid: GridFunction, *, scratch: Scratch | None = None):
         self.grid = grid
+        self.scratch = Scratch() if scratch is None else scratch
         self._cache = {}
         self._powers = {}
 
@@ -136,7 +165,7 @@ class PreparedFunction:
 
     @property
     def mass(self) -> MassFunction:
-        return self._cached("mass", lambda: grid_to_mass(self.grid))
+        return self._cached("mass", lambda: grid_to_mass(self.grid, scratch=self.scratch))
 
     @property
     def profile(self) -> StepProfile:
@@ -150,20 +179,21 @@ class PreparedFunction:
         return self._cached(("grad", mode), lambda: self._nonzero_grad(mode))
 
     def _nonzero_grad(self, mode: str) -> GridFunction:
-        g = metric_gradient_modulus(self.grid, mode)
+        g = metric_gradient_modulus(self.grid, mode, scratch=self.scratch)
         if not np.any(g.values) and not self.is_zero:
             raise ValueError("nonzero function with zero gradient: malformed input")
         return g
 
     def norm(self, p: float, mode: str | None = None) -> float:
-        """L^p norm of f, or of its gradient modulus in ``mode``."""
-        norm = lp_norm(self.mass if mode is None else self.grad_mass(mode), p)
+        """L^p norm of f, or of its gradient modulus in ``mode``; each is summed once."""
+        key = ("norm", p, mode)
+        norm = self._cached(key, lambda: lp_norm(self.mass if mode is None else self.grad_mass(mode), p))
         if norm == 0.0 and not self.is_zero:
             raise ValueError(f"nonzero function whose L^{p:g} norm underflows to 0: malformed input")
         return norm
 
     def grad_mass(self, mode: str = "metric_max") -> MassFunction:
-        return self._cached(("grad_mass", mode), lambda: grid_to_mass(self.grad(mode)))
+        return self._cached(("grad_mass", mode), lambda: grid_to_mass(self.grad(mode), scratch=self.scratch))
 
     def grad_profile(self, mode: str = "metric_max") -> StepProfile:
         return self._cached(
@@ -171,11 +201,21 @@ class PreparedFunction:
         )
 
     def powered(self, profile: StepProfile, p: float) -> StepProfile:
-        """``powered_profile(profile, p)`` of ``self.profile`` or a ``grad_profile``, built once."""
+        """``powered_profile(profile, p)`` of ``self.profile`` or a ``grad_profile``, built once.
+
+        A positive profile whose p-th power has lost its top level to
+        underflow (below the least normal float) is rejected: its powered
+        integrals would read 0 or be dominated by rounding.
+        """
         key = (id(profile), p)
         if key not in self._powers:
+            powered = powered_profile(profile, p)
+            if p > 1 and profile.max_level > 0 and powered.max_level < _TINY:
+                raise ValueError(
+                    f"nonzero profile whose top level to the power {p:g} underflows: malformed input"
+                )
             # the entry holds `profile`, so no other object can take its id while cached
-            self._powers[key] = (profile, powered_profile(profile, p))
+            self._powers[key] = (profile, powered)
         return self._powers[key][1]
 
     def keep_powers(self, ps) -> None:
@@ -189,7 +229,7 @@ class PreparedFunction:
 
 
 def prepare(f) -> PreparedFunction:
-    """``f`` itself if already prepared, else a fresh PreparedFunction of it."""
+    """``f`` itself if already prepared, else a fresh PreparedFunction of it, with its own scratch."""
     return f if isinstance(f, PreparedFunction) else PreparedFunction(f)
 
 
@@ -203,8 +243,10 @@ def has_profile_jump(s: StepProfile) -> bool:
     """
     if s.max_level == 0:
         return False
-    drops = -np.diff(np.concatenate((s.levels, [0.0])))
-    return bool(np.max(drops) > JUMP_THRESHOLD * s.max_level)
+    levels = s.levels
+    # the drops between steps, then the last level's drop to 0
+    drop = np.max(levels[:-1] - levels[1:]) if levels.size > 1 else 0.0
+    return bool(max(drop, levels[-1]) > JUMP_THRESHOLD * s.max_level)
 
 
 def polya_szego_lhs(
@@ -237,14 +279,20 @@ def polya_szego_lhs(
         raise ValueError(f"unknown weight {weight!r}")
     if s.levels.size < 2:
         return 0.0
-    b = s.breakpoints
-    mids = (b[:-1] + b[1:]) / 2.0
-    slopes = -np.diff(s.levels) / np.diff(mids)  # >= 0 by monotonicity
-    beta = (1.0 - 1.0 / n) * p + 1.0
-    weights = power_segment_integral(mids[:-1], mids[1:], beta)
-    terms = (coeff * slopes) ** p  # summed pairwise, not by a threaded BLAS dot
-    terms *= weights
-    return float(np.add.reduce(terms)) ** (1.0 / p)
+    b, levels = s.breakpoints, s.levels
+    # the steps of (coeff * slopes)**p * power_segment_integral(mids[:-1], mids[1:], beta) with
+    # mids = (b[:-1] + b[1:]) / 2 and slopes = -diff(levels) / diff(mids), in three arrays
+    mids = np.add(b[:-1], b[1:])
+    mids /= 2.0
+    terms = np.subtract(levels[1:], levels[:-1])
+    np.negative(terms, out=terms)
+    left = np.subtract(mids[1:], mids[:-1])
+    terms /= left  # the slopes, >= 0 by monotonicity
+    terms *= coeff
+    terms **= p
+    np.copyto(left, mids[:-1])
+    terms *= _segment_integrals(left, mids[1:], (1.0 - 1.0 / n) * p + 1.0)
+    return float(np.add.reduce(terms)) ** (1.0 / p)  # summed pairwise, not by a threaded BLAS dot
 
 
 def polya_szego_compare(

@@ -403,15 +403,19 @@ def check_binomial_bounds(
     )
 
 
-def _local_stencil_max(values: np.ndarray) -> np.ndarray:
+def _local_stencil_max(values: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Each cell's max over itself and its axis neighbours; an out-of-grid neighbour is 0.
 
     As in the gradient kernel, a neighbour along an axis is a flat shift of
     the C-ordered cells.  The shift is wrong only on the face it moves
-    toward, so that face is kept aside and maxed with 0 instead.
+    toward, so that face is kept aside and maxed with 0 instead.  The result
+    is written into ``out`` if given (C-contiguous, of ``values``' shape).
     """
     values = np.ascontiguousarray(values)
-    out = values.copy()
+    if out is None:
+        out = values.copy()
+    else:
+        np.copyto(out, values)
     flat, o = values.reshape(-1), out.reshape(-1)
     for ax in range(values.ndim):
         s = math.prod(values.shape[ax + 1 :])
@@ -461,14 +465,21 @@ def check_chain_rule(
     grid = pf.grid
     if np.any(grid.values < 0):
         raise ValueError("chain rule check expects a nonnegative function")
-    powered = GridFunction(grid.spacing, grid.values**r)
-    lhs = metric_gradient_modulus(powered, gradient_mode).values
-    del powered  # only its gradient is read
+    # f^r and then fhat share one work buffer, the gradient of f^r another, which the ratios overwrite
+    scratch, shape = pf.scratch, grid.values.shape
+    work = scratch.buffer("values", shape)
+    np.copyto(work, grid.values)
+    work **= r
+    lhs = metric_gradient_modulus(
+        GridFunction(grid.spacing, work), gradient_mode, scratch=scratch, out=scratch.buffer("modulus", shape)
+    ).values
+    # f^r is spent: building |grad f| (and, for a zero gradient, the mass behind is_zero) may write "values"
+    grad = pf.grad(gradient_mode).values
     # rhs = (2r * fhat^(r-1)) * |grad f|, built in place in that order
-    rhs = _local_stencil_max(grid.values)
+    rhs = _local_stencil_max(grid.values, out=work)
     rhs **= r - 1.0
     rhs *= 2.0 * r
-    rhs *= pf.grad(gradient_mode).values
+    rhs *= grad
     grid_ratios = _ratio_in_place(lhs, rhs)
     g_idx = int(np.argmax(grid_ratios))
     grid_worst = float(grid_ratios.ravel()[g_idx])
@@ -512,7 +523,7 @@ def _merged_product_profile(sf: StepProfile, sg: StepProfile) -> StepProfile:
     bf, bg = sf.breakpoints, sg.breakpoints
     points = np.concatenate((bf, bg))
     counts = np.argsort(points, kind="stable")
-    points = points[counts]
+    points.sort(kind="stable")  # points[counts], in place
     np.cumsum(counts < bf.size, out=counts)  # f breakpoints at or before each merged position
     # the last of each run of equal points, the run at the right edge excepted
     ends = np.not_equal(points[1:], points[:-1])
@@ -520,7 +531,9 @@ def _merged_product_profile(sf: StepProfile, sg: StepProfile) -> StepProfile:
     del ends
     idx_f = counts[kept]
     del counts
-    merged = np.append(points[kept], points[-1])
+    merged = np.empty(kept.size + 1)
+    np.take(points, kept, out=merged[:-1])
+    merged[-1] = points[-1]
     del points
     idx_g = kept  # kept + 1 breakpoints so far, idx_f of them from f; the rest less one
     idx_g -= idx_f
@@ -559,7 +572,10 @@ def check_oneil(
         if gf.extents != gg.extents or gf.spacing != gg.spacing:
             raise ValueError("grid functions must share extents and spacing")
         prof_f, prof_g = pf.profile, pg.profile
-        vfg = np.abs(gf.values.ravel()) * np.abs(gg.values.ravel())
+        # |f g| = |f| |g| bit for bit; like |f| in grid_to_mass, the product is sorted where it lies
+        vfg = pf.scratch.buffer("values", (gf.values.size,))
+        np.multiply(gf.values.ravel(), gg.values.ravel(), out=vfg)
+        np.abs(vfg, out=vfg)
         cell_masses = gf.cell_measure
     else:
         vf = np.abs(np.asarray(f, dtype=float).ravel())
@@ -577,7 +593,7 @@ def check_oneil(
 
     # the merge's temporaries are freed before the product sort builds its own
     hl_profile = _merged_product_profile(prof_f, prof_g)
-    prof_fg = decreasing_rearrangement(MassFunction(vfg, cell_masses))
+    prof_fg = decreasing_rearrangement(MassFunction(vfg, cell_masses, _sort_in_place=True))
 
     if t_grid is None:
         total = gf.domain_measure if grid_pair else prof_fg.total_measure
@@ -731,7 +747,8 @@ def check_sobolev(
     if mode in ("weak", "strong"):
         inv_pbar = doc["inv_pbar"] = 1.0 / p - 1.0 / n
     if mode == "weak":
-        vals = profile.levels * profile.breakpoints[1:] ** inv_pbar
+        vals = profile.breakpoints[1:] ** inv_pbar
+        vals *= profile.levels  # levels * t^(1/pbar), in place
         j = int(np.argmax(vals))
         lhs = float(vals[j])
         location = float(profile.breakpoints[j + 1])

@@ -9,12 +9,47 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
+    "Scratch",
     "MassFunction",
     "GridFunction",
     "grid_to_mass",
     "support_measure",
     "lp_norm",
 ]
+
+
+class Scratch:
+    """Reusable float64 work buffers for the cell-sized temporaries of a run, one per role.
+
+    ``buffer(role, shape)`` hands out the role's buffer, shaped as asked.  A
+    buffer is made on its role's first request and made anew only when the
+    requested cell count changes; only buffers of the current count are kept.
+    A run over one grid shape so faults its work memory in once, not on every
+    call.  Every request for a role returns the same memory, so a buffer's
+    contents last only until the next call that writes the role, and nothing
+    that outlives a call (a cached artifact, a report) may be a view of one.
+    The roles in use:
+
+    * ``"grad.component"``, ``"grad.difference"``: the gradient kernel's, for
+      the length of one modulus;
+    * ``"values"``: the cell values a mass build sorts where they lie (|f|, or
+      O'Neil's |f||g|), and in the chain rule f^r and then the stencil maximum;
+    * ``"modulus"``: the chain rule's gradient of f^r, then its ratios.
+    """
+
+    __slots__ = ("_cells", "_buffers")
+
+    def __init__(self):
+        self._cells = 0
+        self._buffers = {}
+
+    def buffer(self, role: str, shape) -> np.ndarray:
+        cells = math.prod(shape)
+        if cells != self._cells:
+            self._cells, self._buffers = cells, {}
+        if role not in self._buffers:
+            self._buffers[role] = np.empty(cells)
+        return self._buffers[role].reshape(shape)
 
 
 class MassFunction:
@@ -38,11 +73,16 @@ class MassFunction:
     Each is one correctly rounded product of an exact integer, so on a
     dyadic m (a power of two) it equals the running sum of the per-cell
     masses bit for bit.
+
+    ``_sort_in_place`` is for this package's own builders: ``values`` is then
+    a float64 array that the builder made and reads no more, and with a
+    scalar mass it is sorted where it lies instead of copied first.  A
+    caller's array is never written.
     """
 
     __slots__ = ("values", "masses", "cum_masses", "breakpoints")
 
-    def __init__(self, values, masses):
+    def __init__(self, values, masses, *, _sort_in_place=False):
         values = np.atleast_1d(np.asarray(values, dtype=float))
         masses = np.asarray(masses, dtype=float)
         uniform = masses.ndim == 0
@@ -57,7 +97,11 @@ class MassFunction:
             if not m > 0:
                 raise ValueError("atom masses must be positive")
             # equal masses make the order of tied values irrelevant: no permutation needed
-            v = np.sort(values)[::-1]
+            if _sort_in_place:
+                values.sort()
+                v = values[::-1]
+            else:
+                v = np.sort(values)[::-1]
         else:
             if not np.all(np.isfinite(masses)):
                 raise ValueError("atoms must be finite")
@@ -201,13 +245,17 @@ class GridFunction:
         return cls(float(doc["spacing"]), values)
 
 
-def grid_to_mass(f: GridFunction) -> MassFunction:
+def grid_to_mass(f: GridFunction, *, scratch: Scratch | None = None) -> MassFunction:
     """One atom per cell with value |f(cell)| and mass h**dim.
 
     Equal values (all the zero cells in particular) merge into single atoms;
-    the total mass equals the domain measure.
+    the total mass equals the domain measure.  |f| is written into a work
+    buffer of ``scratch`` (a fresh array without one) and sorted there; the
+    mass function keeps none of it.
     """
-    return MassFunction(np.abs(f.values.ravel()), f.cell_measure)
+    values = f.values.ravel()
+    work = np.empty(values.size) if scratch is None else scratch.buffer("values", values.shape)
+    return MassFunction(np.abs(values, out=work), f.cell_measure, _sort_in_place=True)
 
 
 def support_measure(f: MassFunction, threshold: float = 0.0) -> float:

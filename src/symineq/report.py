@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CheckReport", "best_constant", "GRID_TOLERANCE"]
+__all__ = ["CheckReport", "best_constant", "require_tolerance", "GRID_TOLERANCE"]
 
 # Default slack of the grid-function checks, for discretization error.
 GRID_TOLERANCE = 0.05
+
+
+def require_tolerance(tolerance) -> None:
+    """Reject a tolerance that is not a finite real >= 0; a NaN or infinite one fails too."""
+    if not (isinstance(tolerance, numbers.Real) and 0 <= tolerance < math.inf):
+        raise ValueError(f"tolerance must be a finite real >= 0, not {tolerance!r}")
 
 
 @dataclass
@@ -19,6 +26,7 @@ class CheckReport:
 
     ``worst_ratio`` is sup LHS/RHS over the checked points, and the pass flag
     is tied to it: pass iff worst_ratio <= constant_used * (1 + tolerance).
+    A tolerance that is not a finite real >= 0 raises ValueError.
     Error outcomes carry a non-"ok" status and never pass.
 
     ``trace`` holds the per-t evidence of a traced check as an (m, 3) float64
@@ -40,6 +48,7 @@ class CheckReport:
     trace_text: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        require_tolerance(self.tolerance)
         self.passed = self._evaluate()
 
     def _evaluate(self) -> bool:

@@ -20,7 +20,8 @@ import numpy as np
 from .corpus import CorpusSpec, check_keys, generate_corpus
 from .gradient import PreparedFunction
 from .inequalities import ARITY, CHECKERS, check_binomial_bounds, check_oneil, checker_kwargs, entry_keys
-from .report import CheckReport, best_constant
+from .measure import Scratch
+from .report import CheckReport, best_constant, require_tolerance
 
 __all__ = ["SuiteConfig", "run_suite", "emit_report", "load_report", "DEFAULT_INEQUALITIES"]
 
@@ -56,8 +57,12 @@ class SuiteConfig:
     corpus: CorpusSpec = field(default_factory=CorpusSpec)
 
     def __post_init__(self):
+        if self.tolerance is not None:
+            require_tolerance(self.tolerance)
         for entry in self.inequalities:
             entry_keys(entry.get("id"), entry, config=True)
+            if "tolerance" in entry:
+                require_tolerance(entry["tolerance"])
 
     def to_json(self, path=None):
         doc = {
@@ -96,6 +101,8 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
     per-function entry reads its cached rearrangements.  Then everything but
     the profile is dropped, and the O'Neil pair with the previous function
     runs on the two profiles.  Rows come out entry-major, in config order.
+    All functions share one ``Scratch``, whose cell-sized work buffers are
+    reused from function to function.
     """
     if corpus is None:
         corpus = generate_corpus(config.corpus)
@@ -119,13 +126,24 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
         else:
             per_function.append((slot, name, CHECKERS[name], kwargs))
 
+    # entries that share a p run one after another, the groups in the order of
+    # each p's first entry, so one p's powered profiles are dropped before the
+    # next p's are built; rows still come out in config order through the slots.
+    # Lists, not sets: a p that a checker will reject may be unhashable.
+    ps = []
+    for *_, kw in per_function:
+        if kw.get("p") not in ps:
+            ps.append(kw.get("p"))
+    per_function.sort(key=lambda e: ps.index(e[3].get("p")))
     # a powered profile stays cached only while a later entry of the same
     # function may read it; one whose p no later entry names is dropped
-    later_ps = [{kw.get("p") for *_, kw in per_function[i + 1:]} for i in range(len(per_function))]
+    later_ps = [[kw.get("p") for *_, kw in per_function[i + 1:]] for i in range(len(per_function))]
 
+    # one set of work buffers for every function of the run
+    scratch = Scratch()
     prev_id, prev = None, None
     for function_id, f in corpus:
-        pf = PreparedFunction(f)
+        pf = PreparedFunction(f, scratch=scratch)
         for (slot, name, runner, kwargs), keep in zip(per_function, later_ps):
             slot.append(_guarded(name, function_id, lambda: runner(pf, **kwargs)))
             pf.keep_powers(keep)

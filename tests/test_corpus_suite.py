@@ -638,6 +638,17 @@ class TestCli:
         assert rows[0]["status"].startswith("input_error")
         assert not rows[0]["pass"]
 
+    def test_suite_unhashable_p_in_two_entries_is_two_input_error_rows(self, tmp_path, capsys):
+        # the suite groups entries by p, which must not need a hashable p
+        config_file = tmp_path / "config.json"
+        entries = [{"id": "s_phi_p", "p": [1]}, {"id": "oscillation_p", "p": [2]}]
+        small = {"seed": 4, "extents": 32, "families": [{"kind": "cone"}]}
+        config_file.write_text(json.dumps({"inequalities": entries, "corpus": small}))
+        out = tmp_path / "out"
+        assert cli_main(["suite", "--config", str(config_file), "--out", str(out)]) == 2
+        rows = json.loads((out / "reports.json").read_text())["reports"]
+        assert [row["status"].split(":")[0] for row in rows] == ["input_error"] * 2
+
     @pytest.mark.parametrize("name", ["polya_szego", "nash"])
     def test_infinite_p_is_an_input_error(self, tmp_path, capsys, name):
         # JSON's Infinity as p: an input error in these checks too, not only in the p-checks
@@ -672,6 +683,26 @@ class TestCli:
         config_file.write_text(json.dumps({"corpus": {"extents": 64, "side": 1e159}}))
         assert cli_main(["suite", "--config", str(config_file), "--out", str(tmp_path / "out")]) == 2
         assert "cell measure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["-2", "nan"])
+    def test_a_tolerance_that_is_not_finite_and_nonnegative_is_an_input_error(self, tmp_path, capsys, tol):
+        # not a failed inequality (exit 1) and no "tolerance": NaN in the output
+        cone_file = tmp_path / "cone.json"
+        sq.cone_grid(64).to_json(cone_file)
+        assert cli_main(["check", "--ineq", "s_phi_p", "--fn", str(cone_file), "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert "tolerance must be a finite real >= 0" in captured.err and captured.out == ""
+        small = {"extents": 32, "families": [{"kind": "cone"}]}
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"corpus": small}))
+        out = tmp_path / "out"
+        assert cli_main(["suite", "--config", str(config_file), "--out", str(out), "--tol", tol]) == 2
+        assert "tolerance must be a finite real >= 0" in capsys.readouterr().err
+        entry = {"id": "s_phi_p", "tolerance": float(tol)}
+        config_file.write_text(json.dumps({"inequalities": [entry], "corpus": small}))
+        assert cli_main(["suite", "--config", str(config_file), "--out", str(out)]) == 2
+        assert "cannot load config: tolerance must be a finite real >= 0" in capsys.readouterr().err
+        assert not (out / "reports.json").exists()
 
     def test_check_unknown_inequality(self, tmp_path, capsys):
         assert cli_main(["check", "--ineq", "nope", "--fn", "x.json"]) == 2
@@ -723,10 +754,10 @@ class TestCli:
         for unbuffered in ("", "1"):
             env["PYTHONUNBUFFERED"] = unbuffered
             args = [sys.executable, "-m", "symineq.cli", "check", "--ineq", ineq, "--fn", str(fn)]
-            proc = subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-            proc.stdout.close()
-            stderr = proc.stderr.read()
-            assert proc.wait(timeout=120) == code
+            with subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+                proc.stdout.close()
+                stderr = proc.stderr.read()
+                assert proc.wait(timeout=120) == code
             assert stderr == b""
 
     def test_check_accepts_a_sampled_euclidean_phi_table(self, cone_file, tmp_path, capsys):

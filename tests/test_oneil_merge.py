@@ -1,11 +1,14 @@
-"""The one-merge O'Neil profile against the union-and-search formula it replaces.
+"""Profile kernels against the array formulas they replace, on one profile strategy.
 
-The oracle is the profile as it was built before: ``np.union1d`` of the two
-breakpoint arrays, then each side's level read by ``StepProfile.value`` at the
-merged left ends.  The library's single merge must equal it bit for bit, on
-any breakpoints and on the value-array route of ``check_oneil``.
+The O'Neil oracle is the profile as it was built before: ``np.union1d`` of
+the two breakpoint arrays, then each side's level read by
+``StepProfile.value`` at the merged left ends.  The library's single merge
+must equal it bit for bit, on any breakpoints and on the value-array route of
+``check_oneil``.  The in-place ``oscillation_norm`` and ``polya_szego_lhs``
+must equal their former whole-array expressions bit for bit as well.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -14,8 +17,10 @@ from hypothesis import strategies as st
 
 import symineq as sq
 from symineq import inequalities
+from symineq.gradient import polya_szego_lhs
 from symineq.inequalities import _merged_product_profile
-from symineq.rearrangement import StepProfile
+from symineq.isoperimetry import euclidean_profile
+from symineq.rearrangement import StepProfile, oscillation_norm, power_segment_integral
 
 
 def union_profile(sf: StepProfile, sg: StepProfile) -> StepProfile:
@@ -98,3 +103,73 @@ def test_grid_pair_check_oneil_equals_the_union_route():
         with mock.patch.object(inequalities, "_merged_product_profile", union_profile):
             want = sq.check_oneil(f, g)
         assert got.to_dict() == want.to_dict()
+
+
+def array_segment_integral(a, b, alpha):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if alpha == 0.0:
+        return np.log(b) - np.log(a)
+    return (b**alpha - a**alpha) / alpha
+
+
+def array_oscillation_norm(s, q, inv_pbar=0.0, tail=False):
+    b = s.breakpoints
+    c = s._cum_integral[:-1] - s.levels * b[:-1]
+    active = np.flatnonzero(c > 0)
+    alpha = q * inv_pbar - q
+    total = float(np.sum(c[active] ** q * array_segment_integral(b[active], b[active + 1], alpha)))
+    if tail and s.total_integral > 0:
+        total += s.total_integral**q * s.total_measure**alpha / -alpha
+    return total ** (1.0 / q) if math.isfinite(total) else math.inf
+
+
+def array_polya_szego_lhs(s, n, p, weight="isoperimetric"):
+    coeff = euclidean_profile(n).coefficient if weight == "isoperimetric" else 1.0
+    if s.levels.size < 2:
+        return 0.0
+    b = s.breakpoints
+    mids = (b[:-1] + b[1:]) / 2.0
+    slopes = -np.diff(s.levels) / np.diff(mids)
+    beta = (1.0 - 1.0 / n) * p + 1.0
+    weights = array_segment_integral(mids[:-1], mids[1:], beta)
+    terms = (coeff * slopes) ** p
+    terms *= weights
+    return float(np.add.reduce(terms)) ** (1.0 / p)
+
+
+def same_outcome(kernel, oracle, *args):
+    """Both return the same float, bit for bit, or both raise the same error."""
+    outcomes = []
+    for fn in (kernel, oracle):
+        try:
+            outcomes.append(np.float64(fn(*args)).tobytes())
+        except ArithmeticError as exc:  # the tail term's Python float power can overflow
+            outcomes.append(type(exc))
+    return outcomes[0] == outcomes[1]
+
+
+# (q, inv_pbar, tail) as the Sobolev and Lorentz checks call it; inv_pbar = 1 takes the log form
+OSCILLATION_ARGS = ((1.0, 0.0, False), (1.0, 0.0, True), (2.0, 0.0, True), (3.0, 0.0, False),
+                    (1.0, 0.5, False), (1.5, 1.0 / 3.0, False), (2.0, 1.0, False))
+POLYA_ARGS = tuple(
+    (n, p, weight) for n in (1, 2, 3) for p in (1.0, 1.5, 2.0, 3.0) for weight in ("isoperimetric", "bare_power")
+)
+
+
+@given(profile_pairs())
+@settings(max_examples=200)
+@example((StepProfile([0.0, 1.0], [2.0]), StepProfile([0.0, 0.5, 4.0], [3.0, 0.0])))
+@example((StepProfile([0.0], []), StepProfile([0.0, 1.0, 2.0, 3.0], [2.0, 2.0, 1.0])))  # a plateau: c_1 = 0
+def test_in_place_integrals_equal_the_array_expressions(pair):
+    for s in pair:
+        # huge breakpoints overflow powers in both forms alike
+        with np.errstate(all="ignore"):
+            for args in OSCILLATION_ARGS:
+                assert same_outcome(oscillation_norm, array_oscillation_norm, s, *args), args
+            for args in POLYA_ARGS:
+                assert same_outcome(polya_szego_lhs, array_polya_szego_lhs, s, *args), args
+            b = s.breakpoints
+            for alpha in (-3.0, -1.0, 0.0, 0.5, 1.5, 2.5):
+                got = power_segment_integral(b[:-1], b[1:], alpha)
+                assert got.tobytes() == array_segment_integral(b[:-1], b[1:], alpha).tobytes(), alpha

@@ -10,6 +10,7 @@ import pytest
 import symineq as sq
 from symineq import inequalities
 from symineq.gradient import PreparedFunction, prepare
+from symineq.measure import Scratch
 from symineq.suite import DEFAULT_INEQUALITIES, SuiteConfig
 
 # both corpus dimensions, small enough for tier-1; radius-2 noise fits 24 cells
@@ -233,6 +234,78 @@ def test_suite_rows_equal_direct_checker_calls(small_corpus):
     assert dump(suite_rows) == dump(direct_rows)
 
 
+PER_FUNCTION = tuple(e for e in DEFAULT_INEQUALITIES if e["id"] != "oneil") + (
+    {"id": "s_phi_p", "p": 2.0, "gradient_mode": "euclidean_central"},
+    {"id": "chain_rule", "r": 3.0, "gradient_mode": "euclidean_central"},
+)
+
+
+@pytest.mark.parametrize("chain_rule_first", [False, True], ids=["defaults", "chain_rule_first"])
+def test_rows_on_a_shared_scratch_equal_calls_on_fresh_functions(chain_rule_first):
+    """The grid shape changes three times, so the run's one scratch is made anew at each switch.
+
+    With chain_rule first, the gradient kernel runs twice inside the chain
+    rule, for f^r and then for |grad f|, while the check holds its own work
+    buffers.
+    """
+    corpus = []
+    for name in ("2d", "3d", "2d"):
+        corpus += [(f"{name}_{i}_{fid}", f) for i, (fid, f) in enumerate(sq.generate_corpus(SPECS[name])[:3])]
+    corpus.insert(3, ("cone_32", sq.cone_grid(32, radius=0.5)))
+    entries = PER_FUNCTION
+    if chain_rule_first:
+        entries = ({"id": "chain_rule", "r": 2.5},) + entries
+    config = SuiteConfig(inequalities=entries, detail=True)
+    suite_rows = sq.run_suite(config, corpus)
+    assert not any(r.status.startswith("input_error") for r in suite_rows)
+
+    def dump(rows):
+        return [json.dumps(r.to_dict(include_trace=True), sort_keys=True) for r in rows]
+
+    # each direct call prepares the plain GridFunction afresh, with a scratch of its own
+    assert dump(suite_rows) == dump(_direct_reports(config, corpus))
+
+
+def _arrays(artifact):
+    """The arrays an artifact (mass function, profile, grid function or number) holds."""
+    names = ("values", "masses", "cum_masses", "breakpoints", "levels", "_cum_integral")
+    arrays = [getattr(artifact, name, None) for name in names]
+    return [a for a in arrays if isinstance(a, np.ndarray)]
+
+
+def test_no_cached_artifact_or_report_is_a_view_of_a_work_buffer(small_corpus):
+    _, corpus = small_corpus
+    scratch = Scratch()
+    kept = []
+    prev = None
+    for _, f in corpus:
+        pf = PreparedFunction(f, scratch=scratch)
+        for entry in PER_FUNCTION + ({"id": "oscillation_p", "p": 1.5, "capture_trace": True},):
+            kwargs = {k: v for k, v in entry.items() if k != "id"}
+            functions = () if entry["id"] == "binomial_bounds" else (pf,)
+            report = inequalities.CHECKERS[entry["id"]](*functions, **kwargs)
+            kept += [report.trace] if isinstance(report.trace, np.ndarray) else []
+        if prev is not None:
+            assert inequalities.check_oneil(prev, pf).status == "ok"
+        artifacts = list(pf._cache.values()) + [powered for _, powered in pf._powers.values()]
+        assert {type(a).__name__ for a in artifacts} >= {"MassFunction", "StepProfile", "GridFunction"}
+        kept += [a for artifact in artifacts for a in _arrays(artifact)]
+        prev = pf
+    buffers = list(scratch._buffers.values())
+    assert len(buffers) == 4
+    assert not any(np.shares_memory(a, b) for a in kept for b in buffers)
+
+
+def test_scratch_keeps_one_buffer_per_role_at_the_current_cell_count():
+    scratch = Scratch()
+    a = scratch.buffer("values", (6, 4))
+    assert a.shape == (6, 4) and a.dtype == np.float64 and a.flags.c_contiguous
+    assert np.shares_memory(scratch.buffer("values", (24,)), a)
+    assert not np.shares_memory(scratch.buffer("modulus", (24,)), a)
+    b = scratch.buffer("values", (5,))  # a new cell count: every buffer is made anew
+    assert b.shape == (5,) and not np.shares_memory(b, a) and list(scratch._buffers) == ["values"]
+
+
 def test_dimension_comes_from_each_function():
     """A 3-d corpus under a config whose own corpus is 2-d: every row uses n = 3."""
     corpus = sq.generate_corpus(SPECS["3d"])
@@ -282,6 +355,22 @@ def test_an_underflowed_gradient_is_an_input_error_not_a_trivial_pass():
     assert all("underflows" in r.status for r in rows)
     zero = sq.GridFunction(cone.spacing, np.zeros(cone.extents))
     assert prepare(zero).is_zero and not np.any(prepare(zero).grad().values)
+
+
+def test_a_power_that_underflows_is_an_input_error():
+    """f and |grad f| of 1e-161 * cone are nonzero; their squares and cubes fall below the least normal float."""
+    cone = sq.cone_grid(64)
+    small = sq.GridFunction(cone.spacing, 1e-161 * cone.values)
+    entries = tuple({"id": "oscillation_p", "p": p} for p in (1.0, 2.0, 3.0))
+    entries += tuple({"id": "derivative_p", "p": p} for p in (1.0, 2.0))
+    rows = sq.run_suite(SuiteConfig(inequalities=entries), [("small", small)])
+    error = "input_error: nonzero profile whose top level to the power {} underflows: malformed input"
+    assert [r.status for r in rows] == ["ok", error.format(2), error.format(3), "ok", error.format(2)]
+    with pytest.raises(ValueError, match="to the power 2 underflows"):
+        sq.check_derivative_p(small, p=2.0)
+    # the unscaled cone is untouched, and p = 1 needs no power
+    assert sq.check_oscillation_p(cone, p=3.0).status == "ok"
+    assert prepare(small).powered(prepare(small).profile, 1.0).max_level > 0
 
 
 def test_default_suite_builds_each_artifact_once(small_corpus, monkeypatch):
