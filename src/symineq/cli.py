@@ -116,7 +116,9 @@ def _cmd_suite(args) -> int:
     emit_report(reports, "csv", out / "reports.csv", detail=config.detail, seed=seed)
     code = suite_exit_code(reports)
     passed = sum(1 for r in reports if r.passed)
-    _print(f"{passed}/{len(reports)} checks passed; reports in {out}")
+    flagged = sum(1 for r in reports if r.status.startswith("flagged:"))
+    errors = sum(1 for r in reports if r.status != "ok") - flagged
+    _print(f"{passed}/{len(reports)} checks passed; reports in {out}\n{flagged} flagged, {errors} errors")
     return code
 
 

@@ -66,6 +66,11 @@ SWEEP_POINTS = 400
 # Geometric pieces per t-grid interval in the derivative form's lower sum.
 DERIVATIVE_REFINE = 16
 
+# A step up of the derivative form's integrand from one refined point to the next,
+# relative to the lower point, that counts as rounding, not as a rise: where every
+# step is below it, the right-end sum exceeds the integral by at most this fraction.
+INTEGRAND_RISE_SLACK = 1e-12
+
 # Default t-grid floor, in cells.  Below a handful of cells the rearrangement
 # has only one or two atoms and functions with a Lipschitz kink at their max
 # show alignment-dependent oscillation spikes (up to ~2.5x the continuum
@@ -194,7 +199,7 @@ def _phi_for(pf: PreparedFunction, phi: ProfileHandle | None) -> ProfileHandle:
     return phi if phi is not None else phi_from_profile(euclidean_profile(pf.grid.dim))
 
 
-def _finalize(report_id, doc, worst, location, constant, tolerance, trace=None):
+def _finalize(report_id, doc, worst, location, constant, tolerance, trace=None, status="ok"):
     if doc["constant_mode"] == "fitted":
         doc["fitted_constant"] = worst
         constant = worst if worst > 0 else 1.0
@@ -206,6 +211,7 @@ def _finalize(report_id, doc, worst, location, constant, tolerance, trace=None):
         constant_used=constant,
         tolerance=tolerance,
         trace=trace,
+        status=status,
     )
 
 
@@ -294,9 +300,14 @@ def check_derivative_p(
         F(a)^(1/p) - F(b)^(1/p) <= C * int_a^b phi(t)/t * G(t)^(1/p) dt
 
     with F, G the maximal averages of the p-powered rearrangements of f and
-    its gradient modulus.  The right side is a certified lower sum (the
-    integrand is non-increasing), so passing is conservative.  C defaults to
-    p * 2^((k+1)/p); the verdict at the bare 2^((k+1)/p) is also recorded.
+    its gradient modulus.  The right side is a right-end sum, a certified
+    lower sum where the integrand phi(t)/t * G(t)^(1/p) is non-increasing,
+    so passing is conservative.  That holds for a power-law phi of exponent
+    <= 1; for any other phi (a table, a steeper power, a plain callable)
+    the integrand is checked on the refined grid, and where it rises the
+    row is "flagged:non_monotone_integrand", which never passes.  C
+    defaults to p * 2^((k+1)/p); the verdict at the bare 2^((k+1)/p) is
+    also recorded.
     """
     pf = prepare(f)
     doc = _grid_params(pf.grid, p, constant_mode, gradient_mode)
@@ -311,6 +322,7 @@ def check_derivative_p(
     gp = pf.powered(pf.grad_profile(gradient_mode), p)
     span = _check_span(pf.grid)
     t = _tgrid(span)
+    status = "ok"
     if form == "integrated":
         amplitude = maximal_average(pf.powered(pf.profile, p), t) ** (1.0 / p)
         lhs = amplitude[:-1] - amplitude[1:]
@@ -319,6 +331,11 @@ def check_derivative_p(
         # right-endpoint sums under-estimate the decreasing integrand
         rhs = np.sum(vals * widths, axis=1)
         locs = t[:-1]
+        # phi(t)/t and G(t)^(1/p) are both non-increasing for a power law of exponent <= 1
+        if not (isinstance(phi, ProfileHandle) and phi.kind == "power_law" and phi.exponent <= 1.0):
+            integrand = vals.ravel()  # rows are consecutive intervals, so this runs in s
+            if np.any(integrand[1:] > integrand[:-1] * (1.0 + INTEGRAND_RISE_SLACK)):
+                status = "flagged:non_monotone_integrand"
     else:
         lhs = dform_derivative(pf.profile, p, t)
         rhs = _phi_on_tgrid(span, phi) / t * maximal_average(gp, t) ** (1.0 / p)
@@ -328,7 +345,7 @@ def check_derivative_p(
     worst = float(ratios[j])
     doc["pass_at_base_constant"] = bool(worst <= base * (1.0 + tolerance))
     trace = _trace(locs, lhs, rhs) if capture_trace else None
-    return _finalize("derivative_p", doc, worst, float(locs[j]), constant, tolerance, trace)
+    return _finalize("derivative_p", doc, worst, float(locs[j]), constant, tolerance, trace, status)
 
 
 # ---------------------------------------------------------------------------

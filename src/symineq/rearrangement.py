@@ -214,7 +214,12 @@ def oscillation_norm(s: StepProfile, q: float, inv_pbar: float = 0.0, tail: bool
     terms *= _segment_integrals(b[:-1][active], b[1:][active], alpha)
     total = float(np.sum(terms))
     if tail and s.total_integral > 0:
-        total += s.total_integral**q * s.total_measure**alpha / -alpha
+        # I^q M^alpha as (I / M^(1 - inv_pbar))^q: on a tiny M, M^alpha alone overflows
+        # (M^-1 does at M = 5e-324) where the ratio, at most max level * M^inv_pbar, does not
+        try:
+            total += (s.total_integral / s.total_measure ** (1.0 - inv_pbar)) ** q / -alpha
+        except OverflowError:  # a value beyond the float range reads inf, as in the sum above
+            total = math.inf
     return total ** (1.0 / q) if math.isfinite(total) else math.inf
 
 

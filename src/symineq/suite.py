@@ -11,7 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import pickle
+import signal
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,11 +105,21 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
     per-function entry reads its cached rearrangements.  Then everything but
     the profile is dropped, and the O'Neil pair with the previous function
     runs on the two profiles.  Rows come out entry-major, in config order.
-    All functions share one ``Scratch``, whose cell-sized work buffers are
-    reused from function to function.
+    All functions of one process share one ``Scratch``, whose cell-sized work
+    buffers are reused from function to function.
+
+    The corpus is cut into contiguous chunks, one per CPU this process may
+    run on (``os.sched_getaffinity``), at most one per function.  This
+    process runs the first chunk and a forked child runs each other one;
+    a chunk re-prepares the function before its start for the O'Neil pair
+    across the cut, and its rows join the others in chunk order, so the
+    reports are those of one pass.  With one CPU or one function nothing
+    forks.  An exception a child raises is raised here, and no child
+    outlives the call.
     """
     if corpus is None:
         corpus = generate_corpus(config.corpus)
+    corpus = list(corpus)
     rows: list[list[CheckReport]] = [[] for _ in config.inequalities]
     context = {
         "gradient_mode": config.gradient_mode,
@@ -114,17 +128,17 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
         "tolerance": config.tolerance,
     }
     per_function, pairs = [], []
-    for slot, entry in zip(rows, config.inequalities):
+    for index, entry in enumerate(config.inequalities):
         name = entry["id"]
         kwargs = checker_kwargs(name, entry, context)
         # the one corpus-free sweep and the one pair check run through this module's names
         arity = ARITY.get(name, 1)
         if arity == 0:
-            slot.append(_guarded(name, "-", lambda: check_binomial_bounds(**kwargs)))
+            rows[index].append(_guarded(name, "-", lambda: check_binomial_bounds(**kwargs)))
         elif arity == 2:
-            pairs.append((slot, name, kwargs))
+            pairs.append((index, name, kwargs))
         else:
-            per_function.append((slot, name, CHECKERS[name], kwargs))
+            per_function.append((index, name, CHECKERS[name], kwargs))
 
     # entries that share a p run one after another, the groups in the order of
     # each p's first entry, so one p's powered profiles are dropped before the
@@ -139,22 +153,130 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
     # function may read it; one whose p no later entry names is dropped
     later_ps = [[kw.get("p") for *_, kw in per_function[i + 1:]] for i in range(len(per_function))]
 
-    # one set of work buffers for every function of the run
+    # one set of work buffers for every function this process runs
     scratch = Scratch()
-    prev_id, prev = None, None
-    for function_id, f in corpus:
-        pf = PreparedFunction(f, scratch=scratch)
-        for (slot, name, runner, kwargs), keep in zip(per_function, later_ps):
-            slot.append(_guarded(name, function_id, lambda: runner(pf, **kwargs)))
-            pf.keep_powers(keep)
-        if pairs:
-            pf.keep_profile_only()
-            if prev is not None:
-                pair_id = f"{prev_id}*{function_id}"
-                for slot, name, kwargs in pairs:
-                    slot.append(_guarded(name, pair_id, lambda: check_oneil(prev, pf, **kwargs)))
-            prev_id, prev = function_id, pf
+
+    def run_chunk(lo: int, hi: int) -> list[list[CheckReport]]:
+        """The rows of functions lo..hi-1 and of the O'Neil pairs ending in them, per entry."""
+        out: list[list[CheckReport]] = [[] for _ in config.inequalities]
+        prev_id, prev = None, None
+        if pairs and lo > 0:
+            prev_id, f = corpus[lo - 1]
+            prev = PreparedFunction(f, scratch=scratch)
+            prev.keep_profile_only()
+        for function_id, f in corpus[lo:hi]:
+            pf = PreparedFunction(f, scratch=scratch)
+            for (index, name, runner, kwargs), keep in zip(per_function, later_ps):
+                out[index].append(_guarded(name, function_id, lambda: runner(pf, **kwargs)))
+                pf.keep_powers(keep)
+            if pairs:
+                pf.keep_profile_only()
+                if prev is not None:
+                    pair_id = f"{prev_id}*{function_id}"
+                    for index, name, kwargs in pairs:
+                        out[index].append(_guarded(name, pair_id, lambda: check_oneil(prev, pf, **kwargs)))
+                prev_id, prev = function_id, pf
+        return out
+
+    n, workers = len(corpus), _worker_count(len(corpus))
+    if workers == 1:
+        chunks = [run_chunk(0, n)]
+    else:
+        chunks = _run_forked(run_chunk, [(n * i // workers, n * (i + 1) // workers) for i in range(workers)])
+    for chunk in chunks:
+        for slot, part in zip(rows, chunk):
+            slot.extend(part)
     return [report for slot in rows for report in slot]
+
+
+def _worker_count(functions: int) -> int:
+    """One worker per CPU this process may run on, at most one per function."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform (macOS, Windows): run serially
+        cpus = 1
+    return max(1, min(cpus, functions))
+
+
+def _run_forked(run_chunk, bounds: list) -> list:
+    """Each chunk's rows, in chunk order: the first chunk runs here, each other one in a forked child.
+
+    Each process formats its chunk's traces into their ``trace_text``
+    caches, so the report writer's float formatting is split too.  A child
+    pickles its rows (or the exception it raised) into a pipe and leaves by
+    ``os._exit``, so it never returns into the caller's stack nor flushes
+    this process's stdio.  The pipes are read in chunk order.  On
+    the way out, whether with the rows, an exception or an interrupt, every
+    pipe is closed and every child is killed (one that has sent its rows
+    has only its exit left) and reaped.
+    """
+    readers, pids = [], []
+    try:
+        for lo, hi in bounds[1:]:
+            read_fd, write_fd = os.pipe()
+            readers.append(os.fdopen(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(run_chunk, lo, hi, write_fd)
+            finally:
+                os.close(write_fd)  # the child's copy is the only writer left
+            pids.append(pid)
+        chunks = [run_chunk(*bounds[0])]
+        _format_traces(chunks[0])
+        for (lo, hi), reader in zip(bounds[1:], readers):
+            where = f"the worker for functions {lo}..{hi - 1}"
+            try:
+                chunk, error = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise RuntimeError(f"{where} ended without sending its rows") from exc
+            if error is not None:
+                exc, child_traceback = error
+                raise exc from RuntimeError(f"in {where}:\n{child_traceback}")
+            chunks.append(chunk)
+        return chunks
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_child(run_chunk, lo: int, hi: int, write_fd: int) -> None:
+    """In a forked child: send chunk lo..hi's rows, or the exception it raised, down the pipe, then exit."""
+    status = 1
+    try:
+        try:
+            chunk = run_chunk(lo, hi)
+            _format_traces(chunk)
+            message = (chunk, None)
+        # the process boundary: whatever stops the chunk, an interrupt included, goes to the parent
+        except BaseException as exc:
+            message = (None, (_picklable(exc), traceback.format_exc()))
+        with open(write_fd, "wb") as fh:
+            pickle.dump(message, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _picklable(exc: BaseException) -> BaseException:
+    """``exc`` itself if it survives pickling, else a RuntimeError naming its type and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:  # whatever stops the round trip, the stand-in carries the message
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
+def _format_traces(chunk: list) -> None:
+    """Fill the ``trace_text`` cache of every traced report of a chunk."""
+    t_text: dict[bytes, list[str]] = {}
+    for part in chunk:
+        for report in part:
+            if report.trace is not None:
+                _trace_text(report, t_text)
 
 
 def _guarded(name: str, function_id: str, check) -> CheckReport:

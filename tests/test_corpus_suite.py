@@ -535,6 +535,8 @@ class TestDeterminism:
             return trace
 
         monkeypatch.setattr(inequalities, "_trace", recording_trace)
+        # one CPU: the captures are made in this process, and no forked worker makes traces
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         config = SuiteConfig(
             inequalities=({"id": "oscillation_p", "p": 1.5}, {"id": "derivative_p", "p": 2.0}),
             detail=True,
@@ -648,6 +650,24 @@ class TestCli:
         assert cli_main(["suite", "--config", str(config_file), "--out", str(out)]) == 2
         rows = json.loads((out / "reports.json").read_text())["reports"]
         assert [row["status"].split(":")[0] for row in rows] == ["input_error"] * 2
+
+    @pytest.mark.parametrize("with_error", [False, True])
+    def test_suite_prints_flagged_and_error_counts_on_their_own_line(self, tmp_path, capsys, with_error):
+        entries = [{"id": "polya_szego"}, {"id": "s_phi_p"}]
+        if with_error:
+            entries.append({"id": "s_phi_p", "p": "2"})
+        # a sharp disk: its Polya-Szego row is flagged:jump
+        small = {"seed": 4, "extents": 32, "families": [{"kind": "mollified_disk", "eps_ladder": [0.02]}]}
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"inequalities": entries, "corpus": small}))
+        out = tmp_path / "out"
+        # a flagged row alone makes the exit code 1; an input error makes it 2
+        assert cli_main(["suite", "--config", str(config_file), "--out", str(out)]) == (2 if with_error else 1)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            f"1/{len(entries)} checks passed; reports in {out}",
+            f"1 flagged, {int(with_error)} errors",
+        ]
 
     @pytest.mark.parametrize("name", ["polya_szego", "nash"])
     def test_infinite_p_is_an_input_error(self, tmp_path, capsys, name):

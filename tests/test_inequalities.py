@@ -169,6 +169,26 @@ class TestDerivativeP:
         assert report.passed
         assert report.params["pass_at_base_constant"]
 
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_a_rising_integrand_is_flagged_never_passed(self, p):
+        f = small_cone(64)
+        # phi(t)/t rises tenfold from t = 0.01 to 1: the right-end sum is no lower sum
+        rising = ProfileHandle("table", samples=((0.01, 0.1), (1.0, 100.0)))
+        report = sq.check_derivative_p(f, phi=rising, p=p)
+        assert report.status == "flagged:non_monotone_integrand" and not report.passed
+        # the ratio alone would pass
+        assert report.worst_ratio < report.constant_used
+        steep = sq.check_derivative_p(f, phi=ProfileHandle("power_law", 0.3, 1.5), p=p)
+        assert steep.status == "flagged:non_monotone_integrand"
+        # phi(t)/t falls, or is constant on a table (up to rounding): the sum is certified
+        for falling in (
+            ProfileHandle("table", samples=((0.01, 0.03), (0.1, 0.09), (1.0, 0.3))),
+            ProfileHandle("table", samples=((0.5, 0.5), (1.0, 1.0))),
+            ProfileHandle("power_law", 0.3, 1.0),
+        ):
+            assert sq.check_derivative_p(f, phi=falling, p=p).status == "ok"
+        assert sq.check_derivative_p(f, phi=rising, p=p, form="pointwise").status == "ok"
+
     def test_plateau_contributes_zero(self, phi_euclid_2d):
         h = 1.0 / 128
         mask = disk_mask((128, 128), h, (0.5, 0.5), 0.2)

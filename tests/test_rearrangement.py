@@ -259,6 +259,14 @@ class TestLorentzNorm:
         oracle = quad(lambda t: (1.0 / t) ** 2 / t, 1.0, np.inf)[0] ** 0.5
         assert sq.lorentz_norm(prof, math.inf, 2.0) == pytest.approx(oracle, rel=1e-9)
 
+    @pytest.mark.parametrize("measure", [1e-200, 5e-324, 1.0, 4.0])
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_indicator_oscillation_norm_at_any_measure(self, measure, q):
+        # one step of level 1 on (0, M]: only the tail (M/t past M) counts, and
+        # its q-th power against dt/t integrates to 1/q whatever M is
+        prof = StepProfile([0.0, measure], [1.0])
+        assert sq.lorentz_norm(prof, math.inf, q) == pytest.approx((1.0 / q) ** (1.0 / q), rel=1e-15)
+
     def test_rejects_double_infinity(self):
         prof = sq.decreasing_rearrangement(MassFunction([1.0], [1.0]))
         with pytest.raises(ValueError):
