@@ -15,9 +15,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from .corpus import CorpusSpec, generate_corpus
-from .inequalities import ARITY, CHECKERS, checker_kwargs
+from .gradient import GRADIENT_MODES
+from .inequalities import ARITY, CHECKERS, CONSTANT_MODES, checker_kwargs
 from .isoperimetry import ProfileHandle, phi_from_profile, validate_profile
-from .measure import GridFunction
+from .measure import GridFunction, write_document
 from .suite import SuiteConfig, emit_report, load_report, run_suite, suite_exit_code
 
 __all__ = ["main"]
@@ -38,14 +39,22 @@ def _out_dir(value) -> Path:
     return path
 
 
-def _cmd_corpus(args) -> int:
+class _InputError(Exception):
+    """An input a command cannot load; ``main`` prints it and exits 2."""
+
+
+def _loaded(what: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``; an OSError or ValueError it raises becomes "cannot load <what>: ..."."""
     try:
-        spec = CorpusSpec.from_json(args.spec) if args.spec else CorpusSpec()
-        # a family value that does not fit the grid is only found while building
-        corpus = generate_corpus(spec)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"cannot load spec: {exc}", file=sys.stderr)
-        return 2
+        return fn(*args, **kwargs)
+    except (OSError, ValueError) as exc:
+        raise _InputError(f"cannot load {what}: {exc}") from exc
+
+
+def _cmd_corpus(args) -> int:
+    spec = _loaded("spec", CorpusSpec.from_json, args.spec) if args.spec else CorpusSpec()
+    # a family value that does not fit the grid is only found while building
+    corpus = _loaded("spec", generate_corpus, spec)
     out = _out_dir(args.out)
     manifest = []
     for function_id, gf in corpus:
@@ -53,50 +62,36 @@ def _cmd_corpus(args) -> int:
         gf.to_json(out / name)
         manifest.append({"id": function_id, "file": name})
     spec.to_json(out / "corpus_spec.json")
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
+    write_document(manifest, out / "manifest.json", indent=1)
     _print(f"wrote {len(corpus)} functions to {out}")
     return 0
+
+
+def _admissible_phi(path, t_max: float) -> ProfileHandle:
+    """The φ at ``path``, if its profile I = t/φ (the map is its own inverse) is admissible on (0, t_max]."""
+    phi = ProfileHandle.from_json(path)
+    violations = validate_profile(phi_from_profile(phi), t_max=t_max)
+    if violations:
+        lines = "".join(f"\n  {v}" for v in violations)
+        raise ValueError(f"not admissible; its profile t/phi has:{lines}")
+    return phi
 
 
 def _cmd_check(args) -> int:
     flags = {"p": args.p, "gradient_mode": args.mode, "tolerance": args.tol}
     entry = {key: value for key, value in flags.items() if value is not None}
-    try:
-        f = GridFunction.from_json(args.fn)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"cannot load function {args.fn}: {exc}", file=sys.stderr)
-        return 2
+    f = _loaded(f"function {args.fn}", GridFunction.from_json, args.fn)
     if args.phi:
-        try:
-            phi = ProfileHandle.from_json(args.phi)
-            # the profile is I = t/phi (the map is its own inverse), checked where f lives
-            violations = validate_profile(phi_from_profile(phi), t_max=f.domain_measure)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"cannot load phi {args.phi}: {exc}", file=sys.stderr)
-            return 2
-        if violations:
-            lines = "".join(f"\n  {v}" for v in violations)
-            print(f"phi {args.phi} is not admissible; its profile t/phi has:{lines}", file=sys.stderr)
-            return 2
-        entry["phi"] = phi
-    try:
-        # a flag the checker does not declare is an error
-        kwargs = checker_kwargs(args.ineq, entry, {}, arity=1)
-        report = CHECKERS[args.ineq](f, **kwargs)
-    except (ValueError, KeyError) as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 2
+        entry["phi"] = _loaded(f"phi {args.phi}", _admissible_phi, args.phi, f.domain_measure)
+    # a flag the checker does not declare is an error
+    kwargs = _loaded(f"check {args.ineq}", checker_kwargs, args.ineq, entry, {}, 1)
+    report = _loaded(f"check {args.ineq}", CHECKERS[args.ineq], f, **kwargs)
     _print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
     return 0 if report.passed else 1
 
 
 def _cmd_suite(args) -> int:
-    try:
-        config = SuiteConfig.from_json(args.config) if args.config else SuiteConfig()
-        corpus = generate_corpus(config.corpus)  # the flags below leave the corpus as it is
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"cannot load config: {exc}", file=sys.stderr)
-        return 2
+    config = _loaded("config", SuiteConfig.from_json, args.config) if args.config else SuiteConfig()
     flags = {
         "gradient_mode": args.gradient_mode,
         "tolerance": args.tol,
@@ -104,11 +99,9 @@ def _cmd_suite(args) -> int:
         "detail": args.detail or None,
     }
     overrides = {key: value for key, value in flags.items() if value is not None}
-    try:
-        config = replace(config, **overrides)  # the config checks the flags' values too
-    except ValueError as exc:
-        print(f"bad option: {exc}", file=sys.stderr)
-        return 2
+    # the config checks the flags' values too; they leave the corpus as it is
+    config = _loaded("options", replace, config, **overrides)
+    corpus = _loaded("config", generate_corpus, config.corpus)
     out = _out_dir(args.out)
     reports = run_suite(config, corpus)
     seed = config.corpus.seed
@@ -126,11 +119,7 @@ def _cmd_report(args) -> int:
     src = Path(args.input)
     if src.is_dir():
         src = src / "reports.json"
-    try:
-        reports = load_report(src)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"cannot load report {src}: {exc}", file=sys.stderr)
-        return 2
+    reports = _loaded(f"report {src}", load_report, src)
     out = _out_dir(args.out)
     target = out / f"reports_rendered.{args.format}"
     emit_report(reports, args.format, target, detail=args.detail)
@@ -156,16 +145,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--fn", required=True, help="grid function JSON file")
     p_check.add_argument("--phi", help="profile handle JSON file")
     p_check.add_argument("--p", type=float)
-    p_check.add_argument("--mode", choices=("metric_max", "euclidean_central"))
+    p_check.add_argument("--mode", choices=GRADIENT_MODES)
     p_check.add_argument("--tol", type=float)
     p_check.set_defaults(func=_cmd_check)
 
     p_suite = sub.add_parser("suite", help="run a full suite over a corpus")
     p_suite.add_argument("--config", help="suite config JSON file")
     p_suite.add_argument("--out", help="output directory (default: $SYMINEQ_OUT or .)")
-    p_suite.add_argument("--gradient-mode", choices=("metric_max", "euclidean_central"))
+    p_suite.add_argument("--gradient-mode", choices=GRADIENT_MODES)
     p_suite.add_argument("--tol", type=float)
-    p_suite.add_argument("--constant-mode", choices=("analytic", "fitted"))
+    p_suite.add_argument("--constant-mode", choices=CONSTANT_MODES)
     p_suite.add_argument("--detail", action="store_true", help="emit per-t traces")
     p_suite.set_defaults(func=_cmd_suite)
 
@@ -180,7 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

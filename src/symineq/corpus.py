@@ -9,15 +9,13 @@ least two cells inside the domain boundary.
 
 from __future__ import annotations
 
-import inspect
-import json
-import numbers
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
-from .measure import GridFunction, require_finite_measure
+from .measure import (
+    BAD_VALUE, GridFunction, check_whole, declared_keys, read_document, require_finite_measure, write_document,
+)
 from .isoperimetry import disk_mask, mollify_ladder
 
 __all__ = ["CorpusSpec", "generate_corpus", "cone_grid", "tent_grid"]
@@ -27,7 +25,8 @@ __all__ = ["CorpusSpec", "generate_corpus", "cone_grid", "tent_grid"]
 class CorpusSpec:
     """Deterministic description of a grid-function corpus.
 
-    Checked when constructed: every family kind and key must be known, counts
+    Checked when constructed: seed, dim and extents must be whole (64.0 is 64),
+    there must be a family, every family kind and key must be known, counts
     and noise radii integers, and the grid must hold the features and collars.
     """
 
@@ -44,13 +43,25 @@ class CorpusSpec:
     )
 
     def __post_init__(self):
+        for key, least in (("seed", 0), ("dim", 1), ("extents", 1)):
+            value = check_whole("corpus spec", key, getattr(self, key), least, floats=True)
+            object.__setattr__(self, key, value)
+        object.__setattr__(self, "side", float(self.side))
+        # ladders as tuples, so a spec read back from JSON equals the one written
+        families = tuple(
+            dict(f, eps_ladder=tuple(f["eps_ladder"])) if isinstance(f, dict) and "eps_ladder" in f else f
+            for f in self.families
+        )
+        object.__setattr__(self, "families", families)
+        if not families:
+            raise ValueError("a corpus spec needs at least one family")
         if self.extents < 16:
             raise ValueError("grid too small for the corpus features")
         require_finite_measure(self.spacing, (self.extents,) * self.dim)
-        for fam in self.families:
+        for fam in families:
             keys = _family_kwargs(fam)
             for key in sorted({"count", "bumps"}.intersection(keys)):
-                _check_whole(fam["kind"], key, keys[key], 1)
+                check_whole(fam["kind"], key, keys[key], 1)
             if fam["kind"] == "smoothed_noise":
                 _noise_margin(self.extents, keys.get("radius", NOISE_RADIUS))
 
@@ -66,48 +77,11 @@ class CorpusSpec:
             "side": self.side,
             "families": [dict(f) for f in self.families],
         }
-        if path is None:
-            return doc
-        Path(path).write_text(json.dumps(doc, indent=2), encoding="utf-8")
-        return None
+        return doc if path is None else write_document(doc, path, indent=2)
 
     @classmethod
     def from_json(cls, source) -> "CorpusSpec":
-        doc = source if isinstance(source, dict) else json.loads(
-            Path(source).read_text(encoding="utf-8")
-        )
-        check_keys(doc, cls, "corpus spec")
-        families = []
-        for fam in doc.get("families", []):
-            if isinstance(fam, dict) and "eps_ladder" in fam:
-                fam = dict(fam, eps_ladder=tuple(fam["eps_ladder"]))
-            families.append(fam)
-        try:
-            return cls(
-                seed=int(doc.get("seed", 0)),
-                dim=int(doc.get("dim", 2)),
-                extents=int(doc.get("extents", 256)),
-                side=float(doc.get("side", 1.0)),
-                families=tuple(families) if families else cls.families,
-            )
-        except OverflowError as exc:  # int() of an infinite float, here or in a family check
-            raise ValueError(f"corpus spec value out of range: {exc}") from exc
-
-
-def check_keys(doc, cls, what: str) -> None:
-    """Reject a JSON document that is not an object or has keys that are not fields of ``cls``."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"a {what} must be a JSON object")
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {what} keys {unknown}")
-
-
-def _check_whole(kind: str, key: str, value, least: int, floats: bool = False) -> None:
-    """Reject a family value that is not an int >= ``least``; with ``floats``, 4.0 counts as 4."""
-    whole = isinstance(value, numbers.Integral) or floats and isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not whole or value < least:
-        raise ValueError(f"{kind}: {key} must be an integer >= {least}, not {value!r}")
+        return read_document(source, "corpus spec", [f.name for f in fields(cls)], lambda doc: cls(**doc))
 
 
 def _cell_axes(extents: tuple[int, ...], spacing: float):
@@ -159,18 +133,17 @@ def tent_grid(extents: int = 4096, side: float = 1.0) -> GridFunction:
 
 
 def _box_average_axis(arr: np.ndarray, axis: int, radius: int) -> np.ndarray:
+    # one zero cell more in front makes the running sum start at 0: the window
+    # sums are then the differences of two slices of one cumsum, no copies
     window = 2 * radius + 1
     pad = [(0, 0)] * arr.ndim
-    pad[axis] = (radius, radius)
-    padded = np.pad(arr, pad)
-    csum = np.cumsum(padded, axis=axis, dtype=float)
-    zshape = list(csum.shape)
-    zshape[axis] = 1
-    csum = np.concatenate([np.zeros(zshape), csum], axis=axis)
-    n = arr.shape[axis]
-    hi = csum.take(range(window, window + n), axis=axis)
-    lo = csum.take(range(0, n), axis=axis)
-    return (hi - lo) / window
+    pad[axis] = (radius + 1, radius)
+    csum = np.cumsum(np.pad(arr, pad), axis=axis, dtype=float)
+    hi, lo = [slice(None)] * arr.ndim, [slice(None)] * arr.ndim
+    hi[axis], lo[axis] = slice(window, None), slice(None, -window)
+    out = csum[tuple(hi)] - csum[tuple(lo)]
+    out /= window
+    return out
 
 
 def _box_blur(values: np.ndarray, radius: int, passes: int = 3) -> np.ndarray:
@@ -235,8 +208,7 @@ NOISE_RADIUS = 4  # default box-smoothing radius of smoothed_noise, in cells
 
 def _noise_margin(extents: int, radius) -> int:
     """Zero collar of a smoothed_noise function, in cells; the grid must hold two."""
-    _check_whole("smoothed_noise", "radius", radius, 0, floats=True)
-    margin = 2 + int(radius) * 3 + 2
+    margin = 2 + check_whole("smoothed_noise", "radius", radius, 0, floats=True) * 3 + 2
     if 2 * margin >= extents:
         raise ValueError("grid too small for the requested smoothing radius")
     return margin
@@ -288,23 +260,24 @@ FAMILIES = {
 
 def _family_kwargs(fam) -> dict:
     """A family entry's keys but ``kind``; the kind and every key must be its builder's."""
-    if not isinstance(fam, dict) or fam.get("kind") not in FAMILIES:
-        kind = fam.get("kind") if isinstance(fam, dict) else fam
-        raise ValueError(f"unknown corpus family {kind!r}; known kinds are {sorted(FAMILIES)}")
-    accepted = list(inspect.signature(FAMILIES[fam["kind"]]).parameters)[2:]
-    keys = {k: v for k, v in fam.items() if k != "kind"}
-    unknown = sorted(set(keys) - set(accepted))
-    if unknown:
-        raise ValueError(f"{fam['kind']}: unknown keys {unknown}; accepted keys are {accepted}")
-    return keys
+    if not isinstance(fam, dict):
+        raise ValueError(f"a corpus family must be an object with a kind, not {fam!r}")
+    return declared_keys(FAMILIES, fam.get("kind"), fam, 2, "kind")[1]
 
 
 def generate_corpus(spec: CorpusSpec) -> list[tuple[str, GridFunction]]:
-    """Deterministic (function_id, GridFunction) list for a corpus spec."""
+    """Deterministic (function_id, GridFunction) list for a corpus spec.
+
+    A value of the wrong type (``"radius": "abc"``) or past the float range is
+    only found while its family is built; it raises ValueError naming the family.
+    """
     rng = np.random.default_rng(spec.seed)
     out: list[tuple[str, GridFunction]] = []
     for fam in spec.families:
-        built = FAMILIES[fam["kind"]](spec, rng, **_family_kwargs(fam))
+        try:
+            built = FAMILIES[fam["kind"]](spec, rng, **_family_kwargs(fam))
+        except BAD_VALUE as exc:
+            raise ValueError(f"{fam['kind']}: {exc}") from exc
         for i, gf in enumerate(built):
             out.append((f"{fam['kind']}_{i:02d}", gf))
     return out

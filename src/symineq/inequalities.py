@@ -16,7 +16,7 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from .measure import GridFunction, MassFunction, require_finite_p, support_measure
+from .measure import GridFunction, MassFunction, declared_keys, require_finite_p, support_measure
 from .rearrangement import (
     StepProfile,
     decreasing_rearrangement,
@@ -58,6 +58,9 @@ __all__ = [
 ]
 
 SCALAR_TOLERANCE = 1e-10
+
+# The constant a p-check compares against: the paper's (analytic) or the observed ratio (fitted).
+CONSTANT_MODES = ("analytic", "fitted")
 
 # The (a, b) lattice of the scalar sweeps: [0, SWEEP_A_MAX]^2 at SWEEP_POINTS per axis.
 SWEEP_A_MAX = 20.0
@@ -177,7 +180,7 @@ def _check_span(f: GridFunction) -> tuple:
 def _grid_params(f: GridFunction, p: float, constant_mode: str, gradient_mode: str) -> dict:
     """The params record of a p-check; a p without a k or an unknown constant_mode raises."""
     require_finite_p(p)  # an infinite p has no k
-    if constant_mode not in ("analytic", "fitted"):
+    if constant_mode not in CONSTANT_MODES:
         raise ValueError(f"unknown constant_mode {constant_mode!r}")
     return {
         "p": p,
@@ -851,18 +854,10 @@ def entry_keys(name: str, entry: dict, arity: int | None = None, config: bool = 
     An unknown id or key, or an id taking other than ``arity`` functions,
     raises ValueError.  A ``config`` entry (JSON) cannot set ``CODE_ONLY`` keys.
     """
-    if name not in CHECKERS:
-        raise ValueError(f"unknown inequality id {name!r}; known ids are {sorted(CHECKERS)}")
-    takes = ARITY.get(name, 1)
+    takes = ARITY.get(name, 1) if isinstance(name, str) else 1  # a non-string id is unknown (below)
     if arity is not None and takes != arity:
         raise ValueError(f"{name!r} takes {takes} functions, not {arity}")
-    checker_keys = list(inspect.signature(CHECKERS[name]).parameters)[takes:]
-    accepted = [k for k in checker_keys if not (config and k in CODE_ONLY)]
-    keys = {k: v for k, v in entry.items() if k != "id"}
-    unknown = sorted(set(keys) - set(accepted))
-    if unknown:
-        raise ValueError(f"{name}: unknown keys {unknown}; accepted keys are {accepted}")
-    return accepted, keys
+    return declared_keys(CHECKERS, name, entry, takes, "id", CODE_ONLY if config else ())
 
 
 def checker_kwargs(name: str, entry: dict, context: dict, arity: int | None = None) -> dict:

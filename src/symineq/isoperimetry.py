@@ -8,14 +8,12 @@ accepted so externally measured profiles can be plugged into the checkers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .measure import GridFunction, require_finite_measure
+from .measure import GridFunction, read_document, require_finite_measure, write_document
 
 __all__ = [
     "ProfileHandle",
@@ -101,28 +99,16 @@ class ProfileHandle:
         doc = {"kind": self.kind, **{key: getattr(self, key) for key in _KIND_KEYS[self.kind]}}
         if self.kind == "table":
             doc["samples"] = [list(s) for s in self.samples]
-        if path is None:
-            return doc
-        Path(path).write_text(json.dumps(doc), encoding="utf-8")
-        return None
+        return doc if path is None else write_document(doc, path)
 
     @classmethod
     def from_json(cls, source) -> "ProfileHandle":
-        doc = source if isinstance(source, dict) else json.loads(
-            Path(source).read_text(encoding="utf-8")
-        )
-        if not isinstance(doc, dict):
-            raise ValueError("a profile handle must be a JSON object")
-        kind = doc.get("kind")
-        if kind not in _KIND_KEYS:
-            raise ValueError(f"unknown profile kind {kind!r}")
-        unknown = sorted(set(doc) - {"kind", *_KIND_KEYS[kind]})
-        if unknown:
-            raise ValueError(f"unknown {kind} profile keys {unknown}")
-        if kind == "power_law":
-            return cls(kind=kind, coefficient=float(doc["coefficient"]), exponent=float(doc["exponent"]))
-        samples = tuple((float(t), float(v)) for t, v in doc["samples"])
-        return cls(kind=kind, samples=samples)
+        def build(doc):
+            if doc["kind"] == "power_law":
+                return cls("power_law", coefficient=float(doc["coefficient"]), exponent=float(doc["exponent"]))
+            return cls("table", samples=tuple((float(t), float(v)) for t, v in doc["samples"]))
+
+        return read_document(source, "profile", _KIND_KEYS, build)
 
 
 def euclidean_profile(n: int) -> ProfileHandle:

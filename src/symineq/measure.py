@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -227,22 +229,86 @@ class GridFunction:
             "extents": list(self.extents),
             "values": self.values.ravel().tolist(),
         }
-        if path is None:
-            return doc
-        Path(path).write_text(json.dumps(doc), encoding="utf-8")
-        return None
+        return doc if path is None else write_document(doc, path)
 
     @classmethod
     def from_json(cls, source) -> "GridFunction":
-        if isinstance(source, dict):
-            doc = source
-        else:
-            doc = json.loads(Path(source).read_text(encoding="utf-8"))
-        extents = tuple(int(n) for n in doc["extents"])
-        if int(doc["dim"]) != len(extents):
-            raise ValueError("dim does not match the number of extents")
-        values = np.asarray(doc["values"], dtype=float).reshape(extents)
-        return cls(float(doc["spacing"]), values)
+        def build(doc):
+            extents = tuple(check_whole("grid function", "extents", n, 1, floats=True) for n in doc["extents"])
+            if check_whole("grid function", "dim", doc["dim"], 1, floats=True) != len(extents):
+                raise ValueError("dim does not match the number of extents")
+            values = np.asarray(doc["values"], dtype=float).reshape(extents)
+            return cls(float(doc["spacing"]), values)
+
+        return read_document(source, "grid function", ("dim", "spacing", "extents", "values"), build)
+
+
+# -- input documents: one reader, one writer, one home for key checks ----------
+
+BAD_VALUE = (TypeError, OverflowError)  # what a build raises on a mistyped value or an int past the float range
+
+
+def read_document(source, what: str, keys, build):
+    """``build(doc)`` for the JSON object ``source``, a dict or the path of a file holding one.
+
+    ``keys`` are its keys, or a dict of the keys of each ``"kind"``.  No object,
+    an unknown kind or key, or a build raising KeyError or ``BAD_VALUE`` raises
+    ValueError naming ``what``.  Pass an object nested in a document through
+    ``json_object`` first: a string in a document never names a file.
+    """
+    doc = source if isinstance(source, dict) else json.loads(Path(source).read_text(encoding="utf-8"))
+    json_object(doc, what)
+    if isinstance(keys, dict):
+        kind = doc.get("kind")
+        if not isinstance(kind, str) or kind not in keys:
+            raise ValueError(f"unknown {what} kind {kind!r}")
+        what, keys = f"{kind} {what}", ("kind", *keys[kind])
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}")
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise ValueError(f"{what}: missing key {exc}") from exc
+    except BAD_VALUE as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+
+
+def json_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object, else ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"a {what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def write_document(doc, path, indent: int | None = None) -> None:
+    """Write ``doc`` to ``path`` as JSON."""
+    Path(path).write_text(json.dumps(doc, indent=indent), encoding="utf-8")
+
+
+def check_whole(what: str, key: str, value, least: int, floats: bool = False) -> int:
+    """``value`` as an int if it is one >= ``least`` (no bool; with ``floats``, 4.0 is 4), else ValueError."""
+    whole = isinstance(value, numbers.Integral) or floats and isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole or value < least:
+        raise ValueError(f"{what}: {key} must be an integer >= {least}, not {value!r}")
+    return int(value)
+
+
+def declared_keys(registry: dict, name, entry: dict, skip: int, noun: str, exclude=()) -> tuple[list, dict]:
+    """The keys an entry may set, and its own keys: all but ``noun``, the key that names ``registry[name]``.
+
+    That callable's parameters after its first ``skip``, less ``exclude``, are
+    the keys an entry may set; nothing else declares them.  An unknown name
+    or key raises ValueError.
+    """
+    if not (isinstance(name, str) and name in registry):
+        raise ValueError(f"unknown {noun} {name!r}; known {noun}s are {sorted(registry)}")
+    accepted = [k for k in list(inspect.signature(registry[name]).parameters)[skip:] if k not in exclude]
+    keys = {k: v for k, v in entry.items() if k != noun}
+    unknown = sorted(set(keys) - set(accepted))
+    if unknown:
+        raise ValueError(f"{name}: unknown keys {unknown}; accepted keys are {accepted}")
+    return accepted, keys
 
 
 def grid_to_mass(f: GridFunction, *, scratch: Scratch | None = None) -> MassFunction:

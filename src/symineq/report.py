@@ -30,9 +30,9 @@ class CheckReport:
     Error outcomes carry a non-"ok" status and never pass.
 
     ``trace`` holds the per-t evidence of a traced check as an (m, 3) float64
-    array of (t, lhs, rhs) rows; a report loaded from JSON holds the same
-    rows as a list of [t, lhs, rhs] lists.  ``trace_text`` is the report
-    writer's cache of the formatted trace, paired with the trace it formats.
+    array of (t, lhs, rhs) rows, also in a report loaded from JSON.
+    ``trace_text`` is the report writer's cache of the formatted trace,
+    paired with the trace it formats.
     """
 
     inequality_id: str
@@ -44,7 +44,7 @@ class CheckReport:
     passed: bool = field(init=False)
     status: str = "ok"
     function_id: str | None = None
-    trace: np.ndarray | list | None = None
+    trace: np.ndarray | None = None
     trace_text: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -87,12 +87,14 @@ class CheckReport:
             "status": self.status,
         }
         if include_trace and self.trace is not None:
-            trace = self.trace
-            doc["trace"] = trace.tolist() if isinstance(trace, np.ndarray) else trace
+            doc["trace"] = self.trace.tolist()
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CheckReport":
+        trace = None if doc.get("trace") is None else np.array(doc["trace"], dtype=float)
+        if trace is not None and trace.shape[1:] != (3,) and trace.shape != (0,):
+            raise ValueError("every trace row needs three values (t, lhs, rhs)")
         report = cls(
             inequality_id=doc["inequality_id"],
             params=dict(doc["params"]),
@@ -102,7 +104,7 @@ class CheckReport:
             tolerance=doc["tolerance"],
             status=doc.get("status", "ok"),
             function_id=doc.get("function_id"),
-            trace=doc.get("trace"),
+            trace=None if trace is None else trace.reshape(-1, 3),
         )
         if report.passed != doc["pass"]:
             raise ValueError("pass flag inconsistent with ratio/constant/tolerance")

@@ -16,15 +16,13 @@ import pickle
 import signal
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
-from .corpus import CorpusSpec, check_keys, generate_corpus
+from .corpus import CorpusSpec, generate_corpus
 from .gradient import PreparedFunction
 from .inequalities import ARITY, CHECKERS, check_binomial_bounds, check_oneil, checker_kwargs, entry_keys
-from .measure import Scratch
+from .measure import Scratch, json_object, read_document, write_document
 from .report import CheckReport, best_constant, require_tolerance
 
 __all__ = ["SuiteConfig", "run_suite", "emit_report", "load_report", "DEFAULT_INEQUALITIES"]
@@ -63,6 +61,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.tolerance is not None:
             require_tolerance(self.tolerance)
+        if not isinstance(self.detail, bool):
+            raise ValueError(f"detail must be true or false, not {self.detail!r}")
         for entry in self.inequalities:
             entry_keys(entry.get("id"), entry, config=True)
             if "tolerance" in entry:
@@ -77,22 +77,18 @@ class SuiteConfig:
             "detail": self.detail,
             "corpus": self.corpus.to_json(),
         }
-        if path is None:
-            return doc
-        Path(path).write_text(json.dumps(doc, indent=2), encoding="utf-8")
-        return None
+        return doc if path is None else write_document(doc, path, indent=2)
 
     @classmethod
     def from_json(cls, source) -> "SuiteConfig":
-        doc = source if isinstance(source, dict) else json.loads(
-            Path(source).read_text(encoding="utf-8")
-        )
-        check_keys(doc, cls, "suite config")
-        values = dict(doc, detail=bool(doc.get("detail", False)))
-        values["inequalities"] = tuple(dict(e) for e in doc.get("inequalities", DEFAULT_INEQUALITIES))
-        if "corpus" in doc:
-            values["corpus"] = CorpusSpec.from_json(doc["corpus"])
-        return cls(**values)
+        def build(doc):
+            entries = doc.get("inequalities", DEFAULT_INEQUALITIES)
+            values = dict(doc, inequalities=tuple(dict(e) for e in entries))
+            if "corpus" in doc:
+                values["corpus"] = CorpusSpec.from_json(json_object(doc["corpus"], "corpus spec"))
+            return cls(**values)
+
+        return read_document(source, "suite config", [f.name for f in fields(cls)], build)
 
 
 def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
@@ -314,6 +310,13 @@ def suite_exit_code(reports: list[CheckReport]) -> int:
     return 1
 
 
+# The CSV report's columns; a JSON report row has these keys, and "trace" in detail mode.
+_COLUMNS = (
+    "inequality_id", "function_id", "worst_ratio", "worst_location", "constant_used", "tolerance",
+    "pass", "status", "grid", "gradient_mode", "seed", "params",
+)
+
+
 def _report_row(report: CheckReport, seed) -> dict:
     row = report.to_dict()
     row["grid"] = report.params.get("grid")
@@ -335,16 +338,11 @@ def _trace_text(report: CheckReport, t_text: dict) -> str:
     trace = report.trace
     if report.trace_text is not None and report.trace_text[0] is trace:
         return report.trace_text[1]
-    if isinstance(trace, np.ndarray):
-        rows = trace.astype(float, copy=False).reshape(len(trace), 3)
-    else:
-        # float() also turns numpy scalars into floats, whose repr is the plain number
-        rows = np.array([[float(x) for x in row] for row in trace]).reshape(len(trace), 3)
-    t = rows[:, 0]
+    t = trace[:, 0]
     key = t.tobytes()
     if key not in t_text:
         t_text[key] = [repr(x) for x in t.tolist()]
-    values = rows.ravel().tolist()
+    values = trace.ravel().tolist()
     values[0::3] = t_text[key]
     text = "%s,%r,%r\r\n" * len(trace) % tuple(values)
     report.trace_text = (trace, text)
@@ -411,28 +409,14 @@ def emit_report(
         return
     if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")
-    columns = [
-        "inequality_id",
-        "function_id",
-        "worst_ratio",
-        "worst_location",
-        "constant_used",
-        "tolerance",
-        "pass",
-        "status",
-        "grid",
-        "gradient_mode",
-        "seed",
-        "params",
-    ]
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(columns)
+            writer.writerow(_COLUMNS)
             for r in reports:
                 doc = _report_row(r, seed)
                 doc["params"] = json.dumps(doc["params"], sort_keys=True)
-                writer.writerow([doc[c] for c in columns])
+                writer.writerow([doc[c] for c in _COLUMNS])
         if detail:
             trace_path = path.with_name(path.stem + "_trace" + path.suffix)
             # the id columns go through the csv module (quoting) once per
@@ -456,5 +440,9 @@ def emit_report(
 
 def load_report(path) -> list[CheckReport]:
     """Parse a JSON report document back into CheckReports."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [CheckReport.from_dict(row) for row in doc["reports"]]
+
+    def build(doc):
+        rows = [json_object(row, "report row") for row in doc["reports"]]
+        return [read_document(row, "report row", (*_COLUMNS, "trace"), CheckReport.from_dict) for row in rows]
+
+    return read_document(path, "report", ("generated_at", "summary", "reports"), build)
