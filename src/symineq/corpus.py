@@ -20,6 +20,9 @@ from .isoperimetry import disk_mask, mollify_ladder
 
 __all__ = ["CorpusSpec", "generate_corpus", "cone_grid", "tent_grid"]
 
+# The most cells (of one function, or of a family's functions or bumps) a spec may ask for.
+_INDEX_LIMIT = int(np.iinfo(np.intp).max)
+
 
 @dataclass(frozen=True)
 class CorpusSpec:
@@ -57,11 +60,16 @@ class CorpusSpec:
             raise ValueError("a corpus spec needs at least one family")
         if self.extents < 16:
             raise ValueError("grid too small for the corpus features")
+        # bounded before any power or shape of dim is built: at extents >= 16, dim 16 is past the limit
+        cells = self.extents**self.dim if self.dim < 16 and self.extents <= _INDEX_LIMIT else _INDEX_LIMIT + 1
+        if cells > _INDEX_LIMIT:
+            raise ValueError(f"corpus spec: extents ** dim is past the {_INDEX_LIMIT} cells numpy can index")
         require_finite_measure(self.spacing, (self.extents,) * self.dim)
         for fam in families:
             keys = _family_kwargs(fam)
             for key in sorted({"count", "bumps"}.intersection(keys)):
-                check_whole(fam["kind"], key, keys[key], 1)
+                if check_whole(fam["kind"], key, keys[key], 1) > _INDEX_LIMIT // cells:
+                    raise ValueError(f"{fam['kind']}: {key} times {cells} cells is past what numpy can index")
             if fam["kind"] == "smoothed_noise":
                 _noise_margin(self.extents, keys.get("radius", NOISE_RADIUS))
 
@@ -93,14 +101,12 @@ def _radial_distance(extents, spacing, center):
     return np.sqrt(sum((g - c) ** 2 for g, c in zip(grids, center)))
 
 
-def _zero_margin(values: np.ndarray, cells: int = 2) -> np.ndarray:
+def _zero_margin(values: np.ndarray) -> None:
+    """Zero the two outermost cells at both ends of every axis, in place."""
     for ax in range(values.ndim):
-        sl = [slice(None)] * values.ndim
-        sl[ax] = slice(0, cells)
-        values[tuple(sl)] = 0.0
-        sl[ax] = slice(-cells, None)
-        values[tuple(sl)] = 0.0
-    return values
+        along = np.moveaxis(values, ax, 0)
+        along[:2] = 0.0
+        along[-2:] = 0.0
 
 
 def cone_grid(
@@ -146,10 +152,10 @@ def _box_average_axis(arr: np.ndarray, axis: int, radius: int) -> np.ndarray:
     return out
 
 
-def _box_blur(values: np.ndarray, radius: int, passes: int = 3) -> np.ndarray:
-    """Iterated box average with window 2*radius+1 per axis, zero padded."""
+def _box_blur(values: np.ndarray, radius: int) -> np.ndarray:
+    """Three iterated box averages with window 2*radius+1 per axis, zero padded."""
     out = values
-    for _ in range(passes):
+    for _ in range(3):
         for ax in range(out.ndim):
             out = _box_average_axis(out, ax, radius)
     return out

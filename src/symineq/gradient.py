@@ -108,6 +108,12 @@ def _modulus_values(
     return np.sqrt(modulus, out=modulus)
 
 
+def require_gradient_mode(mode) -> None:
+    """Reject a mode outside ``GRADIENT_MODES``; None too, which names f's own chain in ``PreparedFunction``."""
+    if mode not in GRADIENT_MODES:
+        raise ValueError(f"unknown gradient mode {mode!r}; expected one of {GRADIENT_MODES}")
+
+
 def metric_gradient_modulus(
     f: GridFunction,
     mode: str = "metric_max",
@@ -120,8 +126,7 @@ def metric_gradient_modulus(
     ``scratch`` and ``out`` are passed to the kernel: the work buffers, and
     the array that receives the modulus (a fresh one by default).
     """
-    if mode not in GRADIENT_MODES:
-        raise ValueError(f"unknown gradient mode {mode!r}; expected one of {GRADIENT_MODES}")
+    require_gradient_mode(mode)
     try:
         return GridFunction(f.spacing, _modulus_values(f.values, f.spacing, mode, scratch=scratch, out=out))
     except ValueError as exc:
@@ -134,14 +139,15 @@ def metric_gradient_modulus(
 class PreparedFunction:
     """A grid function with its rearrangement artifacts, each built on first use.
 
-    ``mass`` and ``profile`` are the distribution of |f| and its decreasing
-    rearrangement; ``grad(mode)``, ``grad_mass(mode)`` and
-    ``grad_profile(mode)`` are the same chain for the gradient modulus in
-    one gradient mode; ``powered(profile, p)`` is the p-th power of either
-    profile.  Every artifact is built at most once and is bit-identical to
-    building it directly from ``grid``.  ``is_zero`` is the one zero-function
-    test; ``grad``, ``norm`` and ``powered`` reject a nonzero f whose
-    gradient, norm or power underflows to nothing.
+    One chain serves f and its gradient modulus alike: ``mass(mode)`` is the
+    distribution of |f| for ``mode`` None and of |grad f| in that gradient
+    mode otherwise, ``profile(mode)`` its decreasing rearrangement,
+    ``powered(p, mode)`` the profile's p-th power and ``norm(p, mode)`` the
+    L^p norm; ``grad(mode)`` is the modulus as a grid function.  Every
+    artifact is built at most once and is bit-identical to building it
+    directly from ``grid``.  ``is_zero`` is the one zero-function test;
+    ``grad``, ``norm`` and ``powered`` reject a nonzero f whose gradient,
+    norm or power underflows to nothing.
 
     ``scratch`` holds the cell-sized work buffers of the builds and of the
     checkers that read this function; functions that share one (those of a
@@ -150,30 +156,29 @@ class PreparedFunction:
     a work buffer.
     """
 
-    __slots__ = ("grid", "scratch", "_cache", "_powers")
+    __slots__ = ("grid", "scratch", "_cache")
 
     def __init__(self, grid: GridFunction, *, scratch: Scratch | None = None):
         self.grid = grid
         self.scratch = Scratch() if scratch is None else scratch
         self._cache = {}
-        self._powers = {}
 
     def _cached(self, key, build):
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
 
-    @property
-    def mass(self) -> MassFunction:
-        return self._cached("mass", lambda: grid_to_mass(self.grid, scratch=self.scratch))
+    def mass(self, mode: str | None = None) -> MassFunction:
+        return self._cached(
+            ("mass", mode), lambda: grid_to_mass(self.grid if mode is None else self.grad(mode), scratch=self.scratch)
+        )
 
-    @property
-    def profile(self) -> StepProfile:
-        return self._cached("profile", lambda: decreasing_rearrangement(self.mass))
+    def profile(self, mode: str | None = None) -> StepProfile:
+        return self._cached(("profile", mode), lambda: decreasing_rearrangement(self.mass(mode)))
 
     @property
     def is_zero(self) -> bool:
-        return self.mass.max_value == 0
+        return self.mass().max_value == 0
 
     def grad(self, mode: str = "metric_max") -> GridFunction:
         return self._cached(("grad", mode), lambda: self._nonzero_grad(mode))
@@ -186,46 +191,36 @@ class PreparedFunction:
 
     def norm(self, p: float, mode: str | None = None) -> float:
         """L^p norm of f, or of its gradient modulus in ``mode``; each is summed once."""
-        key = ("norm", p, mode)
-        norm = self._cached(key, lambda: lp_norm(self.mass if mode is None else self.grad_mass(mode), p))
+        norm = self._cached(("norm", p, mode), lambda: lp_norm(self.mass(mode), p))
         if norm == 0.0 and not self.is_zero:
             raise ValueError(f"nonzero function whose L^{p:g} norm underflows to 0: malformed input")
         return norm
 
-    def grad_mass(self, mode: str = "metric_max") -> MassFunction:
-        return self._cached(("grad_mass", mode), lambda: grid_to_mass(self.grad(mode), scratch=self.scratch))
-
-    def grad_profile(self, mode: str = "metric_max") -> StepProfile:
-        return self._cached(
-            ("grad_profile", mode), lambda: decreasing_rearrangement(self.grad_mass(mode))
-        )
-
-    def powered(self, profile: StepProfile, p: float) -> StepProfile:
-        """``powered_profile(profile, p)`` of ``self.profile`` or a ``grad_profile``, built once.
+    def powered(self, p: float, mode: str | None = None) -> StepProfile:
+        """``powered_profile(self.profile(mode), p)``, built once.
 
         A positive profile whose p-th power has lost its top level to
         underflow (below the least normal float) is rejected: its powered
         integrals would read 0 or be dominated by rounding.
         """
-        key = (id(profile), p)
-        if key not in self._powers:
-            powered = powered_profile(profile, p)
-            if p > 1 and profile.max_level > 0 and powered.max_level < _TINY:
-                raise ValueError(
-                    f"nonzero profile whose top level to the power {p:g} underflows: malformed input"
-                )
-            # the entry holds `profile`, so no other object can take its id while cached
-            self._powers[key] = (profile, powered)
-        return self._powers[key][1]
+        return self._cached(("powered", p, mode), lambda: self._nonzero_power(p, mode))
+
+    def _nonzero_power(self, p: float, mode: str | None) -> StepProfile:
+        profile = self.profile(mode)
+        powered = powered_profile(profile, p)
+        if p > 1 and profile.max_level > 0 and powered.max_level < _TINY:
+            raise ValueError(f"nonzero profile whose top level to the power {p:g} underflows: malformed input")
+        return powered
 
     def keep_powers(self, ps) -> None:
         """Drop every cached powered profile whose p is not in ``ps``."""
-        self._powers = {key: entry for key, entry in self._powers.items() if key[1] in ps}
+        # deleted in place: a rebuilt dict would hash every key again, once per suite entry
+        for key in [key for key in self._cache if key[0] == "powered" and key[1] not in ps]:
+            del self._cache[key]
 
     def keep_profile_only(self) -> None:
-        """Build the profile if needed, then drop every other cached artifact."""
-        self._cache = {"profile": self.profile}
-        self._powers = {}
+        """Build f's profile if needed, then drop every other cached artifact."""
+        self._cache = {("profile", None): self.profile()}
 
 
 def prepare(f) -> PreparedFunction:
@@ -311,6 +306,7 @@ def polya_szego_compare(
     infinite and the interpolant value has no refinement limit.
     """
     require_finite_p(p)
+    require_gradient_mode(gradient_mode)
     pf = prepare(f)
     grid = pf.grid
     n = grid.dim
@@ -326,7 +322,7 @@ def polya_szego_compare(
         # constant-zero input: ratio defined as 0
         return CheckReport.trivial_pass("polya_szego", params, 1.0, tolerance)
     rhs = pf.norm(p, gradient_mode)
-    profile = pf.profile
+    profile = pf.profile()
     lhs = polya_szego_lhs(profile, n, p, weight)
     params["jump_flag"] = has_profile_jump(profile)
     return CheckReport(

@@ -30,6 +30,7 @@ from .gradient import (
     metric_gradient_modulus,
     polya_szego_compare,
     prepare,
+    require_gradient_mode,
 )
 from .isoperimetry import ProfileHandle, euclidean_profile, phi_from_profile
 from .report import GRID_TOLERANCE, CheckReport, best_constant
@@ -178,10 +179,11 @@ def _check_span(f: GridFunction) -> tuple:
 
 
 def _grid_params(f: GridFunction, p: float, constant_mode: str, gradient_mode: str) -> dict:
-    """The params record of a p-check; a p without a k or an unknown constant_mode raises."""
+    """The params record of a p-check; a p without a k or an unknown constant or gradient mode raises."""
     require_finite_p(p)  # an infinite p has no k
     if constant_mode not in CONSTANT_MODES:
         raise ValueError(f"unknown constant_mode {constant_mode!r}")
+    require_gradient_mode(gradient_mode)
     return {
         "p": p,
         "n": f.dim,
@@ -238,7 +240,7 @@ def check_s_phi_p(
     if pf.is_zero:
         return CheckReport.trivial_pass("s_phi_p", doc, 1.0, tolerance)
     norm_p, grad_norm = pf.norm(p), pf.norm(p, gradient_mode)
-    supp = doc["support_measure"] = support_measure(pf.mass)
+    supp = doc["support_measure"] = support_measure(pf.mass())
     ratio = norm_p / (_phi_for(pf, phi)(supp) * grad_norm)
     return _finalize("s_phi_p", doc, float(ratio), supp, 1.0, tolerance)
 
@@ -264,8 +266,8 @@ def check_oscillation_p(
     doc["constant_formula"] = "2^((k+1)/p - 1)"
     if pf.is_zero:
         return CheckReport.trivial_pass("oscillation_p", doc, constant, tolerance)
-    fp = pf.powered(pf.profile, p)
-    gp = pf.powered(pf.grad_profile(gradient_mode), p)
+    fp = pf.powered(p)
+    gp = pf.powered(p, gradient_mode)
     span = _check_span(pf.grid)
     t = _tgrid(span)
     phi_t = _phi_on_tgrid(span, _phi_for(pf, phi))
@@ -322,12 +324,12 @@ def check_derivative_p(
     if pf.is_zero:
         return CheckReport.trivial_pass("derivative_p", doc, constant, tolerance)
     phi = _phi_for(pf, phi)
-    gp = pf.powered(pf.grad_profile(gradient_mode), p)
+    gp = pf.powered(p, gradient_mode)
     span = _check_span(pf.grid)
     t = _tgrid(span)
     status = "ok"
     if form == "integrated":
-        amplitude = maximal_average(pf.powered(pf.profile, p), t) ** (1.0 / p)
+        amplitude = maximal_average(pf.powered(p), t) ** (1.0 / p)
         lhs = amplitude[:-1] - amplitude[1:]
         right, phi_over_t, widths = _refined_tgrid(span, phi, DERIVATIVE_REFINE)
         vals = phi_over_t * maximal_average(gp, right) ** (1.0 / p)
@@ -340,7 +342,7 @@ def check_derivative_p(
             if np.any(integrand[1:] > integrand[:-1] * (1.0 + INTEGRAND_RISE_SLACK)):
                 status = "flagged:non_monotone_integrand"
     else:
-        lhs = dform_derivative(pf.profile, p, t)
+        lhs = dform_derivative(pf.profile(), p, t)
         rhs = _phi_on_tgrid(span, phi) / t * maximal_average(gp, t) ** (1.0 / p)
         locs = t
     ratios = _ratio(lhs, rhs)
@@ -570,7 +572,6 @@ def check_oneil(
     masses=None,
     t_grid: np.ndarray | None = None,
     tolerance: float = SCALAR_TOLERANCE,
-    points_per_decade: int = 16,
 ) -> CheckReport:
     """Product bound (fg)**(t) <= (1/t) int_0^t f*(s) g*(s) ds.
 
@@ -580,7 +581,7 @@ def check_oneil(
     formed cellwise before any rearrangement; prepared functions contribute
     their cached profiles, so only the product is sorted.  The default t-grid
     ends at the domain measure for grid functions (one grid per grid shape),
-    and at the summed masses for value arrays.
+    and at the summed masses for value arrays, 16 points per decade.
     """
     grids = (GridFunction, PreparedFunction)
     grid_pair = isinstance(f, grids) and isinstance(g, grids)
@@ -591,7 +592,7 @@ def check_oneil(
         gf, gg = pf.grid, pg.grid
         if gf.extents != gg.extents or gf.spacing != gg.spacing:
             raise ValueError("grid functions must share extents and spacing")
-        prof_f, prof_g = pf.profile, pg.profile
+        prof_f, prof_g = pf.profile(), pg.profile()
         # |f g| = |f| |g| bit for bit; like |f| in grid_to_mass, the product is sorted where it lies
         vfg = pf.scratch.buffer("values", (gf.values.size,))
         np.multiply(gf.values.ravel(), gg.values.ravel(), out=vfg)
@@ -617,7 +618,7 @@ def check_oneil(
 
     if t_grid is None:
         total = gf.domain_measure if grid_pair else prof_fg.total_measure
-        t_grid = _tgrid((total * 1e-5, total, points_per_decade))
+        t_grid = _tgrid((total * 1e-5, total, 16))
     t_grid = np.asarray(t_grid, dtype=float)
     lhs = maximal_average(prof_fg, t_grid)
     rhs = hl_profile.prefix_integral(t_grid) / t_grid
@@ -643,6 +644,7 @@ def _nash_setup(f, p: float, c1: float, c2: float, classical: bool, gradient_mod
     if p <= 1:
         raise ValueError("the Nash form needs p > 1")
     require_finite_p(p)
+    require_gradient_mode(gradient_mode)
     pf = prepare(f)
     if pf.is_zero:
         raise ValueError("||f||_p must be positive")
@@ -720,7 +722,6 @@ def check_sobolev(
     p: float | None = None,
     gradient_mode: str = "metric_max",
     tolerance: float = GRID_TOLERANCE,
-    constant: float | None = None,
 ) -> CheckReport:
     """Sobolev-family bounds against the gradient L^p norm, n the dimension of f's grid.
 
@@ -728,7 +729,8 @@ def check_sobolev(
     * ``strong`` (1 <= p < n): { int ((f**-f*) t^(1/pbar))^p dt/t }^(1/p).
     * ``exp`` (p = n): { int (f**-f*)^n dt/t }^(1/n).
     * ``morrey`` (p > n, unit-measure domain): f**(0+) - f**(1), against
-      (1/n - 1/p)^(-1) || |grad f| ||_p.
+      (1/n - 1/p)^(-1) || |grad f| ||_p, the one constant asserted; the
+      other modes use the observed ratio.
 
     ``p`` None means n for ``exp`` and 1 otherwise.  Oscillation integrals
     run over (0, measure(domain)]; the fitted constant is always recorded.
@@ -740,6 +742,7 @@ def check_sobolev(
         p = float(n) if mode == "exp" else 1.0
     if mode not in ("weak", "strong", "exp", "morrey"):
         raise ValueError(f"unknown mode {mode!r}")
+    require_gradient_mode(gradient_mode)
     if mode in ("weak", "strong") and not (1 <= p < n):
         raise ValueError("weak/strong modes need 1 <= p < n")
     if mode == "exp" and p != n:
@@ -758,8 +761,8 @@ def check_sobolev(
         "grid": grid.shape_label,
     }
     if pf.is_zero:
-        return CheckReport.trivial_pass(f"sobolev_{mode}", doc, 1.0 if constant is None else constant, tolerance)
-    profile = pf.profile
+        return CheckReport.trivial_pass(f"sobolev_{mode}", doc, 1.0, tolerance)
+    profile = pf.profile()
     grad_norm = pf.norm(p, gradient_mode)
 
     location = None
@@ -784,18 +787,12 @@ def check_sobolev(
 
     ratio = float(_ratio(lhs, grad_norm))
     doc["fitted_constant"] = ratio / base_constant
-    if mode == "morrey":
-        # explicit constant: (1/n - 1/p)^(-1) times the (default 1) prefactor
-        constant_used = (1.0 if constant is None else constant) * base_constant
-    else:
-        # no explicit constant is asserted; fitted unless the caller pins one
-        constant_used = ratio if constant is None else constant
     return CheckReport(
         inequality_id=f"sobolev_{mode}",
         params=doc,
         worst_ratio=ratio,
         worst_location=location,
-        constant_used=constant_used,
+        constant_used=base_constant if mode == "morrey" else ratio,
         tolerance=tolerance,
     )
 

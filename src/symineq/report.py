@@ -59,11 +59,11 @@ class CheckReport:
         return self.worst_ratio <= self.constant_used * (1.0 + self.tolerance)
 
     @classmethod
-    def error(cls, inequality_id: str, status: str, function_id=None, params=None):
+    def error(cls, inequality_id: str, status: str):
         """A failed-with-reason row; keeps suites running past bad inputs."""
         return cls(
-            inequality_id, params or {}, worst_ratio=math.nan, worst_location=None,
-            constant_used=math.nan, tolerance=0.0, status=status, function_id=function_id,
+            inequality_id, {}, worst_ratio=math.nan, worst_location=None,
+            constant_used=math.nan, tolerance=0.0, status=status,
         )
 
     @classmethod

@@ -20,8 +20,9 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .corpus import CorpusSpec, generate_corpus
-from .gradient import PreparedFunction
-from .inequalities import ARITY, CHECKERS, check_binomial_bounds, check_oneil, checker_kwargs, entry_keys
+from .gradient import GRADIENT_MODES, PreparedFunction
+from .inequalities import ARITY, CHECKERS, CONSTANT_MODES, checker_kwargs, entry_keys
+from .inequalities import check_binomial_bounds, check_oneil  # called by name here, so a tracer can rebind them
 from .measure import Scratch, json_object, read_document, write_document
 from .report import CheckReport, best_constant, require_tolerance
 
@@ -49,7 +50,7 @@ DEFAULT_INEQUALITIES = (
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Which checks to run and how; unknown ids and entry keys, ``CODE_ONLY`` ones included, are rejected."""
+    """Which checks to run and how; unknown ids, entry keys (``CODE_ONLY`` ones too) and run-wide modes are rejected."""
 
     inequalities: tuple = DEFAULT_INEQUALITIES
     gradient_mode: str = "metric_max"
@@ -67,6 +68,9 @@ class SuiteConfig:
             entry_keys(entry.get("id"), entry, config=True)
             if "tolerance" in entry:
                 require_tolerance(entry["tolerance"])
+        for key, modes in (("gradient_mode", GRADIENT_MODES), ("constant_mode", CONSTANT_MODES)):
+            if getattr(self, key) not in modes:
+                raise ValueError(f"unknown {key} {getattr(self, key)!r}; expected one of {modes}")
 
     def to_json(self, path=None):
         doc = {
@@ -109,9 +113,9 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
     process runs the first chunk and a forked child runs each other one;
     a chunk re-prepares the function before its start for the O'Neil pair
     across the cut, and its rows join the others in chunk order, so the
-    reports are those of one pass.  With one CPU or one function nothing
-    forks.  An exception a child raises is raised here, and no child
-    outlives the call.
+    reports are those of one pass.  With one CPU or one function there is
+    one chunk, and the same path runs it here without forking.  An
+    exception a child raises is raised here, and no child outlives the call.
     """
     if corpus is None:
         corpus = generate_corpus(config.corpus)
@@ -175,11 +179,7 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
         return out
 
     n, workers = len(corpus), _worker_count(len(corpus))
-    if workers == 1:
-        chunks = [run_chunk(0, n)]
-    else:
-        chunks = _run_forked(run_chunk, [(n * i // workers, n * (i + 1) // workers) for i in range(workers)])
-    for chunk in chunks:
+    for chunk in _run_forked(run_chunk, [(n * i // workers, n * (i + 1) // workers) for i in range(workers)]):
         for slot, part in zip(rows, chunk):
             slot.extend(part)
     return [report for slot in rows for report in slot]
@@ -197,14 +197,14 @@ def _worker_count(functions: int) -> int:
 def _run_forked(run_chunk, bounds: list) -> list:
     """Each chunk's rows, in chunk order: the first chunk runs here, each other one in a forked child.
 
-    Each process formats its chunk's traces into their ``trace_text``
-    caches, so the report writer's float formatting is split too.  A child
-    pickles its rows (or the exception it raised) into a pipe and leaves by
-    ``os._exit``, so it never returns into the caller's stack nor flushes
-    this process's stdio.  The pipes are read in chunk order.  On
-    the way out, whether with the rows, an exception or an interrupt, every
-    pipe is closed and every child is killed (one that has sent its rows
-    has only its exit left) and reaped.
+    With one chunk nothing forks.  Each process formats its chunk's traces
+    into their ``trace_text`` caches, so the report writer's float
+    formatting is split too.  A child pickles its rows (or the exception it
+    raised) into a pipe and leaves by ``os._exit``, so it never returns into
+    the caller's stack nor flushes this process's stdio.  The pipes are read
+    in chunk order.  On the way out, whether with the rows, an exception or
+    an interrupt, every pipe is closed and every child is killed (one that
+    has sent its rows has only its exit left) and reaped.
     """
     readers, pids = [], []
     try:

@@ -1,6 +1,8 @@
 """Input documents: every reader refuses a bad document with a ValueError, every command with exit 2."""
 
 import json
+import re
+import time
 
 import numpy as np
 import pytest
@@ -169,6 +171,47 @@ class TestSpecAndConfig:
         argv = ["suite", "--config", str(config_file), "--out", str(tmp_path / "suite")]
         assert "a corpus spec must be a JSON object, not str" in _assert_input_error(capsys, argv, "config")
         assert not (tmp_path / "suite").exists()
+
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ({"gradient_mode": "bogus"}, "unknown gradient_mode 'bogus'"),
+            ({"constant_mode": "bogus"}, "unknown constant_mode 'bogus'"),
+        ],
+        ids=["gradient_mode", "constant_mode"],
+    )
+    def test_an_unknown_mode_is_a_config_error(self, tmp_path, capsys, config, named):
+        """Refused when read, before the corpus is built, not as one input_error row per check."""
+        config_file = _write(tmp_path / "config.json", dict(config, corpus=SMALL))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            SuiteConfig.from_json(config_file)
+        argv = ["suite", "--config", str(config_file), "--out", str(tmp_path / "suite")]
+        assert named in _assert_input_error(capsys, argv, "config")
+        assert not (tmp_path / "suite").exists()
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            (dict(SMALL, dim=10**7), "extents ** dim"),
+            (dict(SMALL, dim=10**9), "extents ** dim"),
+            (dict(SMALL, extents=10**400), "extents ** dim"),
+            (dict(SMALL, families=[{"kind": "cone", "count": 10**400}]), "cone: count times"),
+            (dict(SMALL, families=[{"kind": "multi_bump", "bumps": 10**400}]), "multi_bump: bumps times"),
+        ],
+        ids=["dim_1e7", "dim_1e9", "extents_1e400", "count_1e400", "bumps_1e400"],
+    )
+    def test_a_size_past_the_index_range_is_refused_at_once(self, tmp_path, capsys, spec, named):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(named)):
+            sq.CorpusSpec.from_json(spec)
+        assert time.perf_counter() - start < 0.5
+        spec_file = _write(tmp_path / "spec.json", spec)
+        argv = ["corpus", "--spec", str(spec_file), "--out", str(tmp_path / "corpus")]
+        assert named in _assert_input_error(capsys, argv, "spec")
+
+    def test_sizes_up_to_the_index_range_still_load(self):
+        assert sq.CorpusSpec(dim=15, extents=16, families=({"kind": "cone"},)).dim == 15
+        assert sq.CorpusSpec(dim=1, extents=2**40, families=({"kind": "cone", "count": 2**20},)).dim == 1
 
     def test_a_bad_flag_is_an_options_error(self, tmp_path, capsys):
         config_file = _write(tmp_path / "config.json", {"corpus": SMALL})

@@ -39,55 +39,70 @@ class TestPreparedFunction:
         pf = PreparedFunction(cone512)
         mass = sq.grid_to_mass(cone512)
         for got, want in (
-            (pf.mass.values, mass.values),
-            (pf.mass.masses, mass.masses),
-            (pf.mass.cum_masses, mass.cum_masses),
-            (pf.profile.breakpoints, sq.decreasing_rearrangement(mass).breakpoints),
-            (pf.profile.levels, sq.decreasing_rearrangement(mass).levels),
+            (pf.mass().values, mass.values),
+            (pf.mass().masses, mass.masses),
+            (pf.mass().cum_masses, mass.cum_masses),
+            (pf.profile().breakpoints, sq.decreasing_rearrangement(mass).breakpoints),
+            (pf.profile().levels, sq.decreasing_rearrangement(mass).levels),
         ):
             assert np.array_equal(got, want)
         for mode in ("metric_max", "euclidean_central"):
             grad = sq.metric_gradient_modulus(cone512, mode)
             grad_profile = sq.decreasing_rearrangement(sq.grid_to_mass(grad))
             assert np.array_equal(pf.grad(mode).values, grad.values)
-            assert np.array_equal(pf.grad_mass(mode).masses, sq.grid_to_mass(grad).masses)
-            assert np.array_equal(pf.grad_profile(mode).levels, grad_profile.levels)
-            assert np.array_equal(pf.grad_profile(mode).breakpoints, grad_profile.breakpoints)
+            assert np.array_equal(pf.mass(mode).masses, sq.grid_to_mass(grad).masses)
+            assert np.array_equal(pf.profile(mode).levels, grad_profile.levels)
+            assert np.array_equal(pf.profile(mode).breakpoints, grad_profile.breakpoints)
 
     def test_each_artifact_is_built_once_per_mode(self, cone512):
         pf = PreparedFunction(cone512)
-        assert pf.mass is pf.mass
-        assert pf.profile is pf.profile
-        assert pf.grad_profile() is pf.grad_profile("metric_max")
-        assert pf.grad_mass("euclidean_central") is not pf.grad_mass("metric_max")
-        for profile in (pf.profile, pf.grad_profile()):
-            powered = pf.powered(profile, 2.0)
-            assert pf.powered(profile, 2.0) is powered
+        assert pf.mass() is pf.mass(None)
+        assert pf.profile() is pf.profile()
+        assert pf.profile("metric_max") is pf.profile("metric_max")
+        assert pf.mass("euclidean_central") is not pf.mass("metric_max")
+        for mode in (None, "metric_max"):
+            profile, powered = pf.profile(mode), pf.powered(2.0, mode)
+            assert pf.powered(2.0, mode) is powered
             assert np.array_equal(powered.levels, sq.powered_profile(profile, 2.0).levels)
             assert np.array_equal(powered.breakpoints, profile.breakpoints)
-        assert pf.powered(pf.profile, 2.0) is not pf.powered(pf.grad_profile(), 2.0)
+        assert pf.powered(2.0) is not pf.powered(2.0, "metric_max")
         assert prepare(pf) is pf
         assert prepare(cone512).grid is cone512
 
     def test_keep_profile_only_drops_the_rest(self, cone512):
         pf = PreparedFunction(cone512)
-        mass, grad, squared = pf.mass, pf.grad(), pf.powered(pf.profile, 2.0)
+        mass, grad, squared = pf.mass(), pf.grad(), pf.powered(2.0)
         pf.keep_profile_only()
-        profile = pf.profile
+        profile = pf.profile()
         pf.keep_profile_only()
-        assert pf.profile is profile
-        assert pf.mass is not mass and pf.grad() is not grad
-        assert pf.powered(profile, 2.0) is not squared
+        assert pf.profile() is profile
+        assert pf.mass() is not mass and pf.grad() is not grad
+        assert pf.powered(2.0) is not squared
 
 
     def test_keep_powers_drops_the_other_powers(self, cone512):
         pf = PreparedFunction(cone512)
-        profile, grad_profile = pf.profile, pf.grad_profile()
-        squared, cubed = pf.powered(profile, 2.0), pf.powered(grad_profile, 3.0)
+        profile, grad_profile = pf.profile(), pf.profile("metric_max")
+        squared, cubed = pf.powered(2.0), pf.powered(3.0, "metric_max")
         pf.keep_powers({2.0})
-        assert pf.powered(profile, 2.0) is squared
-        assert pf.powered(grad_profile, 3.0) is not cubed
-        assert pf.profile is profile and pf.grad_profile() is grad_profile
+        assert pf.powered(2.0) is squared
+        assert pf.powered(3.0, "metric_max") is not cubed
+        assert pf.profile() is profile and pf.profile("metric_max") is grad_profile
+
+
+@pytest.mark.parametrize("mode", [None, "bogus"])
+def test_every_gradient_check_refuses_a_mode_that_is_not_a_gradient_mode(mode):
+    """None names f's own chain in a PreparedFunction, so no check may read it as |grad f|'s."""
+    cone = sq.cone_grid(32, radius=0.5)
+    checked = 0
+    for name, checker in inequalities.CHECKERS.items():
+        if "gradient_mode" in inspect.signature(checker).parameters:
+            with pytest.raises(ValueError, match="unknown gradient mode"):
+                checker(cone, gradient_mode=mode)
+            checked += 1
+    assert checked == 11
+    rows = sq.run_suite(SuiteConfig(inequalities=({"id": "oscillation_p", "gradient_mode": mode},)), [("cone", cone)])
+    assert rows[0].status.startswith("input_error: unknown gradient mode")
 
 
 @pytest.mark.parametrize(
@@ -150,17 +165,17 @@ CONFIG_KEYS = {
     "chain_rule": ("r", "gradient_mode", "tolerance"),
     "nash": ("p", "c1", "c2", "gradient_mode", "tolerance"),
     "nash_classical": ("gradient_mode", "tolerance"),
-    **{f"sobolev_{mode}": ("p", "gradient_mode", "tolerance", "constant") for mode in ("weak", "strong", "exp", "morrey")},
+    **{f"sobolev_{mode}": ("p", "gradient_mode", "tolerance") for mode in ("weak", "strong", "exp", "morrey")},
     "polya_szego": ("p", "gradient_mode", "weight", "tolerance"),
     "binomial_bounds": ("p", "a_max", "grid_points", "tolerance"),
-    "oneil": ("t_grid", "tolerance", "points_per_decade"),
+    "oneil": ("t_grid", "tolerance"),
 }
 
 
 def test_every_id_calls_an_exported_checker_whose_keywords_are_its_keys():
     """One surface: an id's keys are the keywords of the checker it calls, CODE_ONLY and fixed keys aside."""
     assert list(inequalities.CHECKERS) == list(EXPORTED) == list(CONFIG_KEYS)
-    assert sum(len(keys) for keys in CONFIG_KEYS.values()) == 50
+    assert sum(len(keys) for keys in CONFIG_KEYS.values()) == 45
     keyword = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
     for name, (checker, fixed) in EXPORTED.items():
         accepted, _ = inequalities.entry_keys(name, {}, config=True)
@@ -287,7 +302,7 @@ def test_no_cached_artifact_or_report_is_a_view_of_a_work_buffer(small_corpus):
             kept += [report.trace] if isinstance(report.trace, np.ndarray) else []
         if prev is not None:
             assert inequalities.check_oneil(prev, pf).status == "ok"
-        artifacts = list(pf._cache.values()) + [powered for _, powered in pf._powers.values()]
+        artifacts = list(pf._cache.values())
         assert {type(a).__name__ for a in artifacts} >= {"MassFunction", "StepProfile", "GridFunction"}
         kept += [a for artifact in artifacts for a in _arrays(artifact)]
         prev = pf
@@ -370,7 +385,7 @@ def test_a_power_that_underflows_is_an_input_error():
         sq.check_derivative_p(small, p=2.0)
     # the unscaled cone is untouched, and p = 1 needs no power
     assert sq.check_oscillation_p(cone, p=3.0).status == "ok"
-    assert prepare(small).powered(prepare(small).profile, 1.0).max_level > 0
+    assert prepare(small).powered(1.0).max_level > 0
 
 
 def test_default_suite_builds_each_artifact_once(small_corpus, monkeypatch):
