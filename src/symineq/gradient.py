@@ -29,7 +29,7 @@ import numpy as np
 from .measure import GridFunction, MassFunction, Scratch, grid_to_mass, lp_norm, require_finite_p
 from .rearrangement import (
     StepProfile,
-    _segment_integrals,
+    _consecutive_integrals,
     decreasing_rearrangement,
     powered_profile,
 )
@@ -50,10 +50,6 @@ GRADIENT_MODES = ("metric_max", "euclidean_central")
 
 # A single profile drop above this share of the maximum level is a jump.
 JUMP_THRESHOLD = 0.25
-
-# The least normal float: a powered top level below it has underflowed.
-_TINY = np.finfo(float).tiny
-
 
 def _axis_magnitude(v: np.ndarray, axis: int, mode: str, out: np.ndarray, work: np.ndarray) -> None:
     """Write the undivided difference magnitude of ``v`` along ``axis`` into ``out``.
@@ -197,20 +193,8 @@ class PreparedFunction:
         return norm
 
     def powered(self, p: float, mode: str | None = None) -> StepProfile:
-        """``powered_profile(self.profile(mode), p)``, built once.
-
-        A positive profile whose p-th power has lost its top level to
-        underflow (below the least normal float) is rejected: its powered
-        integrals would read 0 or be dominated by rounding.
-        """
-        return self._cached(("powered", p, mode), lambda: self._nonzero_power(p, mode))
-
-    def _nonzero_power(self, p: float, mode: str | None) -> StepProfile:
-        profile = self.profile(mode)
-        powered = powered_profile(profile, p)
-        if p > 1 and profile.max_level > 0 and powered.max_level < _TINY:
-            raise ValueError(f"nonzero profile whose top level to the power {p:g} underflows: malformed input")
-        return powered
+        """``powered_profile(self.profile(mode), p)``, built once."""
+        return self._cached(("powered", p, mode), lambda: powered_profile(self.profile(mode), p))
 
     def keep_powers(self, ps) -> None:
         """Drop every cached powered profile whose p is not in ``ps``."""
@@ -281,12 +265,10 @@ def polya_szego_lhs(
     mids /= 2.0
     terms = np.subtract(levels[1:], levels[:-1])
     np.negative(terms, out=terms)
-    left = np.subtract(mids[1:], mids[:-1])
-    terms /= left  # the slopes, >= 0 by monotonicity
+    terms /= np.diff(mids)  # the slopes, >= 0 by monotonicity
     terms *= coeff
     terms **= p
-    np.copyto(left, mids[:-1])
-    terms *= _segment_integrals(left, mids[1:], (1.0 - 1.0 / n) * p + 1.0)
+    terms *= _consecutive_integrals(mids, (1.0 - 1.0 / n) * p + 1.0)
     return float(np.add.reduce(terms)) ** (1.0 / p)  # summed pairwise, not by a threaded BLAS dot
 
 

@@ -535,35 +535,45 @@ def check_chain_rule(
 def _merged_product_profile(sf: StepProfile, sg: StepProfile) -> StepProfile:
     """The profile t -> f*(t) g*(t) on the union of the two breakpoint sets.
 
-    Both breakpoint arrays are sorted, so one stable sort of their
-    concatenation is a single run merge.  Of each run of equal points the
-    last is kept: the f breakpoints up to it, less one, index f's level there
-    (one past the end reads 0, beyond f's extent), and the g breakpoints
-    index g's.  The levels are the products ``sf.value(t) * sg.value(t)`` at
-    each merged left end, bit for bit.
+    Both breakpoint arrays are sorted and strictly increasing, so one stable
+    sort of their concatenation is a single run merge, and a run of equal
+    points holds one point of each at most, f's first.  Of each run the last
+    point is kept.  The running count of runs that start with an f point,
+    less one, indexes f's level at each merged left end (0 from f's extent
+    on); the g points up to a run's end are the rest.  The levels are the
+    products ``sf.value(t) * sg.value(t)`` at the merged left ends, bit for
+    bit.
     """
     bf, bg = sf.breakpoints, sg.breakpoints
     points = np.concatenate((bf, bg))
-    counts = np.argsort(points, kind="stable")
-    points.sort(kind="stable")  # points[counts], in place
-    np.cumsum(counts < bf.size, out=counts)  # f breakpoints at or before each merged position
-    # the last of each run of equal points, the run at the right edge excepted
-    ends = np.not_equal(points[1:], points[:-1])
-    kept = np.flatnonzero(ends)
+    from_f = np.argsort(points, kind="stable") < bf.size  # per merged position; the indices go at once
+    points.sort(kind="stable")  # points[argsort], in place
+    ends = np.empty(points.size, dtype=bool)
+    ends[-1] = True
+    np.not_equal(points[1:], points[:-1], out=ends[:-1])
+    idx_g = np.flatnonzero(ends)  # the last of each run of equal points
     del ends
-    idx_f = counts[kept]
-    del counts
-    merged = np.empty(kept.size + 1)
-    np.take(points, kept, out=merged[:-1])
-    merged[-1] = points[-1]
+    merged = points[idx_g]
     del points
-    idx_g = kept  # kept + 1 breakpoints so far, idx_f of them from f; the rest less one
-    idx_g -= idx_f
+    idx_f = np.empty_like(idx_g)  # the first of each run, then the f points up to its end
+    idx_f[0] = 0
+    np.add(idx_g[:-1], 1, out=idx_f[1:])
+    np.cumsum(from_f[idx_f], out=idx_f)
+    del from_f
+    idx_g -= idx_f  # run end + 1 points, idx_f of them from f: the rest, less one, from g
     idx_f -= 1
-    levels = np.append(sf.levels, 0.0)[idx_f]
+    levels = _levels_at(sf, idx_f, merged)
     del idx_f
-    levels *= np.append(sg.levels, 0.0)[idx_g]
+    levels *= _levels_at(sg, idx_g, merged)
     return StepProfile(merged, levels)
+
+
+def _levels_at(s: StepProfile, idx: np.ndarray, merged: np.ndarray) -> np.ndarray:
+    """``s.levels[idx]`` at the merged left ends below s's extent, 0 from there on."""
+    out = np.zeros(merged.size - 1)
+    inside = int(np.searchsorted(merged[:-1], s.breakpoints[-1]))
+    np.take(s.levels, idx[:inside], out=out[:inside])
+    return out
 
 
 def check_oneil(
@@ -612,16 +622,20 @@ def check_oneil(
         prof_g = decreasing_rearrangement(MassFunction(vg, cell_masses))
         vfg = vf * vg
 
-    # the merge's temporaries are freed before the product sort builds its own
+    # the merge's temporaries are freed before the product sort builds its own, and so is
+    # the merged profile itself once the t-grid is known: only its averages there are kept
     hl_profile = _merged_product_profile(prof_f, prof_g)
+    if t_grid is None and grid_pair:
+        t_grid = _tgrid((gf.domain_measure * 1e-5, gf.domain_measure, 16))
+    if t_grid is not None:
+        t_grid = np.asarray(t_grid, dtype=float)
+        rhs = hl_profile.prefix_integral(t_grid) / t_grid
+        hl_profile = None
     prof_fg = decreasing_rearrangement(MassFunction(vfg, cell_masses, _sort_in_place=True))
-
-    if t_grid is None:
-        total = gf.domain_measure if grid_pair else prof_fg.total_measure
-        t_grid = _tgrid((total * 1e-5, total, 16))
-    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid is None:  # value arrays: the grid ends at the product's summed masses
+        t_grid = _tgrid((prof_fg.total_measure * 1e-5, prof_fg.total_measure, 16))
+        rhs = hl_profile.prefix_integral(t_grid) / t_grid
     lhs = maximal_average(prof_fg, t_grid)
-    rhs = hl_profile.prefix_integral(t_grid) / t_grid
     ratios = _ratio(lhs, rhs)
     j = int(np.argmax(ratios))
     return CheckReport(

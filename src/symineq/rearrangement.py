@@ -18,6 +18,9 @@ import numpy as np
 
 from .measure import MassFunction, support_measure
 
+# The least normal float: a powered top level below it has underflowed.
+_TINY = np.finfo(float).tiny
+
 __all__ = [
     "StepProfile",
     "distribution",
@@ -38,21 +41,37 @@ def power_segment_integral(a, b, alpha: float):
     return _segment_integrals(np.array(a, dtype=float), np.array(b, dtype=float), alpha)[()]
 
 
+def _primitive(t: np.ndarray, alpha: float) -> np.ndarray:
+    """t**alpha, or log(t) at alpha = 0, written over ``t``."""
+    if alpha == 0.0:
+        return np.log(t, out=t)
+    t **= alpha
+    return t
+
+
 def _segment_integrals(a: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
     """``power_segment_integral`` of two float arrays that the caller gives up.
 
     The result is written over ``b`` and ``a`` is overwritten too; the steps
     are those of (b**alpha - a**alpha) / alpha and log(b) - log(a).
     """
-    if alpha == 0.0:
-        np.log(b, out=b)
-        b -= np.log(a, out=a)
-    else:
-        b **= alpha
-        a **= alpha
-        b -= a
+    b = _primitive(b, alpha)
+    b -= _primitive(a, alpha)
+    if alpha != 0.0:
         b /= alpha
     return b
+
+
+def _consecutive_integrals(points: np.ndarray, alpha: float) -> np.ndarray:
+    """``power_segment_integral`` over each [points[k], points[k + 1]], overwriting ``points``.
+
+    Each point is raised to alpha once and the shifted views are
+    differenced: bit for bit the two-array form on points[:-1], points[1:].
+    """
+    steps = np.diff(_primitive(points, alpha))
+    if alpha != 0.0:
+        steps /= alpha
+    return steps
 
 
 class StepProfile:
@@ -171,12 +190,20 @@ def maximal_average(s: StepProfile, t: float):
 
 
 def powered_profile(s: StepProfile, p: float) -> StepProfile:
-    """Pointwise p-th power of the levels; breakpoints unchanged, ``s`` itself at p = 1."""
+    """Pointwise p-th power of the levels; breakpoints unchanged, ``s`` itself at p = 1.
+
+    A positive profile whose p-th power has lost its top level to underflow
+    (below the least normal float) is rejected: its powered integrals would
+    read 0 or be dominated by rounding.
+    """
     if p < 1:
         raise ValueError("p must be >= 1")
     if p == 1.0:
         return s
-    return StepProfile(s, s.levels**p)
+    powered = StepProfile(s, s.levels**p)
+    if s.max_level > 0 and powered.max_level < _TINY:
+        raise ValueError(f"nonzero profile whose top level to the power {p:g} underflows: malformed input")
+    return powered
 
 
 def layer_cake_excess(f: MassFunction, lam: float) -> float:
@@ -204,14 +231,20 @@ def oscillation_norm(s: StepProfile, q: float, inv_pbar: float = 0.0, tail: bool
     b = s.breakpoints
     alpha = q * inv_pbar - q
     # sum(c[active]**q * power_segment_integral(b[:-1][active], b[1:][active], alpha)) over
-    # the active segments, step by step in place: four arrays where it made about thirteen
+    # the active segments, step by step in place
     c = s.levels * b[:-1]
     np.subtract(s._cum_integral[:-1], c, out=c)
     active = c > 0
-    terms = c[active]
-    del c
-    terms **= q
-    terms *= _segment_integrals(b[:-1][active], b[1:][active], alpha)
+    k = int(np.count_nonzero(active))
+    if k and active[-k:].all():  # the last k segments, as for strictly decreasing levels: slices
+        terms = c[-k:]
+        terms **= q
+        terms *= _consecutive_integrals(b[-k - 1:].copy(), alpha)
+    else:
+        terms = c[active]
+        del c
+        terms **= q
+        terms *= _segment_integrals(b[:-1][active], b[1:][active], alpha)
     total = float(np.sum(terms))
     if tail and s.total_integral > 0:
         # I^q M^alpha as (I / M^(1 - inv_pbar))^q: on a tiny M, M^alpha alone overflows
@@ -248,7 +281,7 @@ def lorentz_norm(s: StepProfile, r: float, q: float) -> float:
 
     if not r_inf:
         alpha = q / r  # > 0, so the segment starting at 0 integrates cleanly
-        seg = s.levels**q * power_segment_integral(b[:-1], b[1:], alpha)
+        seg = s.levels**q * _consecutive_integrals(b.copy(), alpha)
         total = float(np.sum(seg))
         return total ** (1.0 / q) if math.isfinite(total) else math.inf
 

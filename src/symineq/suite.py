@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import mmap
 import os
 import pickle
 import signal
@@ -18,6 +19,11 @@ import time
 import traceback
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+
+try:
+    import fcntl
+except ImportError:  # no POSIX locks (Windows), nor the affinity call, so nothing forks there
+    fcntl = None
 
 from .corpus import CorpusSpec, generate_corpus
 from .gradient import GRADIENT_MODES, PreparedFunction
@@ -108,14 +114,18 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
     All functions of one process share one ``Scratch``, whose cell-sized work
     buffers are reused from function to function.
 
-    The corpus is cut into contiguous chunks, one per CPU this process may
-    run on (``os.sched_getaffinity``), at most one per function.  This
-    process runs the first chunk and a forked child runs each other one;
-    a chunk re-prepares the function before its start for the O'Neil pair
-    across the cut, and its rows join the others in chunk order, so the
-    reports are those of one pass.  With one CPU or one function there is
-    one chunk, and the same path runs it here without forking.  An
-    exception a child raises is raised here, and no child outlives the call.
+    The functions are shared out among workers, one per CPU this process
+    may run on (``os.sched_getaffinity``), at most one per function.  This
+    process is the first worker and a forked child is each other one.  Each
+    starts on a contiguous range of the corpus; one whose range is used up
+    takes over the back half of the largest unclaimed remainder, so a few
+    costly functions do not leave the other workers idle.  The process that
+    runs function i runs the O'Neil pair (i - 1, i), re-preparing i - 1's
+    profile unless it has just run i - 1, and the rows join in function
+    order, so the reports are those of one pass.  With one CPU or one
+    function the same loop runs here over the whole corpus without forking.
+    An exception a child raises is raised here, and no child outlives the
+    call.
     """
     if corpus is None:
         corpus = generate_corpus(config.corpus)
@@ -156,32 +166,34 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
     # one set of work buffers for every function this process runs
     scratch = Scratch()
 
-    def run_chunk(lo: int, hi: int) -> list[list[CheckReport]]:
-        """The rows of functions lo..hi-1 and of the O'Neil pairs ending in them, per entry."""
-        out: list[list[CheckReport]] = [[] for _ in config.inequalities]
-        prev_id, prev = None, None
-        if pairs and lo > 0:
-            prev_id, f = corpus[lo - 1]
-            prev = PreparedFunction(f, scratch=scratch)
-            prev.keep_profile_only()
-        for function_id, f in corpus[lo:hi]:
+    def run_functions(claims) -> list:
+        """(i, rows) per index i claimed: per entry, the rows of function i and of the pair (i - 1, i)."""
+        done = []
+        prev_index, prev = None, None
+        for i in claims:
+            function_id, f = corpus[i]
+            out: list[list[CheckReport]] = [[] for _ in config.inequalities]
             pf = PreparedFunction(f, scratch=scratch)
             for (index, name, runner, kwargs), keep in zip(per_function, later_ps):
                 out[index].append(_guarded(name, function_id, lambda: runner(pf, **kwargs)))
                 pf.keep_powers(keep)
             if pairs:
                 pf.keep_profile_only()
-                if prev is not None:
-                    pair_id = f"{prev_id}*{function_id}"
+                if i > 0:
+                    if prev_index != i - 1:  # i - 1 was not the function this process ran last
+                        prev = PreparedFunction(corpus[i - 1][1], scratch=scratch)
+                        prev.keep_profile_only()
+                    pair_id = f"{corpus[i - 1][0]}*{function_id}"
                     for index, name, kwargs in pairs:
                         out[index].append(_guarded(name, pair_id, lambda: check_oneil(prev, pf, **kwargs)))
-                prev_id, prev = function_id, pf
-        return out
+                prev_index, prev = i, pf
+            done.append((i, out))
+        return done
 
-    n, workers = len(corpus), _worker_count(len(corpus))
-    for chunk in _run_forked(run_chunk, [(n * i // workers, n * (i + 1) // workers) for i in range(workers)]):
-        for slot, part in zip(rows, chunk):
-            slot.extend(part)
+    ids = [function_id for function_id, _ in corpus]
+    for _, part in sorted(_run_forked(run_functions, ids, _worker_count(len(ids))), key=lambda item: item[0]):
+        for slot, rows_of_entry in zip(rows, part):
+            slot.extend(rows_of_entry)
     return [report for slot in rows for report in slot]
 
 
@@ -194,62 +206,139 @@ def _worker_count(functions: int) -> int:
     return max(1, min(cpus, functions))
 
 
-def _run_forked(run_chunk, bounds: list) -> list:
-    """Each chunk's rows, in chunk order: the first chunk runs here, each other one in a forked child.
+def _claim(words, worker: int) -> int | None:
+    """The next function index for ``worker``, or None once no range has an unclaimed index.
 
-    With one chunk nothing forks.  Each process formats its chunk's traces
-    into their ``trace_text`` caches, so the report writer's float
-    formatting is split too.  A child pickles its rows (or the exception it
-    raised) into a pipe and leaves by ``os._exit``, so it never returns into
-    the caller's stack nor flushes this process's stdio.  The pipes are read
-    in chunk order.  On the way out, whether with the rows, an exception or
-    an interrupt, every pipe is closed and every child is killed (one that
-    has sent its rows has only its exit left) and reaped.
+    ``words`` holds two numbers per worker: the next unclaimed index of its
+    range and the range's end.  A worker claims its own range front to back.
+    Once it is used up, the worker takes over the back half, rounded up, of
+    the largest unclaimed remainder (the first such worker's on a tie), and
+    claims that front to back.
     """
+    start, end = words[2 * worker], words[2 * worker + 1]
+    if start == end:
+        victim = max(range(len(words) // 2), key=lambda w: words[2 * w + 1] - words[2 * w])
+        left = words[2 * victim + 1] - words[2 * victim]
+        if left == 0:
+            return None
+        end = words[2 * victim + 1]
+        start = end - (left + 1) // 2
+        words[2 * victim + 1] = start
+        words[2 * worker + 1] = end
+    words[2 * worker] = start + 1
+    return start
+
+
+class _Ledger:
+    """The claim words of a forked pass, shared by every worker, one claim at a time.
+
+    The words live in a shared mapping of an anonymous memory file, which a
+    forked child inherits.  A claim holds an ``fcntl.lockf`` lock on that
+    file, and the kernel drops the lock when its holder exits, so a killed
+    worker cannot hang the others.  ``last`` is the index this process
+    claimed last: the function it is running.
+    """
+
+    def __init__(self, bounds: list):
+        size = 16 * len(bounds)
+        self._fd = os.memfd_create("symineq-claims", os.MFD_CLOEXEC)
+        try:
+            os.ftruncate(self._fd, size)
+            self._map = mmap.mmap(self._fd, size)
+        except BaseException:
+            os.close(self._fd)
+            raise
+        self.words = memoryview(self._map).cast("q")  # signed 64-bit words
+        for w, (lo, hi) in enumerate(bounds):
+            self.words[2 * w], self.words[2 * w + 1] = lo, hi
+        self.last = None
+
+    def claims(self, worker: int):
+        """The indices ``worker`` claims, in claim order, until none is left."""
+        while True:
+            fcntl.lockf(self._fd, fcntl.LOCK_EX)
+            try:
+                self.last = _claim(self.words, worker)
+            finally:
+                fcntl.lockf(self._fd, fcntl.LOCK_UN)
+            if self.last is None:
+                return
+            yield self.last
+
+    def close(self) -> None:
+        self.words.release()
+        self._map.close()
+        os.close(self._fd)
+
+
+def _run_forked(run_functions, ids: list, workers: int) -> list:
+    """(i, rows) for every function index i: worker 0 runs here, each other one in a forked child.
+
+    ``ids`` are the function ids, one per index.  Worker w starts on the
+    w-th of ``workers`` contiguous ranges of the indices and claims
+    functions through the shared ledger, which hands an idle worker the back
+    half of the busiest range (``_claim``).  With one worker nothing forks,
+    and the same loop runs over every index with no ledger.  Each process
+    formats its rows' traces into their ``trace_text`` caches, so the report
+    writer's float formatting is split too.  A child pickles its rows (or the exception it raised, with the
+    function it was running) into a pipe and leaves by ``os._exit``, so it
+    never returns into the caller's stack nor flushes this process's stdio.
+    The pipes are read in worker order.  On the way out, whether with the
+    rows, an exception or an interrupt, every pipe is closed and every child
+    is killed (one that has sent its rows has only its exit left) and
+    reaped.
+    """
+    if workers == 1:
+        done = run_functions(range(len(ids)))
+        _format_traces(done)
+        return done
     readers, pids = [], []
+    n = len(ids)
+    ledger = _Ledger([(n * w // workers, n * (w + 1) // workers) for w in range(workers)])
     try:
-        for lo, hi in bounds[1:]:
+        for worker in range(1, workers):
             read_fd, write_fd = os.pipe()
             readers.append(os.fdopen(read_fd, "rb"))
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _run_child(run_chunk, lo, hi, write_fd)
+                    _run_child(run_functions, ledger, worker, write_fd)
             finally:
                 os.close(write_fd)  # the child's copy is the only writer left
             pids.append(pid)
-        chunks = [run_chunk(*bounds[0])]
-        _format_traces(chunks[0])
-        for (lo, hi), reader in zip(bounds[1:], readers):
-            where = f"the worker for functions {lo}..{hi - 1}"
+        done = run_functions(ledger.claims(0))
+        _format_traces(done)
+        for worker, reader in enumerate(readers, start=1):
             try:
-                chunk, error = pickle.load(reader)
+                part, error = pickle.load(reader)
             except (EOFError, pickle.UnpicklingError) as exc:
-                raise RuntimeError(f"{where} ended without sending its rows") from exc
+                raise RuntimeError(f"worker {worker} ended without sending its rows") from exc
             if error is not None:
-                exc, child_traceback = error
+                exc, running, child_traceback = error
+                where = f"worker {worker}" + ("" if running is None else f", running function {running} ({ids[running]})")
                 raise exc from RuntimeError(f"in {where}:\n{child_traceback}")
-            chunks.append(chunk)
-        return chunks
+            done.extend(part)
+        return done
     finally:
         for reader in readers:
             reader.close()
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        ledger.close()
 
 
-def _run_child(run_chunk, lo: int, hi: int, write_fd: int) -> None:
-    """In a forked child: send chunk lo..hi's rows, or the exception it raised, down the pipe, then exit."""
+def _run_child(run_functions, ledger: _Ledger, worker: int, write_fd: int) -> None:
+    """In a forked child: send the rows of ``worker``'s claims, or the exception it raised, down the pipe, then exit."""
     status = 1
     try:
         try:
-            chunk = run_chunk(lo, hi)
-            _format_traces(chunk)
-            message = (chunk, None)
-        # the process boundary: whatever stops the chunk, an interrupt included, goes to the parent
+            done = run_functions(ledger.claims(worker))
+            _format_traces(done)
+            message = (done, None)
+        # the process boundary: whatever stops the worker, an interrupt included, goes to the parent
         except BaseException as exc:
-            message = (None, (_picklable(exc), traceback.format_exc()))
+            message = (None, (_picklable(exc), ledger.last, traceback.format_exc()))
         with open(write_fd, "wb") as fh:
             pickle.dump(message, fh, protocol=pickle.HIGHEST_PROTOCOL)
         status = 0
@@ -266,13 +355,14 @@ def _picklable(exc: BaseException) -> BaseException:
     return exc
 
 
-def _format_traces(chunk: list) -> None:
-    """Fill the ``trace_text`` cache of every traced report of a chunk."""
+def _format_traces(done: list) -> None:
+    """Fill the ``trace_text`` cache of every traced report in a worker's (i, rows) list."""
     t_text: dict[bytes, list[str]] = {}
-    for part in chunk:
-        for report in part:
-            if report.trace is not None:
-                _trace_text(report, t_text)
+    for _, part in done:
+        for rows_of_entry in part:
+            for report in rows_of_entry:
+                if report.trace is not None:
+                    _trace_text(report, t_text)
 
 
 def _guarded(name: str, function_id: str, check) -> CheckReport:

@@ -1,4 +1,4 @@
-"""The suite pass split across CPUs: forked workers run contiguous corpus chunks.
+"""The suite pass split across CPUs: forked workers claim the corpus through a shared ledger.
 
 Each test sets the CPU affinity that ``run_suite`` reads, so the serial path
 and the forked path both run on any machine, whatever its core count.
@@ -7,15 +7,19 @@ and the forked path both run on any machine, whatever its core count.
 import functools
 import json
 import os
+import signal
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symineq as sq
-from symineq import inequalities
-from symineq.suite import SuiteConfig
+from symineq import inequalities, suite
+from symineq.suite import SuiteConfig, _Ledger
 
-# seven functions: every chunk count from 2 to 4 puts an O'Neil pair across a cut
+# seven functions: every worker count from 2 to 4 puts an O'Neil pair across a range's start
 SPEC = sq.CorpusSpec.from_json({
     "seed": 2,
     "extents": 32,
@@ -103,17 +107,174 @@ def test_traces_arrive_formatted_and_paired_with_their_arrays(corpus, forks):
         assert report.trace_text is not None and report.trace_text[0] is report.trace
 
 
-def _raise_on(monkeypatch, grid, exc):
-    """Make s_phi_p raise ``exc`` on the function whose grid is ``grid``."""
+def _before_s_phi_p(monkeypatch, before):
+    """Call ``before(pf)`` ahead of every s_phi_p check."""
     original = inequalities.CHECKERS["s_phi_p"]
 
     @functools.wraps(original)  # the suite reads the entry keys from the signature
-    def raising(pf, **kwargs):
-        if pf.grid is grid:
-            raise exc
+    def wrapped(pf, **kwargs):
+        before(pf)
         return original(pf, **kwargs)
 
-    monkeypatch.setitem(inequalities.CHECKERS, "s_phi_p", raising)
+    monkeypatch.setitem(inequalities.CHECKERS, "s_phi_p", wrapped)
+
+
+def _raise_on(monkeypatch, grid, exc):
+    """Make s_phi_p raise ``exc`` on the function whose grid is ``grid``."""
+
+    def raising(pf):
+        if pf.grid is grid:
+            raise exc
+
+    _before_s_phi_p(monkeypatch, raising)
+
+
+def _wait_for(condition, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.005)
+
+
+def _log_lines(log: Path):
+    """(pid, function id) per line of a log that several processes append to."""
+    if not log.exists():
+        return []
+    return [(int(pid), fid) for pid, fid in (line.split() for line in log.read_text(encoding="utf-8").splitlines())]
+
+
+def _append(log: Path, pid: int, function_id: str):
+    with open(log, "a", encoding="utf-8") as fh:  # O_APPEND: each short line lands whole
+        fh.write(f"{pid} {function_id}\n")
+
+
+@st.composite
+def claim_runs(draw):
+    n = draw(st.integers(1, 40))
+    workers = draw(st.integers(2, 4))
+    order = draw(st.lists(st.integers(0, workers - 1), max_size=3 * n))
+    return n, workers, order
+
+
+@given(claim_runs())
+@settings(max_examples=300, deadline=None)
+def test_every_index_is_claimed_once_in_ascending_runs(run):
+    n, workers, order = run
+    ledger = _Ledger([(n * w // workers, n * (w + 1) // workers) for w in range(workers)])
+    try:
+        words = ledger.words
+        streams = [ledger.claims(w) for w in range(workers)]
+        claimed = [[] for _ in range(workers)]
+        live = list(range(workers))
+        # the drawn interleaving, then round robin until every worker is done
+        turns = iter(order + [w for _ in range(n + 1) for w in range(workers)])
+        while live:
+            w = next(turns)
+            if w not in live:
+                continue
+            remainders = [words[2 * v + 1] - words[2 * v] for v in range(workers)]
+            i = next(streams[w], None)
+            if i is None:
+                assert remainders == [0] * workers  # done only when nothing is left anywhere
+                live.remove(w)
+            elif remainders[w]:
+                assert i == claimed[w][-1] + 1 if claimed[w] else i == n * w // workers
+                claimed[w].append(i)
+            else:  # a steal: the back half, rounded up, of the largest remainder, from its front
+                assert words[2 * w + 1] - i == (max(remainders) + 1) // 2
+                claimed[w].append(i)
+        assert sorted(i for c in claimed for i in c) == list(range(n))
+    finally:
+        ledger.close()
+
+
+class _SlowWords:
+    """Claim words whose every store waits first, so a claim's reads and writes lie far apart."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def __len__(self):
+        return len(self.words)
+
+    def __getitem__(self, k):
+        return self.words[k]
+
+    def __setitem__(self, k, value):
+        time.sleep(0.0002)
+        self.words[k] = value
+
+
+def test_concurrent_claims_lose_no_update(monkeypatch):
+    """More claiming processes than CPUs on one ledger: a lost update would claim an index twice."""
+    original = suite._claim
+    monkeypatch.setattr(suite, "_claim", lambda words, worker: original(_SlowWords(words), worker))
+    n, workers = 400, (os.cpu_count() or 1) + 2
+    # one range holds every index, so each claim of the others is a steal
+    ledger = _Ledger([(0, n)] + [(n, n)] * (workers - 1))
+    go_read, go_write = os.pipe()
+    readers, running = [], set()
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            readers.append(os.fdopen(read_fd, "rb"))
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.read(go_read, 1)  # every process starts claiming at once
+                    text = " ".join(str(i) for i in ledger.claims(w))
+                    with open(write_fd, "wb") as fh:
+                        fh.write(text.encode())
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            running.add(pid)
+        os.write(go_write, b"x" * workers)
+        deadline = time.monotonic() + 60.0
+        while running and time.monotonic() < deadline:
+            running -= {pid for pid in running if os.waitpid(pid, os.WNOHANG)[0]}
+            time.sleep(0.005)
+        assert not running, "a claiming process did not finish"
+        claims = [int(i) for reader in readers for i in reader.read().split()]
+        assert sorted(claims) == list(range(n))
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(go_read)
+        os.close(go_write)
+        ledger.close()
+
+
+def test_an_idle_worker_takes_over_the_back_of_a_busy_range(corpus, forks, monkeypatch, tmp_path):
+    forks(1)
+    serial = sq.run_suite(DETAIL, corpus)
+    ids = {id(f): function_id for function_id, f in corpus}
+    # the range of this process with two workers is functions 0..2
+    caller, first, own = os.getpid(), corpus[0][0], {corpus[1][0], corpus[2][0]}
+    log = tmp_path / "claims.log"
+
+    def logged(pf):
+        _append(log, os.getpid(), ids[id(pf.grid)])
+        if os.getpid() == caller and ids[id(pf.grid)] == first:
+            # hold function 0 until the child has run a function of this range
+            _wait_for(lambda: any(pid != caller and fid in own for pid, fid in _log_lines(log)))
+
+    _before_s_phi_p(monkeypatch, logged)
+    fds = _open_fds()
+    made = forks(2)
+    split = sq.run_suite(DETAIL, corpus)
+    assert len(made) == 1
+    _assert_no_child_left(fds)
+    runs = {}
+    for pid, fid in _log_lines(log):
+        runs.setdefault(fid, set()).add(pid)
+    # every function ran in one process, and the child ran one of this process's range
+    assert sorted(runs) == sorted(ids.values()) and all(len(pids) == 1 for pids in runs.values())
+    assert any(runs[fid] != {caller} for fid in own)
+    assert _emitted(split, tmp_path / "split") == _emitted(serial, tmp_path / "serial")
 
 
 class _TwoArgs(Exception):
@@ -126,20 +287,31 @@ class _TwoArgs(Exception):
 @pytest.mark.parametrize(
     "exc, expected, message",
     [
-        (RuntimeError("the last function broke"), RuntimeError, "the last function broke"),
+        (RuntimeError("the child's first function broke"), RuntimeError, "the child's first function broke"),
         (ZeroDivisionError("a zero in a worker"), ZeroDivisionError, "a zero in a worker"),
         (_TwoArgs("this", "that"), RuntimeError, "_TwoArgs: this and that"),
     ],
 )
-def test_an_exception_in_a_worker_reaches_the_caller(corpus, forks, monkeypatch, exc, expected, message):
-    _raise_on(monkeypatch, corpus[-1][1], exc)
+def test_an_exception_in_a_worker_reaches_the_caller(corpus, forks, monkeypatch, tmp_path, exc, expected, message):
+    # with two workers the child's range starts at function 3; this process holds
+    # function 0 until the child has reached it, so function 3 cannot be taken over
+    caller, started = os.getpid(), tmp_path / "started"
+
+    def raising(pf):
+        if pf.grid is corpus[3][1]:
+            started.touch()
+            raise exc
+        if pf.grid is corpus[0][1] and os.getpid() == caller:
+            _wait_for(started.exists)
+
+    _before_s_phi_p(monkeypatch, raising)
     fds = _open_fds()
     made = forks(2)
     with pytest.raises(expected, match=message) as info:
         sq.run_suite(DETAIL, corpus)
     assert len(made) == 1
-    # the worker's own traceback comes along as the cause
-    assert "in the worker for functions 3..6" in str(info.value.__cause__)
+    # the worker's own traceback comes along as the cause, naming the worker and its function
+    assert f"in worker 1, running function 3 ({corpus[3][0]}):" in str(info.value.__cause__)
     assert "Traceback" in str(info.value.__cause__)
     _assert_no_child_left(fds)
 
