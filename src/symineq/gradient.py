@@ -51,6 +51,7 @@ GRADIENT_MODES = ("metric_max", "euclidean_central")
 # A single profile drop above this share of the maximum level is a jump.
 JUMP_THRESHOLD = 0.25
 
+
 def _axis_magnitude(v: np.ndarray, axis: int, mode: str, out: np.ndarray, work: np.ndarray) -> None:
     """Write the undivided difference magnitude of ``v`` along ``axis`` into ``out``.
 

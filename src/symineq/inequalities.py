@@ -546,7 +546,7 @@ def _merged_product_profile(sf: StepProfile, sg: StepProfile) -> StepProfile:
     """
     bf, bg = sf.breakpoints, sg.breakpoints
     points = np.concatenate((bf, bg))
-    from_f = np.argsort(points, kind="stable") < bf.size  # per merged position; the indices go at once
+    from_f = np.argsort(points, kind="stable") < bf.size  # per sorted position; the indices go at once
     points.sort(kind="stable")  # points[argsort], in place
     ends = np.empty(points.size, dtype=bool)
     ends[-1] = True

@@ -280,13 +280,13 @@ def _run_forked(run_functions, ids: list, workers: int) -> list:
     half of the busiest range (``_claim``).  With one worker nothing forks,
     and the same loop runs over every index with no ledger.  Each process
     formats its rows' traces into their ``trace_text`` caches, so the report
-    writer's float formatting is split too.  A child pickles its rows (or the exception it raised, with the
-    function it was running) into a pipe and leaves by ``os._exit``, so it
-    never returns into the caller's stack nor flushes this process's stdio.
-    The pipes are read in worker order.  On the way out, whether with the
-    rows, an exception or an interrupt, every pipe is closed and every child
-    is killed (one that has sent its rows has only its exit left) and
-    reaped.
+    writer's float formatting is split too.  A child pickles its rows (or
+    the exception it raised, with the function it was running) into a pipe
+    and leaves by ``os._exit``, so it never returns into the caller's stack
+    nor flushes this process's stdio.  The pipes are read in worker order.
+    On the way out, whether with the rows, an exception or an interrupt,
+    every pipe is closed and every child is killed (one that has sent its
+    rows has only its exit left) and reaped.
     """
     if workers == 1:
         done = run_functions(range(len(ids)))
@@ -315,7 +315,9 @@ def _run_forked(run_functions, ids: list, workers: int) -> list:
                 raise RuntimeError(f"worker {worker} ended without sending its rows") from exc
             if error is not None:
                 exc, running, child_traceback = error
-                where = f"worker {worker}" + ("" if running is None else f", running function {running} ({ids[running]})")
+                where = f"worker {worker}"
+                if running is not None:
+                    where += f", running function {running} ({ids[running]})"
                 raise exc from RuntimeError(f"in {where}:\n{child_traceback}")
             done.extend(part)
         return done

@@ -210,7 +210,7 @@ def test_concurrent_claims_lose_no_update(monkeypatch):
     original = suite._claim
     monkeypatch.setattr(suite, "_claim", lambda words, worker: original(_SlowWords(words), worker))
     n, workers = 400, (os.cpu_count() or 1) + 2
-    # one range holds every index, so each claim of the others is a steal
+    # one range holds every index, so every other worker starts by stealing
     ledger = _Ledger([(0, n)] + [(n, n)] * (workers - 1))
     go_read, go_write = os.pipe()
     readers, running = [], set()
