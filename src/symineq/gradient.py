@@ -17,7 +17,9 @@ with extending compactly supported functions by zero.
 Every grid check is a functional of two rearrangements, f* and |grad f|*.
 ``PreparedFunction`` builds each of them (and the mass functions and the
 gradient modulus behind them) at most once per function, so checkers that
-share a function share one sort per rearrangement.
+share a function share one sort per rearrangement.  The cells off f's
+support box (``support_box``) enter both only through their count, so every
+kernel that reads f runs on that box alone.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 
 import numpy as np
 
-from .measure import GridFunction, MassFunction, Scratch, grid_to_mass, lp_norm, require_finite_p
+from .measure import GridFunction, MassFunction, Scratch, box_to_mass, lp_norm, require_finite_p, support_box
 from .rearrangement import (
     StepProfile,
     _consecutive_integrals,
@@ -105,6 +107,49 @@ def _modulus_values(
     return np.sqrt(modulus, out=modulus)
 
 
+def _box_modulus(
+    f: GridFunction,
+    box,
+    mode: str,
+    *,
+    scratch: Scratch,
+    power: float | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """|grad f| on ``box``, or |grad f^power| with a power, as an array of the box's shape.
+
+    ``box`` is a support box of f (``support_box``), so the modulus off it
+    is 0 and is not computed.  f's cells on the box are copied into the
+    ``"values"`` buffer of ``scratch``, since the kernel reads them as one
+    flat array, and raised to the power there; a power that is not finite
+    raises ValueError, as a grid function's values would.  The modulus is
+    written into ``out`` if given, else into a fresh array.  One that a
+    grid function could not hold, not finite or not 0 on the grid's outer
+    layer, raises ValueError.
+    """
+    on_box = f.values[box]
+    cells = scratch.buffer("values", on_box.shape)
+    np.copyto(cells, on_box)
+    if power is not None:
+        cells **= power
+        GridFunction(f.spacing, cells)  # f^power on the box, 0 on its faces: refused only if not finite
+    require_gradient_mode(mode)
+    modulus = _modulus_values(cells, f.spacing, mode, scratch=scratch, out=out)
+    # the box reaches the grid's outer layer only where one of its slices starts at 0 or ends at the extent
+    faces = [
+        np.moveaxis(modulus, ax, 0)[end]
+        for ax, (s, n) in enumerate(zip(box, f.extents))
+        for end, outer in ((0, s.start == 0), (-1, s.stop == n))
+        if outer
+    ]
+    if any(np.any(face) for face in faces) or not np.all(np.isfinite(modulus)):
+        raise ValueError(
+            "gradient support touches the domain boundary; keep function "
+            "support at least two cells inside"
+        )
+    return modulus
+
+
 def require_gradient_mode(mode) -> None:
     """Reject a mode outside ``GRADIENT_MODES``; None too, which names f's own chain in ``PreparedFunction``."""
     if mode not in GRADIENT_MODES:
@@ -112,25 +157,18 @@ def require_gradient_mode(mode) -> None:
 
 
 def metric_gradient_modulus(
-    f: GridFunction,
-    mode: str = "metric_max",
-    *,
-    scratch: Scratch | None = None,
-    out: np.ndarray | None = None,
+    f: GridFunction, mode: str = "metric_max", *, scratch: Scratch | None = None
 ) -> GridFunction:
     """Per-cell discrete gradient magnitude of a grid function.
 
-    ``scratch`` and ``out`` are passed to the kernel: the work buffers, and
-    the array that receives the modulus (a fresh one by default).
+    The kernel runs on f's support box (``support_box``) only, with the
+    work buffers of ``scratch`` (fresh ones without it); every other cell
+    of the result is 0.
     """
-    require_gradient_mode(mode)
-    try:
-        return GridFunction(f.spacing, _modulus_values(f.values, f.spacing, mode, scratch=scratch, out=out))
-    except ValueError as exc:
-        raise ValueError(
-            "gradient support touches the domain boundary; keep function "
-            "support at least two cells inside"
-        ) from exc
+    box = support_box(f.values)
+    values = np.zeros(f.extents)
+    values[box] = _box_modulus(f, box, mode, scratch=Scratch() if scratch is None else scratch)
+    return GridFunction(f.spacing, values)
 
 
 class PreparedFunction:
@@ -140,24 +178,33 @@ class PreparedFunction:
     distribution of |f| for ``mode`` None and of |grad f| in that gradient
     mode otherwise, ``profile(mode)`` its decreasing rearrangement,
     ``powered(p, mode)`` the profile's p-th power and ``norm(p, mode)`` the
-    L^p norm; ``grad(mode)`` is the modulus as a grid function.  Every
-    artifact is built at most once and is bit-identical to building it
-    directly from ``grid``.  ``is_zero`` is the one zero-function test;
-    ``grad``, ``norm`` and ``powered`` reject a nonzero f whose gradient,
-    norm or power underflows to nothing.
+    L^p norm.  Every artifact is built at most once and is bit-identical
+    to building it directly from ``grid`` over every cell.  ``is_zero`` is
+    the one zero-function test; ``grad``, ``norm`` and ``powered`` reject a
+    nonzero f whose gradient, norm or power underflows to nothing.
 
-    ``scratch`` holds the cell-sized work buffers of the builds and of the
-    checkers that read this function; functions that share one (those of a
-    suite run) fault their work memory in once.  Without one the function
-    gets its own.  Every cached artifact is a fresh array, never a view of
-    a work buffer.
+    ``box`` is f's support box (``support_box``), found once, and every
+    kernel that reads f runs on it alone.  ``grad(mode)`` is the modulus
+    on the box, an array of its shape; off the box it is 0.  A mass build
+    sorts the box's cells and counts the others into the zero atom.  The
+    chain rule works on the box and O'Neil's product on the meet of two
+    boxes.
+
+    ``scratch`` holds the work buffers of the builds and of the checkers
+    that read this function, reserved for the grid's cell count; each
+    request is the box's size, a prefix of its buffer.  Functions that
+    share one (those of a suite run on one grid shape) fault their work
+    memory in once.  Without one the function gets its own.  Every cached
+    artifact is a fresh array, never a view of a work buffer.
     """
 
-    __slots__ = ("grid", "scratch", "_cache")
+    __slots__ = ("grid", "scratch", "box", "_cache")
 
     def __init__(self, grid: GridFunction, *, scratch: Scratch | None = None):
         self.grid = grid
         self.scratch = Scratch() if scratch is None else scratch
+        self.scratch.reserve(grid.values.size)
+        self.box = support_box(grid.values)
         self._cache = {}
 
     def _cached(self, key, build):
@@ -166,9 +213,11 @@ class PreparedFunction:
         return self._cache[key]
 
     def mass(self, mode: str | None = None) -> MassFunction:
-        return self._cached(
-            ("mass", mode), lambda: grid_to_mass(self.grid if mode is None else self.grad(mode), scratch=self.scratch)
-        )
+        def build():
+            on_box = self.grid.values[self.box] if mode is None else self.grad(mode)
+            return box_to_mass(on_box, self.grid.values.size, self.grid.cell_measure, scratch=self.scratch)
+
+        return self._cached(("mass", mode), build)
 
     def profile(self, mode: str | None = None) -> StepProfile:
         return self._cached(("profile", mode), lambda: decreasing_rearrangement(self.mass(mode)))
@@ -177,12 +226,12 @@ class PreparedFunction:
     def is_zero(self) -> bool:
         return self.mass().max_value == 0
 
-    def grad(self, mode: str = "metric_max") -> GridFunction:
+    def grad(self, mode: str = "metric_max") -> np.ndarray:
         return self._cached(("grad", mode), lambda: self._nonzero_grad(mode))
 
-    def _nonzero_grad(self, mode: str) -> GridFunction:
-        g = metric_gradient_modulus(self.grid, mode, scratch=self.scratch)
-        if not np.any(g.values) and not self.is_zero:
+    def _nonzero_grad(self, mode: str) -> np.ndarray:
+        g = _box_modulus(self.grid, self.box, mode, scratch=self.scratch)
+        if not np.any(g) and not self.is_zero:
             raise ValueError("nonzero function with zero gradient: malformed input")
         return g
 

@@ -27,7 +27,7 @@ from .rearrangement import (
 )
 from .gradient import (
     PreparedFunction,
-    metric_gradient_modulus,
+    _box_modulus,
     polya_szego_compare,
     prepare,
     require_gradient_mode,
@@ -425,29 +425,32 @@ def check_binomial_bounds(
     )
 
 
-def _local_stencil_max(values: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+def _local_stencil_max(values: np.ndarray, box=None, *, out: np.ndarray | None = None) -> np.ndarray:
     """Each cell's max over itself and its axis neighbours; an out-of-grid neighbour is 0.
 
-    As in the gradient kernel, a neighbour along an axis is a flat shift of
-    the C-ordered cells.  The shift is wrong only on the face it moves
-    toward, so that face is kept aside and maxed with 0 instead.  The result
-    is written into ``out`` if given (C-contiguous, of ``values``' shape).
+    Only the cells of ``box`` (a tuple of slices, the whole grid by
+    default) are computed; their neighbours are read from ``values``
+    itself, in or off the box.  Per axis, the neighbour at +1 comes first,
+    then the one at -1.  The result is written into ``out`` if given (of
+    the box's shape), else into a fresh array.
     """
-    values = np.ascontiguousarray(values)
+    box = tuple(slice(0, n) for n in values.shape) if box is None else box
+    cells = values[box]
     if out is None:
-        out = values.copy()
+        out = cells.copy()
     else:
-        np.copyto(out, values)
-    flat, o = values.reshape(-1), out.reshape(-1)
-    for ax in range(values.ndim):
-        s = math.prod(values.shape[ax + 1 :])
+        np.copyto(out, cells)
+    for ax, (s, n) in enumerate(zip(box, values.shape)):
         om = np.moveaxis(out, ax, 0)
-        face = om[-1:].copy()
-        np.maximum(o[:-s], flat[s:], out=o[:-s])
-        np.maximum(face, 0.0, out=om[-1:])
-        face = om[:1].copy()
-        np.maximum(o[s:], flat[:-s], out=o[s:])
-        np.maximum(face, 0.0, out=om[:1])
+        for step in (1, -1):
+            # the box's slabs whose neighbour lies on the grid, and those neighbours
+            lo, hi = max(s.start + step, 0), min(s.stop + step, n)
+            inside = slice(lo - step - s.start, hi - step - s.start)
+            shifted = list(box)
+            shifted[ax] = slice(lo, hi)
+            np.maximum(om[inside], np.moveaxis(values[tuple(shifted)], ax, 0), out=om[inside])
+            edge = slice(hi - step - s.start, None) if step == 1 else slice(0, lo - step - s.start)
+            np.maximum(om[edge], 0.0, out=om[edge])
     return out
 
 
@@ -484,27 +487,29 @@ def check_chain_rule(
     if r <= 1:
         raise ValueError("chain rule sweep needs r > 1")
     pf = prepare(f)
-    grid = pf.grid
-    if np.any(grid.values < 0):
+    grid, box = pf.grid, pf.box
+    cells = grid.values[box]  # off f's support box both sides are 0, and so is every ratio
+    if np.any(cells < 0):
         raise ValueError("chain rule check expects a nonnegative function")
-    # f^r and then fhat share one work buffer, the gradient of f^r another, which the ratios overwrite
-    scratch, shape = pf.scratch, grid.values.shape
-    work = scratch.buffer("values", shape)
-    np.copyto(work, grid.values)
-    work **= r
-    lhs = metric_gradient_modulus(
-        GridFunction(grid.spacing, work), gradient_mode, scratch=scratch, out=scratch.buffer("modulus", shape)
-    ).values
+    # f^r and then fhat share the "values" buffer, the gradient of f^r another, which the ratios overwrite
+    scratch, shape = pf.scratch, cells.shape
+    lhs = _box_modulus(grid, box, gradient_mode, scratch=scratch, power=r, out=scratch.buffer("modulus", shape))
     # f^r is spent: building |grad f| (and, for a zero gradient, the mass behind is_zero) may write "values"
-    grad = pf.grad(gradient_mode).values
+    grad = pf.grad(gradient_mode)
     # rhs = (2r * fhat^(r-1)) * |grad f|, built in place in that order
-    rhs = _local_stencil_max(grid.values, out=work)
+    rhs = _local_stencil_max(grid.values, box, out=scratch.buffer("values", shape))
     rhs **= r - 1.0
     rhs *= 2.0 * r
     rhs *= grad
     grid_ratios = _ratio_in_place(lhs, rhs)
     g_idx = int(np.argmax(grid_ratios))
     grid_worst = float(grid_ratios.ravel()[g_idx])
+    # the first maximum's flat index on the whole grid, which is cell 0 if every ratio is 0
+    if grid_worst == 0:
+        g_idx = 0
+    else:
+        cell = [i + s.start for i, s in zip(np.unravel_index(g_idx, shape), box)]
+        g_idx = int(np.ravel_multi_index(cell, grid.extents))
     scalar_worst, scalar_a, scalar_b = _scalar_chain_sweep(r)
 
     params_doc = {
@@ -589,7 +594,10 @@ def check_oneil(
     prepared) on identical grids, or two flat value arrays with a shared
     ``masses`` array, or a scalar mass that every cell has.  The product is
     formed cellwise before any rearrangement; prepared functions contribute
-    their cached profiles, so only the product is sorted.  The default t-grid
+    their cached profiles, so only the product is sorted.  For grid
+    functions it is formed on the meet of their support boxes only: off it
+    one factor is 0, and those cells join the zero atom by count.  The
+    ``atoms`` param is the cell count all the same.  The default t-grid
     ends at the domain measure for grid functions (one grid per grid shape),
     and at the summed masses for value arrays, 16 points per decade.
     """
@@ -603,11 +611,16 @@ def check_oneil(
         if gf.extents != gg.extents or gf.spacing != gg.spacing:
             raise ValueError("grid functions must share extents and spacing")
         prof_f, prof_g = pf.profile(), pg.profile()
-        # |f g| = |f| |g| bit for bit; like |f| in grid_to_mass, the product is sorted where it lies
-        vfg = pf.scratch.buffer("values", (gf.values.size,))
-        np.multiply(gf.values.ravel(), gg.values.ravel(), out=vfg)
+        # the meet of the two boxes, empty along an axis where they do not meet
+        starts = [max(a.start, b.start) for a, b in zip(pf.box, pg.box)]
+        box = tuple(slice(lo, max(lo, min(a.stop, b.stop))) for lo, a, b in zip(starts, pf.box, pg.box))
+        # |f g| = |f| |g| bit for bit; like |f| in box_to_mass, the product is sorted where it lies
+        on_f, on_g = gf.values[box], gg.values[box]
+        vfg = pf.scratch.buffer("values", on_f.shape)
+        np.multiply(on_f, on_g, out=vfg)
         np.abs(vfg, out=vfg)
-        cell_masses = gf.cell_measure
+        vfg = vfg.reshape(-1)
+        cell_masses, atoms = gf.cell_measure, gf.values.size
     else:
         vf = np.abs(np.asarray(f, dtype=float).ravel())
         vg = np.abs(np.asarray(g, dtype=float).ravel())
@@ -621,6 +634,7 @@ def check_oneil(
         prof_f = decreasing_rearrangement(MassFunction(vf, cell_masses))
         prof_g = decreasing_rearrangement(MassFunction(vg, cell_masses))
         vfg = vf * vg
+        atoms = vfg.size
 
     # the merge's temporaries are freed before the product sort builds its own, and so is
     # the merged profile itself once the t-grid is known: only its averages there are kept
@@ -631,7 +645,7 @@ def check_oneil(
         t_grid = np.asarray(t_grid, dtype=float)
         rhs = hl_profile.prefix_integral(t_grid) / t_grid
         hl_profile = None
-    prof_fg = decreasing_rearrangement(MassFunction(vfg, cell_masses, _sort_in_place=True))
+    prof_fg = decreasing_rearrangement(MassFunction(vfg, cell_masses, zeros=atoms - vfg.size, _sort_in_place=True))
     if t_grid is None:  # value arrays: the grid ends at the product's summed masses
         t_grid = _tgrid((prof_fg.total_measure * 1e-5, prof_fg.total_measure, 16))
         rhs = hl_profile.prefix_integral(t_grid) / t_grid
@@ -640,7 +654,7 @@ def check_oneil(
     j = int(np.argmax(ratios))
     return CheckReport(
         inequality_id="oneil",
-        params={"t_points": int(t_grid.size), "atoms": int(vfg.size)},
+        params={"t_points": int(t_grid.size), "atoms": int(atoms)},
         worst_ratio=float(ratios[j]),
         worst_location=float(t_grid[j]),
         constant_used=1.0,

@@ -12,9 +12,11 @@ import numpy as np
 
 __all__ = [
     "Scratch",
+    "support_box",
     "MassFunction",
     "GridFunction",
     "grid_to_mass",
+    "box_to_mass",
     "support_measure",
     "lp_norm",
 ]
@@ -23,19 +25,23 @@ __all__ = [
 class Scratch:
     """Reusable float64 work buffers for the cell-sized temporaries of a run, one per role.
 
-    ``buffer(role, shape)`` hands out the role's buffer, shaped as asked.  A
-    buffer is made on its role's first request and made anew only when the
-    requested cell count changes; only buffers of the current count are kept.
-    A run over one grid shape so faults its work memory in once, not on every
-    call.  Every request for a role returns the same memory, so a buffer's
-    contents last only until the next call that writes the role, and nothing
-    that outlives a call (a cached artifact, a report) may be a view of one.
-    The roles in use:
+    Each buffer holds one grid's cell count, set by ``reserve`` (a
+    ``PreparedFunction`` reserves its grid's) and made anew only when that
+    count changes; only buffers of the current count are kept.  A run over
+    one grid shape so faults its work memory in once, not on every call.
+    ``buffer(role, shape)`` hands out the first prod(shape) cells of the
+    role's buffer, shaped as asked: a support box's request
+    (``support_box``) is a prefix of it.  A request for more cells than the
+    count reserves that many first.  Every request for a role returns the
+    same memory, so a buffer's contents last only until the next call that
+    writes the role, and nothing that outlives a call (a cached artifact, a
+    report) may be a view of one.  The roles in use:
 
     * ``"grad.component"``, ``"grad.difference"``: the gradient kernel's, for
-      the length of one modulus;
+      the box of one modulus;
     * ``"values"``: the cell values a mass build sorts where they lie (|f|, or
-      O'Neil's |f||g|), and in the chain rule f^r and then the stencil maximum;
+      O'Neil's |f||g|), the copy of f's box the gradient kernel reads, and in
+      the chain rule f^r and then the stencil maximum;
     * ``"modulus"``: the chain rule's gradient of f^r, then its ratios.
     """
 
@@ -45,13 +51,40 @@ class Scratch:
         self._cells = 0
         self._buffers = {}
 
-    def buffer(self, role: str, shape) -> np.ndarray:
-        cells = math.prod(shape)
+    def reserve(self, cells: int) -> None:
+        """Size every buffer for ``cells`` cells; a new count drops the buffers of the old one."""
         if cells != self._cells:
             self._cells, self._buffers = cells, {}
+
+    def buffer(self, role: str, shape) -> np.ndarray:
+        cells = math.prod(shape)
+        if cells > self._cells:
+            self.reserve(cells)
         if role not in self._buffers:
-            self._buffers[role] = np.empty(cells)
-        return self._buffers[role].reshape(shape)
+            self._buffers[role] = np.empty(self._cells)
+        return self._buffers[role][:cells].reshape(shape)
+
+
+def support_box(values: np.ndarray) -> tuple:
+    """The bounding box of the nonzero cells of ``values``, grown by one cell and clamped to the grid.
+
+    It is a tuple of slices, one per axis.  Every cell off it is 0, and so
+    is each axis neighbour of such a cell, so a gradient, a stencil maximum
+    or a product of functions is 0 there too.  -0.0 counts as zero.  An
+    array with no nonzero cell gets the whole grid.
+    """
+    nonzero = values != 0
+    box = []
+    for ax, n in enumerate(values.shape):
+        # the slabs along this axis that hold a nonzero cell; the next axis looks only between them
+        hit = np.flatnonzero(nonzero.reshape(nonzero.shape[0], -1).any(axis=1))
+        if not hit.size:
+            return tuple(slice(0, n) for n in values.shape)
+        lo, hi = int(hit[0]), int(hit[-1]) + 1
+        box.append(slice(max(lo - 1, 0), min(hi + 1, n)))
+        if ax + 1 < values.ndim:
+            nonzero = nonzero[lo:hi].any(axis=0)
+    return tuple(box)
 
 
 class MassFunction:
@@ -76,6 +109,10 @@ class MassFunction:
     dyadic m (a power of two) it equals the running sum of the per-cell
     masses bit for bit.
 
+    With a scalar mass, ``zeros`` more atoms of value 0 are counted, not
+    stored: they join the zero atom's run after the sort (the cells off a
+    grid function's support box, say), so they are never sorted.
+
     ``_sort_in_place`` is for this package's own builders: ``values`` is then
     a float64 array that the builder made and reads no more, and with a
     scalar mass it is sorted where it lies instead of copied first.  A
@@ -84,13 +121,15 @@ class MassFunction:
 
     __slots__ = ("values", "masses", "cum_masses", "breakpoints")
 
-    def __init__(self, values, masses, *, _sort_in_place=False):
+    def __init__(self, values, masses, *, zeros: int = 0, _sort_in_place=False):
         values = np.atleast_1d(np.asarray(values, dtype=float))
         masses = np.asarray(masses, dtype=float)
         uniform = masses.ndim == 0
         if values.ndim != 1 or (not uniform and masses.shape != values.shape):
             raise ValueError("values and masses must be 1-d arrays of equal length")
-        if values.size == 0:
+        if zeros and not uniform:
+            raise ValueError("counted zeros need a scalar mass")
+        if values.size + zeros == 0:
             raise ValueError("a mass function needs at least one atom")
         if uniform:
             m = float(masses)
@@ -104,6 +143,9 @@ class MassFunction:
                 v = values[::-1]
             else:
                 v = np.sort(values)[::-1]
+            if zeros and not (v.size and v[-1] == 0):
+                v = np.append(v, 0.0)  # no stored zero for the counted ones to join: one is stored
+                zeros -= 1
         else:
             if not np.all(np.isfinite(masses)):
                 raise ValueError("atoms must be finite")
@@ -125,6 +167,7 @@ class MassFunction:
         np.not_equal(v[1:], v[:-1], out=edge[1:-1])
         bounds = np.flatnonzero(edge)
         del edge
+        bounds[-1] += zeros  # the zero atom's run, which ends the sorted values, takes the counted zeros
         self.values = v[bounds[:-1]]
         del v  # the sorted copy, before the mass arrays are made
         if self.values[-1] == 0.0:
@@ -315,13 +358,28 @@ def grid_to_mass(f: GridFunction, *, scratch: Scratch | None = None) -> MassFunc
     """One atom per cell with value |f(cell)| and mass h**dim.
 
     Equal values (all the zero cells in particular) merge into single atoms;
-    the total mass equals the domain measure.  |f| is written into a work
-    buffer of ``scratch`` (a fresh array without one) and sorted there; the
-    mass function keeps none of it.
+    the total mass equals the domain measure.  Only the cells of f's support
+    box (``support_box``) are sorted, by ``box_to_mass``: the others are 0
+    and join the zero atom by count, so the atoms, masses and breakpoints
+    are those of sorting every cell, bit for bit.
     """
-    values = f.values.ravel()
-    work = np.empty(values.size) if scratch is None else scratch.buffer("values", values.shape)
-    return MassFunction(np.abs(values, out=work), f.cell_measure, _sort_in_place=True)
+    return box_to_mass(f.values[support_box(f.values)], f.values.size, f.cell_measure, scratch=scratch)
+
+
+def box_to_mass(
+    on_box: np.ndarray, cells: int, cell_measure: float, *, scratch: Scratch | None = None
+) -> MassFunction:
+    """The mass function of |v|, for the values v of ``cells`` cells that are ``on_box`` on a box and 0 elsewhere.
+
+    Each cell is an atom of mass ``cell_measure``.  |v| on the box is
+    written into the ``"values"`` buffer of ``scratch`` (a fresh array
+    without one) and sorted there; the ``cells - on_box.size`` cells off the
+    box join the zero atom by count.  The mass function keeps none of the
+    buffer.
+    """
+    work = np.empty(on_box.shape) if scratch is None else scratch.buffer("values", on_box.shape)
+    np.abs(on_box, out=work)
+    return MassFunction(work.reshape(-1), cell_measure, zeros=cells - work.size, _sort_in_place=True)
 
 
 def support_measure(f: MassFunction, threshold: float = 0.0) -> float:

@@ -122,10 +122,12 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
     costly functions do not leave the other workers idle.  The process that
     runs function i runs the O'Neil pair (i - 1, i), re-preparing i - 1's
     profile unless it has just run i - 1, and the rows join in function
-    order, so the reports are those of one pass.  With one CPU or one
-    function the same loop runs here over the whole corpus without forking.
-    An exception a child raises is raised here, and no child outlives the
-    call.
+    order, so the reports are those of one pass.  The corpus-free sweeps
+    run here once the children are forked, so no worker waits for them.
+    With one CPU or one function the same loop runs here over the whole
+    corpus without forking.  An exception a child raises is raised here: a
+    failing child stops every claim first, so no worker starts another
+    function.  No child outlives the call.
     """
     if corpus is None:
         corpus = generate_corpus(config.corpus)
@@ -137,18 +139,23 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
         "capture_trace": config.detail,
         "tolerance": config.tolerance,
     }
-    per_function, pairs = [], []
+    per_function, pairs, sweeps = [], [], []
     for index, entry in enumerate(config.inequalities):
         name = entry["id"]
         kwargs = checker_kwargs(name, entry, context)
         # the one corpus-free sweep and the one pair check run through this module's names
         arity = ARITY.get(name, 1)
         if arity == 0:
-            rows[index].append(_guarded(name, "-", lambda: check_binomial_bounds(**kwargs)))
+            sweeps.append((index, name, kwargs))
         elif arity == 2:
             pairs.append((index, name, kwargs))
         else:
             per_function.append((index, name, CHECKERS[name], kwargs))
+
+    def run_sweeps() -> None:
+        """The corpus-free rows, run in this process once any workers are forked."""
+        for index, name, kwargs in sweeps:
+            rows[index].append(_guarded(name, "-", lambda: check_binomial_bounds(**kwargs)))
 
     # entries that share a p run one after another, the groups in the order of
     # each p's first entry, so one p's powered profiles are dropped before the
@@ -191,7 +198,8 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
         return done
 
     ids = [function_id for function_id, _ in corpus]
-    for _, part in sorted(_run_forked(run_functions, ids, _worker_count(len(ids))), key=lambda item: item[0]):
+    done = _run_forked(run_functions, ids, _worker_count(len(ids)), run_sweeps)
+    for _, part in sorted(done, key=lambda item: item[0]):
         for slot, rows_of_entry in zip(rows, part):
             slot.extend(rows_of_entry)
     return [report for slot in rows for report in slot]
@@ -207,14 +215,17 @@ def _worker_count(functions: int) -> int:
 
 
 def _claim(words, worker: int) -> int | None:
-    """The next function index for ``worker``, or None once no range has an unclaimed index.
+    """The next function index for ``worker``, or None once no range has an unclaimed index or the pass is stopped.
 
     ``words`` holds two numbers per worker: the next unclaimed index of its
-    range and the range's end.  A worker claims its own range front to back.
-    Once it is used up, the worker takes over the back half, rounded up, of
-    the largest unclaimed remainder (the first such worker's on a tie), and
-    claims that front to back.
+    range and the range's end, then the stop word, nonzero once a worker
+    has failed.  A worker claims its own range front to back.  Once it is
+    used up, the worker takes over the back half, rounded up, of the largest
+    unclaimed remainder (the first such worker's on a tie), and claims that
+    front to back.
     """
+    if words[-1]:
+        return None
     start, end = words[2 * worker], words[2 * worker + 1]
     if start == end:
         victim = max(range(len(words) // 2), key=lambda w: words[2 * w + 1] - words[2 * w])
@@ -236,11 +247,12 @@ class _Ledger:
     forked child inherits.  A claim holds an ``fcntl.lockf`` lock on that
     file, and the kernel drops the lock when its holder exits, so a killed
     worker cannot hang the others.  ``last`` is the index this process
-    claimed last: the function it is running.
+    claimed last: the function it is running.  The last word is the stop
+    word, which ``stop`` sets.
     """
 
     def __init__(self, bounds: list):
-        size = 16 * len(bounds)
+        size = 16 * len(bounds) + 8
         self._fd = os.memfd_create("symineq-claims", os.MFD_CLOEXEC)
         try:
             os.ftruncate(self._fd, size)
@@ -254,7 +266,7 @@ class _Ledger:
         self.last = None
 
     def claims(self, worker: int):
-        """The indices ``worker`` claims, in claim order, until none is left."""
+        """The indices ``worker`` claims, in claim order, until none is left or the pass is stopped."""
         while True:
             fcntl.lockf(self._fd, fcntl.LOCK_EX)
             try:
@@ -265,30 +277,43 @@ class _Ledger:
                 return
             yield self.last
 
+    def stop(self) -> None:
+        """Set the stop word: from now on every claim, of any worker, finds nothing."""
+        fcntl.lockf(self._fd, fcntl.LOCK_EX)
+        try:
+            self.words[-1] = 1
+        finally:
+            fcntl.lockf(self._fd, fcntl.LOCK_UN)
+
     def close(self) -> None:
         self.words.release()
         self._map.close()
         os.close(self._fd)
 
 
-def _run_forked(run_functions, ids: list, workers: int) -> list:
+def _run_forked(run_functions, ids: list, workers: int, run_here) -> list:
     """(i, rows) for every function index i: worker 0 runs here, each other one in a forked child.
 
     ``ids`` are the function ids, one per index.  Worker w starts on the
     w-th of ``workers`` contiguous ranges of the indices and claims
     functions through the shared ledger, which hands an idle worker the back
     half of the busiest range (``_claim``).  With one worker nothing forks,
-    and the same loop runs over every index with no ledger.  Each process
-    formats its rows' traces into their ``trace_text`` caches, so the report
-    writer's float formatting is split too.  A child pickles its rows (or
-    the exception it raised, with the function it was running) into a pipe
-    and leaves by ``os._exit``, so it never returns into the caller's stack
-    nor flushes this process's stdio.  The pipes are read in worker order.
+    and the same loop runs over every index with no ledger.  ``run_here()``
+    runs in this process after the forks and before its own claims, so the
+    children start at once.  Each process formats its rows' traces into
+    their ``trace_text`` caches, so the report writer's float formatting is
+    split too.  A child pickles its rows (or the exception it raised, with
+    the function it was running) into a pipe and leaves by ``os._exit``, so
+    it never returns into the caller's stack nor flushes this process's
+    stdio.  A failing child sets the ledger's stop word before it sends its
+    exception, so the other workers start no new function.  The pipes are
+    read in worker order.
     On the way out, whether with the rows, an exception or an interrupt,
     every pipe is closed and every child is killed (one that has sent its
     rows has only its exit left) and reaped.
     """
     if workers == 1:
+        run_here()
         done = run_functions(range(len(ids)))
         _format_traces(done)
         return done
@@ -306,6 +331,7 @@ def _run_forked(run_functions, ids: list, workers: int) -> list:
             finally:
                 os.close(write_fd)  # the child's copy is the only writer left
             pids.append(pid)
+        run_here()
         done = run_functions(ledger.claims(0))
         _format_traces(done)
         for worker, reader in enumerate(readers, start=1):
@@ -340,6 +366,7 @@ def _run_child(run_functions, ledger: _Ledger, worker: int, write_fd: int) -> No
             message = (done, None)
         # the process boundary: whatever stops the worker, an interrupt included, goes to the parent
         except BaseException as exc:
+            ledger.stop()  # before the message: no worker starts a function the failed pass would discard
             message = (None, (_picklable(exc), ledger.last, traceback.format_exc()))
         with open(write_fd, "wb") as fh:
             pickle.dump(message, fh, protocol=pickle.HIGHEST_PROTOCOL)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import symineq as sq
-from symineq import inequalities
+from symineq import gradient, inequalities
 from symineq.gradient import PreparedFunction, prepare
 from symineq.measure import Scratch
 from symineq.suite import DEFAULT_INEQUALITIES, SuiteConfig
@@ -49,7 +49,9 @@ class TestPreparedFunction:
         for mode in ("metric_max", "euclidean_central"):
             grad = sq.metric_gradient_modulus(cone512, mode)
             grad_profile = sq.decreasing_rearrangement(sq.grid_to_mass(grad))
-            assert np.array_equal(pf.grad(mode).values, grad.values)
+            # the modulus on f's support box, and 0 off it
+            assert np.array_equal(pf.grad(mode), grad.values[pf.box])
+            assert np.count_nonzero(grad.values) == np.count_nonzero(pf.grad(mode))
             assert np.array_equal(pf.mass(mode).masses, sq.grid_to_mass(grad).masses)
             assert np.array_equal(pf.profile(mode).levels, grad_profile.levels)
             assert np.array_equal(pf.profile(mode).breakpoints, grad_profile.breakpoints)
@@ -282,7 +284,9 @@ def test_rows_on_a_shared_scratch_equal_calls_on_fresh_functions(chain_rule_firs
 
 
 def _arrays(artifact):
-    """The arrays an artifact (mass function, profile, grid function or number) holds."""
+    """The arrays an artifact (mass function, profile, array or number) holds."""
+    if isinstance(artifact, np.ndarray):
+        return [artifact]
     names = ("values", "masses", "cum_masses", "breakpoints", "levels", "_cum_integral")
     arrays = [getattr(artifact, name, None) for name in names]
     return [a for a in arrays if isinstance(a, np.ndarray)]
@@ -303,7 +307,8 @@ def test_no_cached_artifact_or_report_is_a_view_of_a_work_buffer(small_corpus):
         if prev is not None:
             assert inequalities.check_oneil(prev, pf).status == "ok"
         artifacts = list(pf._cache.values())
-        assert {type(a).__name__ for a in artifacts} >= {"MassFunction", "StepProfile", "GridFunction"}
+        # |grad f| is cached as an array: the modulus on f's support box
+        assert {type(a).__name__ for a in artifacts} >= {"MassFunction", "StepProfile", "ndarray"}
         kept += [a for artifact in artifacts for a in _arrays(artifact)]
         prev = pf
     buffers = list(scratch._buffers.values())
@@ -312,13 +317,25 @@ def test_no_cached_artifact_or_report_is_a_view_of_a_work_buffer(small_corpus):
 
 
 def test_scratch_keeps_one_buffer_per_role_at_the_current_cell_count():
+    """The grid's cell count is reserved; a support box's request is a prefix of its role's buffer."""
     scratch = Scratch()
+    scratch.reserve(24)
     a = scratch.buffer("values", (6, 4))
     assert a.shape == (6, 4) and a.dtype == np.float64 and a.flags.c_contiguous
     assert np.shares_memory(scratch.buffer("values", (24,)), a)
-    assert not np.shares_memory(scratch.buffer("modulus", (24,)), a)
-    b = scratch.buffer("values", (5,))  # a new cell count: every buffer is made anew
-    assert b.shape == (5,) and not np.shares_memory(b, a) and list(scratch._buffers) == ["values"]
+    modulus = scratch.buffer("modulus", (2, 2))
+    assert not np.shares_memory(modulus, a) and scratch._buffers["modulus"].size == 24
+    # a box-sized request: the front of the role's buffer, C-contiguous in its own shape
+    b = scratch.buffer("values", (2, 3))
+    assert b.shape == (2, 3) and b.flags.c_contiguous and b.ctypes.data == a.ctypes.data
+    assert scratch.buffer("values", (0, 3)).size == 0
+    scratch.reserve(24)  # the same count keeps every buffer
+    assert scratch.buffer("modulus", (3,)).ctypes.data == modulus.ctypes.data
+    c = scratch.buffer("values", (5, 5))  # more cells than the count: every buffer is made anew for 25
+    assert c.shape == (5, 5) and not np.shares_memory(c, a) and list(scratch._buffers) == ["values"]
+    scratch.reserve(5)  # a new grid's count, smaller or not, drops them too
+    d = scratch.buffer("values", (2,))
+    assert not np.shares_memory(d, c) and scratch._buffers["values"].size == 5
 
 
 def test_dimension_comes_from_each_function():
@@ -369,7 +386,7 @@ def test_an_underflowed_gradient_is_an_input_error_not_a_trivial_pass():
     assert [r.status.split(":")[0] for r in rows] == ["input_error"] * 3
     assert all("underflows" in r.status for r in rows)
     zero = sq.GridFunction(cone.spacing, np.zeros(cone.extents))
-    assert prepare(zero).is_zero and not np.any(prepare(zero).grad().values)
+    assert prepare(zero).is_zero and not np.any(prepare(zero).grad())
 
 
 def test_a_power_that_underflows_is_an_input_error():
@@ -400,7 +417,7 @@ def test_default_suite_builds_each_artifact_once(small_corpus, monkeypatch):
 
     monkeypatch.setattr(sq.MassFunction, "__init__", counting_init)
 
-    original_modulus = sq.metric_gradient_modulus
+    original_modulus = gradient._box_modulus
 
     def counting_modulus(*args, **kwargs):
         counts["modulus"] += 1
@@ -415,8 +432,8 @@ def test_default_suite_builds_each_artifact_once(small_corpus, monkeypatch):
     # rebind in every module that imported the function by name
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "symineq":
-            if getattr(module, "metric_gradient_modulus", None) is original_modulus:
-                monkeypatch.setattr(module, "metric_gradient_modulus", counting_modulus)
+            if getattr(module, "_box_modulus", None) is original_modulus:
+                monkeypatch.setattr(module, "_box_modulus", counting_modulus)
             if getattr(module, "powered_profile", None) is original_powered:
                 monkeypatch.setattr(module, "powered_profile", counting_powered)
 

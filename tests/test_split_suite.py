@@ -316,6 +316,63 @@ def test_an_exception_in_a_worker_reaches_the_caller(corpus, forks, monkeypatch,
     _assert_no_child_left(fds)
 
 
+def test_a_failing_child_stops_every_claim(corpus, forks, monkeypatch, tmp_path):
+    """This process holds function 0 until the child, failing on function 3, has set the stop word.
+
+    Without the stop word it would go on to claim every function left, the
+    dead child's range included, before it read the child's pipe.
+    """
+    caller, log = os.getpid(), tmp_path / "log"
+    ids = {id(f): function_id for function_id, f in corpus}
+    stop = suite._Ledger.stop
+
+    def logged_stop(ledger):
+        stop(ledger)
+        _append(log, os.getpid(), "stop")
+
+    def raising(pf):
+        _append(log, os.getpid(), ids[id(pf.grid)])
+        if pf.grid is corpus[3][1]:
+            # the child fails once this process is running function 0
+            _wait_for(lambda: (caller, corpus[0][0]) in _log_lines(log))
+            raise RuntimeError("the child's function broke")
+        if pf.grid is corpus[0][1] and os.getpid() == caller:
+            _wait_for(lambda: any(fid == "stop" for _, fid in _log_lines(log)))
+
+    monkeypatch.setattr(suite._Ledger, "stop", logged_stop)
+    _before_s_phi_p(monkeypatch, raising)
+    fds = _open_fds()
+    made = forks(2)
+    with pytest.raises(RuntimeError, match="the child's function broke"):
+        sq.run_suite(DETAIL, corpus)
+    assert len(made) == 1
+    _assert_no_child_left(fds)
+    lines = _log_lines(log)
+    stopped = next(i for i, (_, fid) in enumerate(lines) if fid == "stop")
+    assert lines[stopped][0] != caller and (lines[stopped][0], corpus[3][0]) in lines[:stopped]
+    # after the stop word this process only finished the function it was running
+    assert {fid for pid, fid in lines[stopped:] if pid == caller} == {corpus[0][0]}
+    assert {fid for pid, fid in lines if pid == caller} == {corpus[0][0]}
+
+
+def test_the_sweeps_run_here_after_every_fork(corpus, forks, monkeypatch):
+    forks(1)
+    serial = sq.run_suite(DETAIL, corpus)
+    calls = []
+    original = suite.check_binomial_bounds
+
+    def recording(**kwargs):
+        calls.append((os.getpid(), len(made)))
+        return original(**kwargs)
+
+    monkeypatch.setattr(suite, "check_binomial_bounds", recording)
+    made = forks(3)
+    split = sq.run_suite(DETAIL, corpus)
+    # one sweep, in this process, once both children were forked; its row keeps its place
+    assert calls == [(os.getpid(), 2)]
+    assert [r.to_dict() for r in split] == [r.to_dict() for r in serial]
+
+
 def test_a_value_error_in_a_worker_is_an_input_error_row_as_in_one_process(corpus, forks, monkeypatch):
     _raise_on(monkeypatch, corpus[-1][1], ValueError("not this one"))
     forks(1)
