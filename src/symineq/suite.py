@@ -228,7 +228,7 @@ def _claim(words, worker: int) -> int | None:
         return None
     start, end = words[2 * worker], words[2 * worker + 1]
     if start == end:
-        victim = max(range(len(words) // 2), key=lambda w: words[2 * w + 1] - words[2 * w])
+        victim = max(range((len(words) - 1) // 2), key=lambda w: words[2 * w + 1] - words[2 * w])
         left = words[2 * victim + 1] - words[2 * victim]
         if left == 0:
             return None
