@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .measure import GridFunction, MassFunction, Scratch, box_to_mass, lp_norm, require_finite_p, support_box
+from .measure import GridFunction, MassFunction, box_to_mass, lp_norm, require_finite_p, support_box
 from .rearrangement import (
     StepProfile,
     _consecutive_integrals,
@@ -81,22 +81,14 @@ def _axis_magnitude(v: np.ndarray, axis: int, mode: str, out: np.ndarray, work: 
         np.abs(vm[-2:-1], out=om[-1:])
 
 
-def _modulus_values(
-    v: np.ndarray, h: float, mode: str, *, scratch: Scratch | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
-    """The gradient modulus of the cell values ``v`` at spacing ``h``, as an array.
-
-    It is written into ``out`` if given (a C-contiguous float64 array of
-    ``v``'s shape), else into a fresh array.  The component and difference
-    arrays are work buffers of ``scratch``; without one they are fresh too.
-    """
+def _modulus_values(v: np.ndarray, h: float, mode: str) -> np.ndarray:
+    """The gradient modulus of the cell values ``v`` at spacing ``h``, as a fresh array."""
     v = np.ascontiguousarray(v)
-    scratch = Scratch() if scratch is None else scratch
     step = h if mode == "metric_max" else 2.0 * h
-    # the first axis's squared component becomes the sum; later axes reuse one buffer
-    modulus = np.empty_like(v) if out is None else out
-    comp = scratch.buffer("grad.component", v.shape) if v.ndim > 1 else None
-    work = scratch.buffer("grad.difference", (v.size,)) if mode == "metric_max" else None
+    # the first axis's squared component becomes the sum; later axes reuse one array
+    modulus = np.empty_like(v)
+    comp = np.empty_like(v) if v.ndim > 1 else None
+    work = np.empty(v.size) if mode == "metric_max" else None
     for ax in range(v.ndim):
         buf = comp if ax else modulus
         _axis_magnitude(v, ax, mode, buf, work)
@@ -107,34 +99,24 @@ def _modulus_values(
     return np.sqrt(modulus, out=modulus)
 
 
-def _box_modulus(
-    f: GridFunction,
-    box,
-    mode: str,
-    *,
-    scratch: Scratch,
-    power: float | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """|grad f| on ``box``, or |grad f^power| with a power, as an array of the box's shape.
+def _box_modulus(f: GridFunction, box, mode: str, *, power: float | None = None) -> np.ndarray:
+    """|grad f| on ``box``, or |grad f^power| with a power, as a fresh array of the box's shape.
 
     ``box`` is a support box of f (``support_box``), so the modulus off it
-    is 0 and is not computed.  f's cells on the box are copied into the
-    ``"values"`` buffer of ``scratch``, since the kernel reads them as one
-    flat array, and raised to the power there; a power that is not finite
-    raises ValueError, as a grid function's values would.  The modulus is
-    written into ``out`` if given, else into a fresh array.  One that a
-    grid function could not hold, not finite or not 0 on the grid's outer
-    layer, raises ValueError.
+    is 0 and is not computed.  f^power is taken on a copy of f's box, never
+    in place: when the box is the whole grid, ``f.values[box]`` is all of f.
+    A power that is not finite raises ValueError, as a grid function's
+    values would.  A modulus that a grid function could not hold, not
+    finite or not 0 on the grid's outer layer, raises ValueError.
     """
-    on_box = f.values[box]
-    cells = scratch.buffer("values", on_box.shape)
-    np.copyto(cells, on_box)
+    cells = f.values[box]
     if power is not None:
-        cells **= power
-        GridFunction(f.spacing, cells)  # f^power on the box, 0 on its faces: refused only if not finite
+        with np.errstate(over="ignore"):  # an overflow is reported below, as a ValueError
+            cells = cells**power
+        if not np.all(np.isfinite(cells)):
+            raise ValueError("grid values must be finite")
     require_gradient_mode(mode)
-    modulus = _modulus_values(cells, f.spacing, mode, scratch=scratch, out=out)
+    modulus = _modulus_values(cells, f.spacing, mode)
     # the box reaches the grid's outer layer only where one of its slices starts at 0 or ends at the extent
     faces = [
         np.moveaxis(modulus, ax, 0)[end]
@@ -156,18 +138,15 @@ def require_gradient_mode(mode) -> None:
         raise ValueError(f"unknown gradient mode {mode!r}; expected one of {GRADIENT_MODES}")
 
 
-def metric_gradient_modulus(
-    f: GridFunction, mode: str = "metric_max", *, scratch: Scratch | None = None
-) -> GridFunction:
+def metric_gradient_modulus(f: GridFunction, mode: str = "metric_max") -> GridFunction:
     """Per-cell discrete gradient magnitude of a grid function.
 
-    The kernel runs on f's support box (``support_box``) only, with the
-    work buffers of ``scratch`` (fresh ones without it); every other cell
-    of the result is 0.
+    The kernel runs on f's support box (``support_box``) only; every other
+    cell of the result is 0.
     """
     box = support_box(f.values)
     values = np.zeros(f.extents)
-    values[box] = _box_modulus(f, box, mode, scratch=Scratch() if scratch is None else scratch)
+    values[box] = _box_modulus(f, box, mode)
     return GridFunction(f.spacing, values)
 
 
@@ -188,22 +167,13 @@ class PreparedFunction:
     on the box, an array of its shape; off the box it is 0.  A mass build
     sorts the box's cells and counts the others into the zero atom.  The
     chain rule works on the box and O'Neil's product on the meet of two
-    boxes.
-
-    ``scratch`` holds the work buffers of the builds and of the checkers
-    that read this function, reserved for the grid's cell count; each
-    request is the box's size, a prefix of its buffer.  Functions that
-    share one (those of a suite run on one grid shape) fault their work
-    memory in once.  Without one the function gets its own.  Every cached
-    artifact is a fresh array, never a view of a work buffer.
+    boxes.  Each kernel allocates the box-sized arrays it writes.
     """
 
-    __slots__ = ("grid", "scratch", "box", "_cache")
+    __slots__ = ("grid", "box", "_cache")
 
-    def __init__(self, grid: GridFunction, *, scratch: Scratch | None = None):
+    def __init__(self, grid: GridFunction):
         self.grid = grid
-        self.scratch = Scratch() if scratch is None else scratch
-        self.scratch.reserve(grid.values.size)
         self.box = support_box(grid.values)
         self._cache = {}
 
@@ -215,7 +185,7 @@ class PreparedFunction:
     def mass(self, mode: str | None = None) -> MassFunction:
         def build():
             on_box = self.grid.values[self.box] if mode is None else self.grad(mode)
-            return box_to_mass(on_box, self.grid.values.size, self.grid.cell_measure, scratch=self.scratch)
+            return box_to_mass(on_box, self.grid.values.size, self.grid.cell_measure)
 
         return self._cached(("mass", mode), build)
 
@@ -230,7 +200,7 @@ class PreparedFunction:
         return self._cached(("grad", mode), lambda: self._nonzero_grad(mode))
 
     def _nonzero_grad(self, mode: str) -> np.ndarray:
-        g = _box_modulus(self.grid, self.box, mode, scratch=self.scratch)
+        g = _box_modulus(self.grid, self.box, mode)
         if not np.any(g) and not self.is_zero:
             raise ValueError("nonzero function with zero gradient: malformed input")
         return g
@@ -258,7 +228,7 @@ class PreparedFunction:
 
 
 def prepare(f) -> PreparedFunction:
-    """``f`` itself if already prepared, else a fresh PreparedFunction of it, with its own scratch."""
+    """``f`` itself if already prepared, else a fresh PreparedFunction of it."""
     return f if isinstance(f, PreparedFunction) else PreparedFunction(f)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .measure import GridFunction, MassFunction, declared_keys, require_finite_p, support_measure
 from .rearrangement import (
     StepProfile,
+    _weak_sup,
     decreasing_rearrangement,
     dform_derivative,
     geometric_tgrid,
@@ -425,21 +426,16 @@ def check_binomial_bounds(
     )
 
 
-def _local_stencil_max(values: np.ndarray, box=None, *, out: np.ndarray | None = None) -> np.ndarray:
+def _local_stencil_max(values: np.ndarray, box=None) -> np.ndarray:
     """Each cell's max over itself and its axis neighbours; an out-of-grid neighbour is 0.
 
     Only the cells of ``box`` (a tuple of slices, the whole grid by
     default) are computed; their neighbours are read from ``values``
     itself, in or off the box.  Per axis, the neighbour at +1 comes first,
-    then the one at -1.  The result is written into ``out`` if given (of
-    the box's shape), else into a fresh array.
+    then the one at -1.  The result is a fresh array of the box's shape.
     """
     box = tuple(slice(0, n) for n in values.shape) if box is None else box
-    cells = values[box]
-    if out is None:
-        out = cells.copy()
-    else:
-        np.copyto(out, cells)
+    out = values[box].copy()
     for ax, (s, n) in enumerate(zip(box, values.shape)):
         om = np.moveaxis(out, ax, 0)
         for step in (1, -1):
@@ -491,13 +487,10 @@ def check_chain_rule(
     cells = grid.values[box]  # off f's support box both sides are 0, and so is every ratio
     if np.any(cells < 0):
         raise ValueError("chain rule check expects a nonnegative function")
-    # f^r and then fhat share the "values" buffer, the gradient of f^r another, which the ratios overwrite
-    scratch, shape = pf.scratch, cells.shape
-    lhs = _box_modulus(grid, box, gradient_mode, scratch=scratch, power=r, out=scratch.buffer("modulus", shape))
-    # f^r is spent: building |grad f| (and, for a zero gradient, the mass behind is_zero) may write "values"
+    lhs = _box_modulus(grid, box, gradient_mode, power=r)
     grad = pf.grad(gradient_mode)
     # rhs = (2r * fhat^(r-1)) * |grad f|, built in place in that order
-    rhs = _local_stencil_max(grid.values, box, out=scratch.buffer("values", shape))
+    rhs = _local_stencil_max(grid.values, box)
     rhs **= r - 1.0
     rhs *= 2.0 * r
     rhs *= grad
@@ -508,7 +501,7 @@ def check_chain_rule(
     if grid_worst == 0:
         g_idx = 0
     else:
-        cell = [i + s.start for i, s in zip(np.unravel_index(g_idx, shape), box)]
+        cell = [i + s.start for i, s in zip(np.unravel_index(g_idx, cells.shape), box)]
         g_idx = int(np.ravel_multi_index(cell, grid.extents))
     scalar_worst, scalar_a, scalar_b = _scalar_chain_sweep(r)
 
@@ -615,9 +608,7 @@ def check_oneil(
         starts = [max(a.start, b.start) for a, b in zip(pf.box, pg.box)]
         box = tuple(slice(lo, max(lo, min(a.stop, b.stop))) for lo, a, b in zip(starts, pf.box, pg.box))
         # |f g| = |f| |g| bit for bit; like |f| in box_to_mass, the product is sorted where it lies
-        on_f, on_g = gf.values[box], gg.values[box]
-        vfg = pf.scratch.buffer("values", on_f.shape)
-        np.multiply(on_f, on_g, out=vfg)
+        vfg = np.multiply(gf.values[box], gg.values[box])
         np.abs(vfg, out=vfg)
         vfg = vfg.reshape(-1)
         cell_masses, atoms = gf.cell_measure, gf.values.size
@@ -798,10 +789,7 @@ def check_sobolev(
     if mode in ("weak", "strong"):
         inv_pbar = doc["inv_pbar"] = 1.0 / p - 1.0 / n
     if mode == "weak":
-        vals = profile.breakpoints[1:] ** inv_pbar
-        vals *= profile.levels  # levels * t^(1/pbar), in place
-        j = int(np.argmax(vals))
-        lhs = float(vals[j])
+        lhs, j = _weak_sup(profile, inv_pbar)
         location = float(profile.breakpoints[j + 1])
     elif mode == "strong":
         lhs = oscillation_norm(profile, p, inv_pbar)

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "Scratch",
     "support_box",
     "MassFunction",
     "GridFunction",
@@ -20,49 +19,6 @@ __all__ = [
     "support_measure",
     "lp_norm",
 ]
-
-
-class Scratch:
-    """Reusable float64 work buffers for the cell-sized temporaries of a run, one per role.
-
-    Each buffer holds one grid's cell count, set by ``reserve`` (a
-    ``PreparedFunction`` reserves its grid's) and made anew only when that
-    count changes; only buffers of the current count are kept.  A run over
-    one grid shape so faults its work memory in once, not on every call.
-    ``buffer(role, shape)`` hands out the first prod(shape) cells of the
-    role's buffer, shaped as asked: a support box's request
-    (``support_box``) is a prefix of it.  A request for more cells than the
-    count reserves that many first.  Every request for a role returns the
-    same memory, so a buffer's contents last only until the next call that
-    writes the role, and nothing that outlives a call (a cached artifact, a
-    report) may be a view of one.  The roles in use:
-
-    * ``"grad.component"``, ``"grad.difference"``: the gradient kernel's, for
-      the box of one modulus;
-    * ``"values"``: the cell values a mass build sorts where they lie (|f|, or
-      O'Neil's |f||g|), the copy of f's box the gradient kernel reads, and in
-      the chain rule f^r and then the stencil maximum;
-    * ``"modulus"``: the chain rule's gradient of f^r, then its ratios.
-    """
-
-    __slots__ = ("_cells", "_buffers")
-
-    def __init__(self):
-        self._cells = 0
-        self._buffers = {}
-
-    def reserve(self, cells: int) -> None:
-        """Size every buffer for ``cells`` cells; a new count drops the buffers of the old one."""
-        if cells != self._cells:
-            self._cells, self._buffers = cells, {}
-
-    def buffer(self, role: str, shape) -> np.ndarray:
-        cells = math.prod(shape)
-        if cells > self._cells:
-            self.reserve(cells)
-        if role not in self._buffers:
-            self._buffers[role] = np.empty(self._cells)
-        return self._buffers[role][:cells].reshape(shape)
 
 
 def support_box(values: np.ndarray) -> tuple:
@@ -354,7 +310,7 @@ def declared_keys(registry: dict, name, entry: dict, skip: int, noun: str, exclu
     return accepted, keys
 
 
-def grid_to_mass(f: GridFunction, *, scratch: Scratch | None = None) -> MassFunction:
+def grid_to_mass(f: GridFunction) -> MassFunction:
     """One atom per cell with value |f(cell)| and mass h**dim.
 
     Equal values (all the zero cells in particular) merge into single atoms;
@@ -363,23 +319,18 @@ def grid_to_mass(f: GridFunction, *, scratch: Scratch | None = None) -> MassFunc
     and join the zero atom by count, so the atoms, masses and breakpoints
     are those of sorting every cell, bit for bit.
     """
-    return box_to_mass(f.values[support_box(f.values)], f.values.size, f.cell_measure, scratch=scratch)
+    return box_to_mass(f.values[support_box(f.values)], f.values.size, f.cell_measure)
 
 
-def box_to_mass(
-    on_box: np.ndarray, cells: int, cell_measure: float, *, scratch: Scratch | None = None
-) -> MassFunction:
+def box_to_mass(on_box: np.ndarray, cells: int, cell_measure: float) -> MassFunction:
     """The mass function of |v|, for the values v of ``cells`` cells that are ``on_box`` on a box and 0 elsewhere.
 
-    Each cell is an atom of mass ``cell_measure``.  |v| on the box is
-    written into the ``"values"`` buffer of ``scratch`` (a fresh array
-    without one) and sorted there; the ``cells - on_box.size`` cells off the
-    box join the zero atom by count.  The mass function keeps none of the
-    buffer.
+    Each cell is an atom of mass ``cell_measure``.  |v| on the box is a
+    fresh array, sorted where it lies; the ``cells - on_box.size`` cells off
+    the box join the zero atom by count.
     """
-    work = np.empty(on_box.shape) if scratch is None else scratch.buffer("values", on_box.shape)
-    np.abs(on_box, out=work)
-    return MassFunction(work.reshape(-1), cell_measure, zeros=cells - work.size, _sort_in_place=True)
+    work = np.abs(on_box).reshape(-1)
+    return MassFunction(work, cell_measure, zeros=cells - work.size, _sort_in_place=True)
 
 
 def support_measure(f: MassFunction, threshold: float = 0.0) -> float:

@@ -256,6 +256,19 @@ def oscillation_norm(s: StepProfile, q: float, inv_pbar: float = 0.0, tail: bool
     return total ** (1.0 / q) if math.isfinite(total) else math.inf
 
 
+def _weak_sup(s: StepProfile, a: float) -> tuple[float, int]:
+    """sup_t s(t) t^a for a > 0, and the index j of the step where it is approached.
+
+    Over [t_j, t_{j+1}) the level times t^a is approached at the right end,
+    so the sup is the max over j of ``levels[j] * breakpoints[j + 1]**a``,
+    the first one on a tie.
+    """
+    vals = s.breakpoints[1:] ** a
+    vals *= s.levels
+    j = int(np.argmax(vals))
+    return float(vals[j]), j
+
+
 def lorentz_norm(s: StepProfile, r: float, q: float) -> float:
     """Lorentz functional of a profile, by exact piecewise integration.
 
@@ -276,8 +289,7 @@ def lorentz_norm(s: StepProfile, r: float, q: float) -> float:
 
     b = s.breakpoints
     if not r_inf and q_inf:
-        # sup over [t_j, t_{j+1}) of l_j t^{1/r} is approached at the right end
-        return float(np.max(s.levels * b[1:] ** (1.0 / r)))
+        return _weak_sup(s, 1.0 / r)[0]
 
     if not r_inf:
         alpha = q / r  # > 0, so the segment starting at 0 integrates cleanly

@@ -29,7 +29,7 @@ from .corpus import CorpusSpec, generate_corpus
 from .gradient import GRADIENT_MODES, PreparedFunction
 from .inequalities import ARITY, CHECKERS, CONSTANT_MODES, checker_kwargs, entry_keys
 from .inequalities import check_binomial_bounds, check_oneil  # called by name here, so a tracer can rebind them
-from .measure import Scratch, json_object, read_document, write_document
+from .measure import json_object, read_document, write_document
 from .report import CheckReport, best_constant, require_tolerance
 
 __all__ = ["SuiteConfig", "run_suite", "emit_report", "load_report", "DEFAULT_INEQUALITIES"]
@@ -111,8 +111,8 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
     per-function entry reads its cached rearrangements.  Then everything but
     the profile is dropped, and the O'Neil pair with the previous function
     runs on the two profiles.  Rows come out entry-major, in config order.
-    All functions of one process share one ``Scratch``, whose cell-sized work
-    buffers are reused from function to function.
+    Each kernel allocates its own box-sized temporaries; nothing but the
+    previous function's profile is kept from one function to the next.
 
     The functions are shared out among workers, one per CPU this process
     may run on (``os.sched_getaffinity``), at most one per function.  This
@@ -170,9 +170,6 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
     # function may read it; one whose p no later entry names is dropped
     later_ps = [[kw.get("p") for *_, kw in per_function[i + 1:]] for i in range(len(per_function))]
 
-    # one set of work buffers for every function this process runs
-    scratch = Scratch()
-
     def run_functions(claims) -> list:
         """(i, rows) per index i claimed: per entry, the rows of function i and of the pair (i - 1, i)."""
         done = []
@@ -180,7 +177,7 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
         for i in claims:
             function_id, f = corpus[i]
             out: list[list[CheckReport]] = [[] for _ in config.inequalities]
-            pf = PreparedFunction(f, scratch=scratch)
+            pf = PreparedFunction(f)
             for (index, name, runner, kwargs), keep in zip(per_function, later_ps):
                 out[index].append(_guarded(name, function_id, lambda: runner(pf, **kwargs)))
                 pf.keep_powers(keep)
@@ -188,7 +185,7 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
                 pf.keep_profile_only()
                 if i > 0:
                     if prev_index != i - 1:  # i - 1 was not the function this process ran last
-                        prev = PreparedFunction(corpus[i - 1][1], scratch=scratch)
+                        prev = PreparedFunction(corpus[i - 1][1])
                         prev.keep_profile_only()
                     pair_id = f"{corpus[i - 1][0]}*{function_id}"
                     for index, name, kwargs in pairs:

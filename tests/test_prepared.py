@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import os
 import sys
 from collections import Counter
 
@@ -9,8 +10,7 @@ import pytest
 
 import symineq as sq
 from symineq import gradient, inequalities
-from symineq.gradient import PreparedFunction, prepare
-from symineq.measure import Scratch
+from symineq.gradient import GRADIENT_MODES, PreparedFunction, prepare
 from symineq.suite import DEFAULT_INEQUALITIES, SuiteConfig
 
 # both corpus dimensions, small enough for tier-1; radius-2 noise fits 24 cells
@@ -258,12 +258,12 @@ PER_FUNCTION = tuple(e for e in DEFAULT_INEQUALITIES if e["id"] != "oneil") + (
 
 
 @pytest.mark.parametrize("chain_rule_first", [False, True], ids=["defaults", "chain_rule_first"])
-def test_rows_on_a_shared_scratch_equal_calls_on_fresh_functions(chain_rule_first):
-    """The grid shape changes three times, so the run's one scratch is made anew at each switch.
+def test_rows_across_grid_shapes_equal_calls_on_fresh_functions(chain_rule_first):
+    """The grid shape changes three times between the functions of one run.
 
     With chain_rule first, the gradient kernel runs twice inside the chain
-    rule, for f^r and then for |grad f|, while the check holds its own work
-    buffers.
+    rule, for f^r and then for |grad f|, before the check builds its right
+    side.
     """
     corpus = []
     for name in ("2d", "3d", "2d"):
@@ -279,63 +279,50 @@ def test_rows_on_a_shared_scratch_equal_calls_on_fresh_functions(chain_rule_firs
     def dump(rows):
         return [json.dumps(r.to_dict(include_trace=True), sort_keys=True) for r in rows]
 
-    # each direct call prepares the plain GridFunction afresh, with a scratch of its own
+    # each direct call prepares the plain GridFunction afresh
     assert dump(suite_rows) == dump(_direct_reports(config, corpus))
 
 
-def _arrays(artifact):
-    """The arrays an artifact (mass function, profile, array or number) holds."""
-    if isinstance(artifact, np.ndarray):
-        return [artifact]
-    names = ("values", "masses", "cum_masses", "breakpoints", "levels", "_cum_integral")
-    arrays = [getattr(artifact, name, None) for name in names]
-    return [a for a in arrays if isinstance(a, np.ndarray)]
+def _chain_rule_outcome(pf, mode):
+    """The chain rule's report at r = 2.5 as a dict, or the text of the ValueError it raises."""
+    try:
+        return sq.check_chain_rule(pf, r=2.5, gradient_mode=mode).to_dict()
+    except ValueError as exc:
+        return str(exc)
 
 
-def test_no_cached_artifact_or_report_is_a_view_of_a_work_buffer(small_corpus):
-    _, corpus = small_corpus
-    scratch = Scratch()
-    kept = []
-    prev = None
-    for _, f in corpus:
-        pf = PreparedFunction(f, scratch=scratch)
-        for entry in PER_FUNCTION + ({"id": "oscillation_p", "p": 1.5, "capture_trace": True},):
-            kwargs = {k: v for k, v in entry.items() if k != "id"}
-            functions = () if entry["id"] == "binomial_bounds" else (pf,)
-            report = inequalities.CHECKERS[entry["id"]](*functions, **kwargs)
-            kept += [report.trace] if isinstance(report.trace, np.ndarray) else []
-        if prev is not None:
-            assert inequalities.check_oneil(prev, pf).status == "ok"
-        artifacts = list(pf._cache.values())
-        # |grad f| is cached as an array: the modulus on f's support box
-        assert {type(a).__name__ for a in artifacts} >= {"MassFunction", "StepProfile", "ndarray"}
-        kept += [a for artifact in artifacts for a in _arrays(artifact)]
-        prev = pf
-    buffers = list(scratch._buffers.values())
-    assert len(buffers) == 4
-    assert not any(np.shares_memory(a, b) for a in kept for b in buffers)
+@pytest.mark.parametrize("rim", [5e-324, 1.0], ids=["subnormal_rim", "normal_rim"])
+def test_the_chain_rule_leaves_f_unchanged_when_its_box_is_the_whole_grid(rim):
+    """f's support reaches the outermost-but-one layer, so ``f.values[box]`` is a view of all of f.
+
+    f^r must be taken on a copy.  With a subnormal rim the squared
+    differences underflow on the outer layer and the check gives a row; with
+    a normal rim the gradient touches the boundary and the check raises.
+    Either way f stays the same bit for bit, and a second run on the same
+    PreparedFunction gives the same outcome.
+    """
+    values = np.zeros((9, 8))
+    values[1:-1, 1:-1] = rim
+    values[2:-2, 2:-2] = np.random.default_rng(5).uniform(0.5, 2.0, (5, 4))
+    f = sq.GridFunction(1.0, values)
+    before = values.copy()
+    pf = PreparedFunction(f)
+    assert pf.box == (slice(0, 9), slice(0, 8))
+    for mode in GRADIENT_MODES:
+        first = _chain_rule_outcome(pf, mode)
+        assert isinstance(first, dict) == (rim < 1)
+        assert np.array_equal(f.values.view(np.uint64), before.view(np.uint64))
+        assert _chain_rule_outcome(pf, mode) == first
 
 
-def test_scratch_keeps_one_buffer_per_role_at_the_current_cell_count():
-    """The grid's cell count is reserved; a support box's request is a prefix of its role's buffer."""
-    scratch = Scratch()
-    scratch.reserve(24)
-    a = scratch.buffer("values", (6, 4))
-    assert a.shape == (6, 4) and a.dtype == np.float64 and a.flags.c_contiguous
-    assert np.shares_memory(scratch.buffer("values", (24,)), a)
-    modulus = scratch.buffer("modulus", (2, 2))
-    assert not np.shares_memory(modulus, a) and scratch._buffers["modulus"].size == 24
-    # a box-sized request: the front of the role's buffer, C-contiguous in its own shape
-    b = scratch.buffer("values", (2, 3))
-    assert b.shape == (2, 3) and b.flags.c_contiguous and b.ctypes.data == a.ctypes.data
-    assert scratch.buffer("values", (0, 3)).size == 0
-    scratch.reserve(24)  # the same count keeps every buffer
-    assert scratch.buffer("modulus", (3,)).ctypes.data == modulus.ctypes.data
-    c = scratch.buffer("values", (5, 5))  # more cells than the count: every buffer is made anew for 25
-    assert c.shape == (5, 5) and not np.shares_memory(c, a) and list(scratch._buffers) == ["values"]
-    scratch.reserve(5)  # a new grid's count, smaller or not, drops them too
-    d = scratch.buffer("values", (2,))
-    assert not np.shares_memory(d, c) and scratch._buffers["values"].size == 5
+def test_an_f_to_the_r_that_is_not_finite_is_refused():
+    """1e200 * f to the power 2.5 overflows: refused as a grid function of those values would be."""
+    cone = sq.cone_grid(32, radius=0.5)
+    huge = sq.GridFunction(cone.spacing, 1e200 * cone.values)
+    for mode in GRADIENT_MODES:
+        with pytest.raises(ValueError, match="^grid values must be finite$"):
+            sq.check_chain_rule(huge, r=2.5, gradient_mode=mode)
+    assert np.array_equal(huge.values, 1e200 * cone.values)
 
 
 def test_dimension_comes_from_each_function():
@@ -405,8 +392,18 @@ def test_a_power_that_underflows_is_an_input_error():
     assert prepare(small).powered(1.0).max_level > 0
 
 
+def _one_worker(monkeypatch):
+    """One CPU in the affinity mask: the pass runs in this process, so every count patched here sees it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def _input_errors(reports):
+    return [(r.inequality_id, r.function_id, r.status) for r in reports if r.status.startswith("input_error")]
+
+
 def test_default_suite_builds_each_artifact_once(small_corpus, monkeypatch):
     spec, corpus = small_corpus
+    _one_worker(monkeypatch)
     counts = Counter()
 
     original_init = sq.MassFunction.__init__
@@ -438,19 +435,20 @@ def test_default_suite_builds_each_artifact_once(small_corpus, monkeypatch):
                 monkeypatch.setattr(module, "powered_profile", counting_powered)
 
     reports = sq.run_suite(SuiteConfig(corpus=spec), corpus)
-    assert not any(r.status.startswith("input_error") for r in reports)
+    assert not _input_errors(reports), _input_errors(reports)
     n = len(corpus)
     # f and |grad f| per function, plus the cellwise product per O'Neil pair
-    assert 0 < counts["mass"] <= 2 * n + (n - 1)
+    assert counts["mass"] == 2 * n + (n - 1)
     # |grad f| and |grad f^r| (chain rule) per function
-    assert 0 < counts["modulus"] <= 2 * n
+    assert counts["modulus"] == 2 * n
     # f* and |grad f|* at each of p = 1, 1.5, 2, 3 per function
-    assert 0 < counts["powered"] <= 8 * n
+    assert counts["powered"] == 8 * n
 
 
 def test_default_suite_builds_each_tgrid_artifact_once(small_corpus, monkeypatch):
     """One grid shape: one t-grid per spec, and phi on an array once per (spec, phi, refine)."""
     spec, corpus = small_corpus
+    _one_worker(monkeypatch)
     for cache in (inequalities._tgrid, inequalities._phi_on_tgrid, inequalities._refined_tgrid):
         cache.cache_clear()
     grids, phi_arrays = Counter(), Counter()
@@ -471,7 +469,7 @@ def test_default_suite_builds_each_tgrid_artifact_once(small_corpus, monkeypatch
     monkeypatch.setattr(inequalities, "geometric_tgrid", counting_tgrid)
     monkeypatch.setattr(sq.ProfileHandle, "__call__", counting_call)
     reports = sq.run_suite(SuiteConfig(corpus=spec), corpus)
-    assert not any(r.status.startswith("input_error") for r in reports)
+    assert not _input_errors(reports), _input_errors(reports)
     assert len({f.shape_label for _, f in corpus}) == 1
     # each distinct spec is built once: the checks' one default grid (64 points
     # per decade) and the O'Neil pairs' one grid, which ends at the domain measure

@@ -15,7 +15,7 @@ from test_stencils import pad_chain_rule, pad_modulus, same_bits
 
 import symineq as sq
 from symineq.gradient import GRADIENT_MODES, PreparedFunction, prepare
-from symineq.measure import GridFunction, MassFunction, Scratch, support_box
+from symineq.measure import GridFunction, MassFunction, support_box
 
 _VALUES = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 2.5e-310, 1.0, 3.0, 1e50)), st.floats(0.0, 1e50))
 _SPACINGS = (1.0, 0.1, 1.0 / 48)
@@ -105,7 +105,7 @@ class TestArtifacts:
     @example(GridFunction(1.0, np.pad(np.array([[-0.0, 2.0]]), 1)))
     @settings(max_examples=200, deadline=None)
     def test_box_artifacts_equal_whole_grid_builds(self, f):
-        pf = PreparedFunction(f, scratch=Scratch())
+        pf = PreparedFunction(f)
         assert pf.box == support_box(f.values) == _expected_box(f.values)
         outside = np.ones(f.extents, dtype=bool)
         outside[pf.box] = False
@@ -143,7 +143,7 @@ class TestChainRule:
             with pytest.raises(ValueError):
                 sq.check_chain_rule(f, r=r, gradient_mode=mode)
             return
-        report = sq.check_chain_rule(PreparedFunction(f, scratch=Scratch()), r=r, gradient_mode=mode)
+        report = sq.check_chain_rule(PreparedFunction(f), r=r, gradient_mode=mode)
         grid_worst, idx = expected
         assert same_bits(np.float64(report.params["grid_worst_ratio"]), np.float64(grid_worst))
         scalar_worst = report.params["scalar_worst_ratio"]
@@ -168,8 +168,7 @@ class TestOneil:
     @settings(max_examples=200, deadline=None)
     def test_report_equals_the_whole_grid_product(self, pair):
         f, g = pair
-        scratch = Scratch()
-        pf, pg = PreparedFunction(f, scratch=scratch), PreparedFunction(g, scratch=scratch)
+        pf, pg = PreparedFunction(f), PreparedFunction(g)
         t = sq.geometric_tgrid(f.domain_measure * 1e-5, f.domain_measure, 16)
         got = _outcome(lambda: sq.check_oneil(pf, pg, t_grid=t))
         # value arrays sort every cell's product, with the cell measure as every cell's mass
