@@ -223,8 +223,9 @@ class PreparedFunction:
             del self._cache[key]
 
     def keep_profile_only(self) -> None:
-        """Build f's profile if needed, then drop every other cached artifact."""
-        self._cache = {("profile", None): self.profile()}
+        """Drop every cached artifact but f's profile, which is kept if it has been built."""
+        key = ("profile", None)
+        self._cache = {key: self._cache[key]} if key in self._cache else {}
 
 
 def prepare(f) -> PreparedFunction:

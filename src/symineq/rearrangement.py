@@ -143,12 +143,17 @@ class StepProfile:
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < 0):
             raise ValueError("t must be nonnegative")
-        idx = np.minimum(self._segment_index(t_arr), self.levels.size - 1)
-        idx = np.maximum(idx, 0)
-        partial = self._cum_integral[idx] + self.levels[idx] * (
-            t_arr - self.breakpoints[idx]
-        )
-        out = np.where(t_arr >= self.total_measure, self.total_integral, partial)
+        # the step holding min(t, M), the last one from M on: the sum there over that step's
+        # width is the running one that built the prefix integrals, bit for bit, at M too
+        flat = t_arr.reshape(-1)
+        idx = np.searchsorted(self.breakpoints, flat, side="right")
+        idx -= 1
+        np.minimum(idx, self.levels.size - 1, out=idx)
+        out = np.minimum(flat, self.breakpoints[-1])
+        out -= self.breakpoints[idx]
+        out *= self.levels[idx]
+        out += self._cum_integral[idx]
+        out = out.reshape(t_arr.shape)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def __repr__(self) -> str:

@@ -107,12 +107,13 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
     Checker errors become failed-with-reason rows; the suite never aborts on a
     single bad cell.  The corpus defaults to the one described by the config.
 
-    Evaluation is function-major: each function is prepared once and every
-    per-function entry reads its cached rearrangements.  Then everything but
-    the profile is dropped, and the O'Neil pair with the previous function
-    runs on the two profiles.  Rows come out entry-major, in config order.
-    Each kernel allocates its own box-sized temporaries; nothing but the
-    previous function's profile is kept from one function to the next.
+    Evaluation is function-major: each function is prepared once.  The
+    O'Neil pair with the previous function runs first, on the two profiles,
+    and the previous profile is dropped; then every per-function entry
+    reads the function's cached rearrangements, and everything but its
+    profile is dropped.  Rows come out entry-major, in config order.  Each
+    kernel allocates its own box-sized temporaries; nothing but the
+    function's profile is kept for the next one's pair.
 
     The functions are shared out among workers, one per CPU this process
     may run on (``os.sched_getaffinity``), at most one per function.  This
@@ -178,18 +179,19 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
             function_id, f = corpus[i]
             out: list[list[CheckReport]] = [[] for _ in config.inequalities]
             pf = PreparedFunction(f)
+            if pairs and i > 0:
+                if prev_index != i - 1:  # i - 1 was not the function this process ran last
+                    prev = PreparedFunction(corpus[i - 1][1])
+                # the checker builds both profiles, so a profile that cannot be built is an input_error row
+                pair_id = f"{corpus[i - 1][0]}*{function_id}"
+                for index, name, kwargs in pairs:
+                    out[index].append(_guarded(name, pair_id, lambda: check_oneil(prev, pf, **kwargs)))
+            prev = None  # before f's own checks build their artifacts
             for (index, name, runner, kwargs), keep in zip(per_function, later_ps):
                 out[index].append(_guarded(name, function_id, lambda: runner(pf, **kwargs)))
                 pf.keep_powers(keep)
             if pairs:
                 pf.keep_profile_only()
-                if i > 0:
-                    if prev_index != i - 1:  # i - 1 was not the function this process ran last
-                        prev = PreparedFunction(corpus[i - 1][1])
-                        prev.keep_profile_only()
-                    pair_id = f"{corpus[i - 1][0]}*{function_id}"
-                    for index, name, kwargs in pairs:
-                        out[index].append(_guarded(name, pair_id, lambda: check_oneil(prev, pf, **kwargs)))
                 prev_index, prev = i, pf
             done.append((i, out))
         return done

@@ -1,24 +1,25 @@
 """Profile kernels against the array formulas they replace, on one profile strategy.
 
-The O'Neil oracle is the profile as it was built before: ``np.union1d`` of
-the two breakpoint arrays, then each side's level read by
-``StepProfile.value`` at the merged left ends.  The library's single merge
-must equal it bit for bit, on any breakpoints and on the value-array route of
-``check_oneil``.  The in-place ``oscillation_norm`` and ``polya_szego_lhs``
-must equal their former whole-array expressions bit for bit as well.
+The O'Neil oracle is the product profile as it was built before: ``np.union1d``
+of the two breakpoint arrays, then each side's level read by
+``StepProfile.value`` at the merged left ends.  The library sums the right
+side over the steps of one profile instead, and must equal the oracle's
+average within its rounding bound, on any breakpoints, in both argument
+orders and at t past either extent; its memory stays below a cell-sized
+array.  The in-place ``oscillation_norm`` and ``polya_szego_lhs`` must equal
+their former whole-array expressions bit for bit.
 """
 
 import math
-from unittest import mock
+import tracemalloc
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import symineq as sq
-from symineq import inequalities
-from symineq.gradient import polya_szego_lhs
-from symineq.inequalities import _merged_product_profile
+from symineq.gradient import PreparedFunction, polya_szego_lhs
+from symineq.inequalities import _product_average
 from symineq.isoperimetry import euclidean_profile
 from symineq.rearrangement import StepProfile, oscillation_norm, power_segment_integral
 
@@ -61,48 +62,56 @@ def profile_pairs(draw):
     return draw(profiles(shared)), draw(profiles(shared))
 
 
-@given(profile_pairs())
+@st.composite
+def value_array_pairs(draw):
+    """The profiles of two value arrays of their own lengths, so their extents differ."""
+    mass = draw(st.sampled_from([0.5, 0.1, 2.0**-30, 3.0]))
+    arrays = [
+        draw(st.lists(st.one_of(st.sampled_from([0.0, -1.0, 2.5]), st.floats(-1e6, 1e6)), min_size=1, max_size=30))
+        for _ in range(2)
+    ]
+    return tuple(sq.decreasing_rearrangement(sq.MassFunction(np.abs(values), mass)) for values in arrays)
+
+
+@given(st.one_of(profile_pairs(), value_array_pairs()), st.data())
 @settings(max_examples=400)
-@example((StepProfile([0.0, 1.0], [2.0]), StepProfile([0.0, 1.0], [3.0])))  # one atom each, shared end
-@example((StepProfile([0.0, 1.0], [2.0]), StepProfile([0.0, 0.5, 4.0], [3.0, 0.0])))  # unequal extents
-@example((StepProfile([0.0], []), StepProfile([0.0], [])))  # no steps at all
-def test_merge_equals_union_and_value(pair):
+@example((StepProfile([0.0, 1.0], [2.0]), StepProfile([0.0, 1.0], [3.0])), None)  # one atom each, shared end
+@example((StepProfile([0.0, 1.0], [2.0]), StepProfile([0.0, 0.5, 4.0], [3.0, 0.0])), None)  # unequal extents
+def test_product_average_equals_the_union_profile(pair, data):
     sf, sg = pair
-    assert_same_profile(_merged_product_profile(sf, sg), union_profile(sf, sg))
-    assert_same_profile(_merged_product_profile(sg, sf), union_profile(sg, sf))
+    union = union_profile(sf, sg)
+    points = union.breakpoints[1:]
+    # every merged breakpoint, the midpoints between them, and t past either extent
+    t = [points, (union.breakpoints[:-1] + points) / 2.0, [2.0 * sf.total_measure, 2.0 * sg.total_measure]]
+    if data is not None:
+        t.append(data.draw(st.lists(st.floats(1e-300, 1e250), max_size=8)))
+    t = np.concatenate(t)
+    t = t[t > 0]
+    want = union.prefix_integral(t) / t
+    n, m = sf.levels.size, sg.levels.size
+    tol = 4 * (n + m) * np.finfo(float).eps * want
+    # where a product or the average itself is subnormal, rounding is absolute: each product of a
+    # level and a subnormal width, and each average, is off by up to one least subnormal
+    top = max(sf.max_level, sg.max_level, 1.0)
+    tol += 4 * (n + m) * top * math.ulp(0.0) / t + 2.0 * math.ulp(0.0)
+    for got in (_product_average(sf, sg, t), _product_average(sg, sf, t)):
+        assert np.all(np.abs(got - want) <= tol), (got, want)
 
 
-cell_values = st.lists(
-    st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), st.floats(-1e6, 1e6)),
-    min_size=1,
-    max_size=30,
-)
-
-
-@given(st.data(), cell_values)
-@settings(max_examples=200)
-def test_value_array_check_oneil_equals_the_union_route(data, vf):
-    n = len(vf)
-    vg = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
-    masses = data.draw(st.one_of(
-        st.sampled_from([0.5, 0.1, 2.0**-30]),
-        st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n).map(np.array),
-    ))
-    got = sq.check_oneil(vf, vg, masses=masses)
-    with mock.patch.object(inequalities, "_merged_product_profile", union_profile):
-        want = sq.check_oneil(vf, vg, masses=masses)
-    assert got.to_dict() == want.to_dict()
-    assert np.float64(got.worst_ratio).tobytes() == np.float64(want.worst_ratio).tobytes()
-
-
-def test_grid_pair_check_oneil_equals_the_union_route():
-    spec = sq.CorpusSpec(seed=3, dim=2, extents=48)
-    corpus = [f for _, f in sq.generate_corpus(spec)]
-    for f, g in zip(corpus[:-1], corpus[1:]):
-        got = sq.check_oneil(f, g)
-        with mock.patch.object(inequalities, "_merged_product_profile", union_profile):
-            want = sq.check_oneil(f, g)
-        assert got.to_dict() == want.to_dict()
+def test_product_average_stays_below_a_cell_sized_array(default_corpus):
+    """A merge of all n + m breakpoints costs about 40 B per cell; the sum over the smaller profile, 10."""
+    corpus = dict(default_corpus)
+    pf, pg = PreparedFunction(corpus["smoothed_noise_01"]), PreparedFunction(corpus["multi_bump_00"])
+    pf.profile(), pg.profile()
+    pf.keep_profile_only(), pg.keep_profile_only()
+    cells = pf.grid.values.size
+    tracemalloc.start()
+    try:
+        sq.check_oneil(pf, pg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * cells, peak / cells
 
 
 def array_segment_integral(a, b, alpha):

@@ -4,6 +4,7 @@ Each test sets the CPU affinity that ``run_suite`` reads, so the serial path
 and the forked path both run on any machine, whatever its core count.
 """
 
+import csv
 import functools
 import json
 import os
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import symineq as sq
 from symineq import inequalities, suite
+from symineq.cli import main as cli_main
 from symineq.suite import SuiteConfig, _Ledger
 
 # seven functions: every worker count from 2 to 4 puts an O'Neil pair across a range's start
@@ -414,3 +416,34 @@ def test_no_more_workers_than_functions(corpus, forks):
     reports = sq.run_suite(one, corpus[:2])
     assert len(made) == 1
     assert [r.function_id for r in reports] == [corpus[0][0], corpus[1][0], f"{corpus[0][0]}*{corpus[1][0]}"]
+
+
+# the middle cone is so tall that the integral of its profile overflows: the profile cannot be built
+UNBUILDABLE = {
+    "corpus": {
+        "extents": 32,
+        "side": 10.0,
+        "families": [{"kind": "tensor_bump"}, {"kind": "cone", "height": 1.7e308}, {"kind": "multi_bump"}],
+    },
+}
+
+
+# the cone's values also overflow the squares and powers of other checks, which numpy reports as
+# RuntimeWarnings; here, as in the command line, they are not errors
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_profile_that_cannot_be_built_gives_input_error_rows(forks, tmp_path, cpus):
+    forks(cpus)
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(UNBUILDABLE), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli_main(["suite", "--config", str(config_file), "--out", str(out)]) == 2
+    with open(out / "reports.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    cone = [r for r in rows if r["function_id"] == "cone_00"]
+    assert len(cone) == 14 and all(r["status"].startswith("input_error") for r in cone)
+    pairs = [r for r in rows if r["inequality_id"] == "oneil"]
+    assert [r["function_id"] for r in pairs] == ["tensor_bump_00*cone_00", "cone_00*multi_bump_00"]
+    assert all(r["status"] == "input_error: the integral of the profile must be finite" for r in pairs)
+    # the neighbours' own rows are untouched
+    assert all(r["status"] == "ok" for r in rows if r["function_id"] in ("tensor_bump_00", "multi_bump_00", "-"))
