@@ -14,7 +14,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .measure import (
-    BAD_VALUE, GridFunction, check_whole, declared_keys, read_document, require_finite_measure, write_document,
+    BAD_VALUE, GridFunction, _cell_axes, _squared_distance, check_whole, declared_keys, read_document,
+    require_finite_measure, write_document,
 )
 from .isoperimetry import disk_mask, mollify_ladder
 
@@ -92,21 +93,12 @@ class CorpusSpec:
         return read_document(source, "corpus spec", [f.name for f in fields(cls)], lambda doc: cls(**doc))
 
 
-def _cell_axes(extents: tuple[int, ...], spacing: float):
-    return [(np.arange(n) + 0.5) * spacing for n in extents]
-
-
-def _radial_distance(extents, spacing, center):
-    grids = np.meshgrid(*_cell_axes(extents, spacing), indexing="ij")
-    return np.sqrt(sum((g - c) ** 2 for g, c in zip(grids, center)))
-
-
-def _zero_margin(values: np.ndarray) -> None:
-    """Zero the two outermost cells at both ends of every axis, in place."""
+def _zero_margin(values: np.ndarray, width: int = 2) -> None:
+    """Zero the ``width`` outermost cells at both ends of every axis, in place."""
     for ax in range(values.ndim):
         along = np.moveaxis(values, ax, 0)
-        along[:2] = 0.0
-        along[-2:] = 0.0
+        along[:width] = 0.0
+        along[-width:] = 0.0
 
 
 def cone_grid(
@@ -124,8 +116,13 @@ def cone_grid(
         center = (side / 2.0,) * dim
     if radius + max(abs(c - side / 2.0) for c in center) > side / 2.0 - 2.5 * spacing:
         raise ValueError("cone support must keep a two-cell margin")
-    dist = _radial_distance(shape, spacing, center)
-    values = height * np.clip(1.0 - dist / radius, 0.0, None)
+    # height * (1 - dist / radius)_+, built in place in that order
+    values = _squared_distance(shape, spacing, center)
+    np.sqrt(values, out=values)
+    values /= radius
+    np.subtract(1.0, values, out=values)
+    np.clip(values, 0.0, None, out=values)
+    values *= height
     return GridFunction(spacing, values)
 
 
@@ -138,26 +135,23 @@ def tent_grid(extents: int = 4096, side: float = 1.0) -> GridFunction:
     return GridFunction(spacing, values)
 
 
-def _box_average_axis(arr: np.ndarray, axis: int, radius: int) -> np.ndarray:
-    # one zero cell more in front makes the running sum start at 0: the window
-    # sums are then the differences of two slices of one cumsum, no copies
-    window = 2 * radius + 1
-    pad = [(0, 0)] * arr.ndim
-    pad[axis] = (radius + 1, radius)
-    csum = np.cumsum(np.pad(arr, pad), axis=axis, dtype=float)
-    hi, lo = [slice(None)] * arr.ndim, [slice(None)] * arr.ndim
-    hi[axis], lo[axis] = slice(window, None), slice(None, -window)
-    out = csum[tuple(hi)] - csum[tuple(lo)]
-    out /= window
-    return out
-
-
 def _box_blur(values: np.ndarray, radius: int) -> np.ndarray:
-    """Three iterated box averages with window 2*radius+1 per axis, zero padded."""
+    """Three iterated box averages with window 2*radius+1 per axis, zero padded, as a fresh array."""
+    window = 2 * radius + 1
     out = values
     for _ in range(3):
         for ax in range(out.ndim):
-            out = _box_average_axis(out, ax, radius)
+            # one zero cell more in front makes the running sum start at 0: the window
+            # sums are then the differences of two slices of one cumsum, taken in place
+            pad = [(0, 0)] * out.ndim
+            pad[ax] = (radius + 1, radius)
+            csum = np.pad(out, pad)
+            np.cumsum(csum, axis=ax, out=csum)
+            hi, lo = [slice(None)] * out.ndim, [slice(None)] * out.ndim
+            hi[ax], lo[ax] = slice(window, None), slice(None, -window)
+            out = csum[tuple(hi)] - csum[tuple(lo)]
+            del csum  # before the next axis pads a copy of out
+            out /= window
     return out
 
 
@@ -186,15 +180,14 @@ def _tensor_bump(spec: CorpusSpec, rng, *, count=1, widths=None):
         c = tuple(
             side / 2.0 + side * rng.uniform(-0.08, 0.08) for _ in range(spec.dim)
         )
-        axes = _cell_axes(shape, h)
         values = np.ones(shape)
-        for ax, (xs, wa, cc) in enumerate(zip(axes, w, c)):
+        for ax, (xs, wa, cc) in enumerate(zip(_cell_axes(shape, h), w, c)):
             u = np.clip(np.abs(xs - cc) / wa, 0.0, 1.0)
             prof = np.cos(np.pi * u / 2.0) ** 2
             prof[u >= 1.0] = 0.0
             sl = [None] * spec.dim
             sl[ax] = slice(None)
-            values = values * prof[tuple(sl)]
+            values *= prof[tuple(sl)]
         _zero_margin(values)
         out.append(GridFunction(h, values))
     return out
@@ -226,11 +219,9 @@ def _smoothed_noise(spec: CorpusSpec, rng, *, count=1, radius=NOISE_RADIUS):
     out = []
     for _ in range(count):
         raw = rng.uniform(-0.5, 1.0, size=shape)
-        inner = np.zeros(shape)
-        core = tuple(slice(margin, -margin) for _ in range(spec.dim))
-        inner[core] = raw[core]
-        smooth = _box_blur(inner, int(radius))
-        values = np.clip(smooth, 0.0, None)
+        _zero_margin(raw, margin)
+        values = _box_blur(raw, int(radius))
+        np.clip(values, 0.0, None, out=values)
         _zero_margin(values)
         out.append(GridFunction(spec.spacing, values))
     return out
@@ -248,8 +239,7 @@ def _multi_bump(spec: CorpusSpec, rng, *, count=1, bumps=3):
                 rng.uniform(radius + 3 * h, side - radius - 3 * h)
                 for _ in range(spec.dim)
             )
-            dist = _radial_distance(shape, h, c)
-            values += rng.uniform(0.4, 1.0) * np.clip(1.0 - dist / radius, 0.0, None)
+            values += cone_grid(spec.extents, spec.dim, side, radius, rng.uniform(0.4, 1.0), c).values
         _zero_margin(values)
         out.append(GridFunction(h, values))
     return out

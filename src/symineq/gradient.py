@@ -89,13 +89,14 @@ def _modulus_values(v: np.ndarray, h: float, mode: str) -> np.ndarray:
     modulus = np.empty_like(v)
     comp = np.empty_like(v) if v.ndim > 1 else None
     work = np.empty(v.size) if mode == "metric_max" else None
-    for ax in range(v.ndim):
-        buf = comp if ax else modulus
-        _axis_magnitude(v, ax, mode, buf, work)
-        buf /= step
-        np.multiply(buf, buf, out=buf)
-        if ax:
-            modulus += buf
+    with np.errstate(over="ignore"):  # an overflow reads inf, which ``_box_modulus`` reports
+        for ax in range(v.ndim):
+            buf = comp if ax else modulus
+            _axis_magnitude(v, ax, mode, buf, work)
+            buf /= step
+            np.multiply(buf, buf, out=buf)
+            if ax:
+                modulus += buf
     return np.sqrt(modulus, out=modulus)
 
 
@@ -107,7 +108,8 @@ def _box_modulus(f: GridFunction, box, mode: str, *, power: float | None = None)
     in place: when the box is the whole grid, ``f.values[box]`` is all of f.
     A power that is not finite raises ValueError, as a grid function's
     values would.  A modulus that a grid function could not hold, not
-    finite or not 0 on the grid's outer layer, raises ValueError.
+    finite (it overflowed) or not 0 on the grid's outer layer, raises
+    ValueError.
     """
     cells = f.values[box]
     if power is not None:
@@ -117,6 +119,8 @@ def _box_modulus(f: GridFunction, box, mode: str, *, power: float | None = None)
             raise ValueError("grid values must be finite")
     require_gradient_mode(mode)
     modulus = _modulus_values(cells, f.spacing, mode)
+    if not np.all(np.isfinite(modulus)):
+        raise ValueError("the gradient modulus overflows a float: malformed input")
     # the box reaches the grid's outer layer only where one of its slices starts at 0 or ends at the extent
     faces = [
         np.moveaxis(modulus, ax, 0)[end]
@@ -124,7 +128,7 @@ def _box_modulus(f: GridFunction, box, mode: str, *, power: float | None = None)
         for end, outer in ((0, s.start == 0), (-1, s.stop == n))
         if outer
     ]
-    if any(np.any(face) for face in faces) or not np.all(np.isfinite(modulus)):
+    if any(np.any(face) for face in faces):
         raise ValueError(
             "gradient support touches the domain boundary; keep function "
             "support at least two cells inside"
@@ -210,6 +214,8 @@ class PreparedFunction:
         norm = self._cached(("norm", p, mode), lambda: lp_norm(self.mass(mode), p))
         if norm == 0.0 and not self.is_zero:
             raise ValueError(f"nonzero function whose L^{p:g} norm underflows to 0: malformed input")
+        if norm == math.inf:
+            raise ValueError(f"function whose L^{p:g} norm overflows a float: malformed input")
         return norm
 
     def powered(self, p: float, mode: str | None = None) -> StepProfile:

@@ -381,10 +381,8 @@ def check_binomial_bounds(
         raise ValueError("the sweep needs p > 1")
     k, c_p = power_k(p), oscillation_constant(p)
     axis = np.linspace(0.0, a_max, grid_points)
-    a, b = np.meshgrid(axis, axis, indexing="ij")
-    keep = a >= b
-    a = a[keep]
-    b = b[keep]
+    rows, cols = np.nonzero(axis[:, None] >= axis)  # the lattice points with a >= b, row by row
+    a, b = axis[rows], axis[cols]
     d = a - b
     series = np.zeros_like(a)
     for j in range(1, k + 1):
@@ -459,12 +457,12 @@ def _scalar_chain_sweep(r: float) -> tuple[float, float, float]:
     per r, not once per grid function.
     """
     axis = np.linspace(0.0, SWEEP_A_MAX, SWEEP_POINTS)
-    a, b = np.meshgrid(axis, axis, indexing="ij")
+    a, b = axis[:, None], axis
     scalar_lhs = np.abs(a**r - b**r)
     scalar_rhs = r * (a ** (r - 1.0) + b ** (r - 1.0)) * np.abs(a - b)
-    scalar_ratios = _ratio(scalar_lhs, scalar_rhs)
-    s_idx = int(np.argmax(scalar_ratios))
-    return float(scalar_ratios.ravel()[s_idx]), float(a.ravel()[s_idx]), float(b.ravel()[s_idx])
+    scalar_ratios = _ratio_in_place(scalar_lhs, scalar_rhs)
+    i, j = divmod(int(np.argmax(scalar_ratios)), SWEEP_POINTS)
+    return float(scalar_ratios[i, j]), float(axis[i]), float(axis[j])
 
 
 def check_chain_rule(
@@ -784,6 +782,8 @@ def check_sobolev(
         base_constant = 1.0 / (1.0 / n - 1.0 / p)
         doc["ess_sup"] = profile.max_level
         doc["mean"] = maximal_average(profile, 1.0)
+    if lhs == math.inf:  # f's integrals over (0, M] are finite sums, so an infinite one overflowed
+        raise ValueError(f"the left side of sobolev_{mode} overflows a float: malformed input")
 
     ratio = float(_ratio(lhs, grad_norm))
     doc["fitted_constant"] = ratio / base_constant

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import GridFunction, read_document, require_finite_measure, write_document
+from .measure import GridFunction, _squared_distance, read_document, require_finite_measure, write_document
 
 __all__ = [
     "ProfileHandle",
@@ -228,10 +228,7 @@ def disk_mask(
             "disk_mask needs a positive finite spacing, and the squared distances "
             "across the grid and radius**2 must be finite"
         )
-    axes = [(np.arange(n) + 0.5) * spacing for n in extents]
-    grids = np.meshgrid(*axes, indexing="ij")
-    d2 = sum((g - c) ** 2 for g, c in zip(grids, center))
-    return d2 <= radius**2
+    return _squared_distance(extents, spacing, center) <= radius**2
 
 
 def indicator_mollify(mask: np.ndarray, spacing: float, eps: float) -> GridFunction:

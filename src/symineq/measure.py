@@ -341,6 +341,19 @@ def support_measure(f: MassFunction, threshold: float = 0.0) -> float:
     return float(f.cum_masses[k - 1]) if k else 0.0
 
 
+def _cell_axes(extents, spacing: float) -> list[np.ndarray]:
+    """The cell-centre coordinates along each axis of a grid."""
+    return [(np.arange(n) + 0.5) * spacing for n in extents]
+
+
+def _squared_distance(extents, spacing: float, center) -> np.ndarray:
+    """The squared distance from every cell centre to ``center``, summed axis by axis over open axes."""
+    d2 = np.zeros(tuple(extents))
+    for square in np.ix_(*[(x - c) ** 2 for x, c in zip(_cell_axes(extents, spacing), center)]):
+        d2 += square
+    return d2
+
+
 def require_finite_measure(spacing: float, extents) -> None:
     """Reject a grid spacing that is not a positive finite real, or whose cell
     measure spacing**dim or domain measure is 0 or not finite."""
@@ -361,13 +374,14 @@ def require_finite_p(p: float) -> None:
 
 
 def lp_norm(f: MassFunction, p: float) -> float:
-    """(sum value**p * mass)**(1/p); the max value for p = inf."""
+    """(sum value**p * mass)**(1/p); the max value for p = inf, and inf where the sum overflows."""
     if math.isinf(p):
         return f.max_value
     if p < 1:
         raise ValueError("p must be >= 1")
     # a pairwise sum, not np.dot: BLAS splits a long dot over its threads, so
     # its last bits would depend on the core count
-    terms = f.values**p
-    terms *= f.masses
-    return float(np.add.reduce(terms)) ** (1.0 / p)
+    with np.errstate(over="ignore"):  # a sum past the float range reads inf
+        terms = f.values**p
+        terms *= f.masses
+        return float(np.add.reduce(terms)) ** (1.0 / p)

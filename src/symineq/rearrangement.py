@@ -205,7 +205,8 @@ def powered_profile(s: StepProfile, p: float) -> StepProfile:
         raise ValueError("p must be >= 1")
     if p == 1.0:
         return s
-    powered = StepProfile(s, s.levels**p)
+    with np.errstate(over="ignore"):  # an overflowing level makes the integral inf, which StepProfile rejects
+        powered = StepProfile(s, s.levels**p)
     if s.max_level > 0 and powered.max_level < _TINY:
         raise ValueError(f"nonzero profile whose top level to the power {p:g} underflows: malformed input")
     return powered
@@ -231,7 +232,7 @@ def oscillation_norm(s: StepProfile, q: float, inv_pbar: float = 0.0, tail: bool
 
     On segment j, s** - s = c_j / t with c_j = int_0^{t_j} s - level_j t_j
     (Bennett-Sharpley, ch. 2), and c_0 = 0; past M it is (total integral) / t.
-    Divergent integrals give ``inf``.
+    Divergent integrals, and sums past the float range, give ``inf``.
     """
     b = s.breakpoints
     alpha = q * inv_pbar - q
@@ -241,16 +242,17 @@ def oscillation_norm(s: StepProfile, q: float, inv_pbar: float = 0.0, tail: bool
     np.subtract(s._cum_integral[:-1], c, out=c)
     active = c > 0
     k = int(np.count_nonzero(active))
-    if k and active[-k:].all():  # the last k segments, as for strictly decreasing levels: slices
-        terms = c[-k:]
-        terms **= q
-        terms *= _consecutive_integrals(b[-k - 1:].copy(), alpha)
-    else:
-        terms = c[active]
-        del c
-        terms **= q
-        terms *= _segment_integrals(b[:-1][active], b[1:][active], alpha)
-    total = float(np.sum(terms))
+    with np.errstate(over="ignore"):  # a sum past the float range reads inf, as a divergent one does
+        if k and active[-k:].all():  # the last k segments, as for strictly decreasing levels: slices
+            terms = c[-k:]
+            terms **= q
+            terms *= _consecutive_integrals(b[-k - 1:].copy(), alpha)
+        else:
+            terms = c[active]
+            del c
+            terms **= q
+            terms *= _segment_integrals(b[:-1][active], b[1:][active], alpha)
+        total = float(np.sum(terms))
     if tail and s.total_integral > 0:
         # I^q M^alpha as (I / M^(1 - inv_pbar))^q: on a tiny M, M^alpha alone overflows
         # (M^-1 does at M = 5e-324) where the ratio, at most max level * M^inv_pbar, does not

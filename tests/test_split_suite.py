@@ -428,18 +428,23 @@ UNBUILDABLE = {
 }
 
 
-# the cone's values also overflow the squares and powers of other checks, which numpy reports as
-# RuntimeWarnings; here, as in the command line, they are not errors
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def _cli_suite(tmp_path, config):
+    """The exit code of ``symineq suite`` on ``config``, and the rows of its reports.csv."""
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    code = cli_main(["suite", "--config", str(config_file), "--out", str(out)])
+    with open(out / "reports.csv", newline="", encoding="utf-8") as fh:
+        return code, list(csv.DictReader(fh))
+
+
+# the cone's values also overflow the squares and powers of other checks: those are input_error rows
+# too, and no RuntimeWarning, which the tests' filter would raise
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_profile_that_cannot_be_built_gives_input_error_rows(forks, tmp_path, cpus):
     forks(cpus)
-    config_file = tmp_path / "config.json"
-    config_file.write_text(json.dumps(UNBUILDABLE), encoding="utf-8")
-    out = tmp_path / "out"
-    assert cli_main(["suite", "--config", str(config_file), "--out", str(out)]) == 2
-    with open(out / "reports.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+    code, rows = _cli_suite(tmp_path, UNBUILDABLE)
+    assert code == 2
     cone = [r for r in rows if r["function_id"] == "cone_00"]
     assert len(cone) == 14 and all(r["status"].startswith("input_error") for r in cone)
     pairs = [r for r in rows if r["inequality_id"] == "oneil"]
@@ -447,3 +452,39 @@ def test_a_profile_that_cannot_be_built_gives_input_error_rows(forks, tmp_path, 
     assert all(r["status"] == "input_error: the integral of the profile must be finite" for r in pairs)
     # the neighbours' own rows are untouched
     assert all(r["status"] == "ok" for r in rows if r["function_id"] in ("tensor_bump_00", "multi_bump_00", "-"))
+
+
+# finite cone values whose gradient modulus, or the L^2 norm of f, overflows: those rows (1 at
+# height 1e110, 11 at 1e155, 9 of them the modulus) name the overflow, not the domain boundary
+@pytest.mark.parametrize("height, overflowing, modulus", [(1e110, 1, 1), (1e155, 11, 9)])
+def test_an_overflowing_gradient_modulus_is_named_in_its_rows(forks, tmp_path, height, overflowing, modulus):
+    forks(2)
+    families = [{"kind": "cone", "height": height}, {"kind": "tensor_bump"}]
+    code, rows = _cli_suite(tmp_path, {"corpus": {"extents": 32, "side": 10.0, "families": families}})
+    assert code == 2
+    failed = [r for r in rows if r["status"] != "ok"]
+    assert all(r["function_id"] == "cone_00" and r["status"].startswith("input_error") for r in failed)
+    assert not any("domain boundary" in r["status"] for r in failed)
+    named = [r["status"] for r in failed if "overflows a float" in r["status"]]
+    assert len(named) == overflowing
+    assert named.count("input_error: the gradient modulus overflows a float: malformed input") == modulus
+
+
+# at 24^3 and side 10 the cone's gradient modulus is finite but its L^3 norm overflows, and sobolev_exp
+# read inf / inf; at side 1e6 the gradient norm is finite and the oscillation integral overflows
+@pytest.mark.parametrize(
+    "side, height, status",
+    [
+        (10.0, 1e110, "input_error: function whose L^3 norm overflows a float: malformed input"),
+        (1e6, 1e95, "input_error: the left side of sobolev_exp overflows a float: malformed input"),
+    ],
+    ids=["gradient-norm", "oscillation"],
+)
+def test_an_overflowing_sobolev_side_is_an_input_error_not_an_inf_ratio(forks, tmp_path, side, height, status):
+    forks(1)
+    families = [{"kind": "cone", "height": height}, {"kind": "tensor_bump"}]
+    corpus = {"dim": 3, "extents": 24, "side": side, "families": families}
+    config = {"inequalities": [{"id": "sobolev_exp"}], "corpus": corpus}
+    code, rows = _cli_suite(tmp_path, config)
+    assert code == 2
+    assert [(r["function_id"], r["status"]) for r in rows] == [("cone_00", status), ("tensor_bump_00", "ok")]
