@@ -9,6 +9,7 @@ least two cells inside the domain boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -93,6 +94,18 @@ class CorpusSpec:
         return read_document(source, "corpus spec", [f.name for f in fields(cls)], lambda doc: cls(**doc))
 
 
+def _require_positive(kind: str, key: str, value, count: int | None = None) -> None:
+    """Reject a ``value`` that is not a finite real > 0, or with ``count`` not a list of ``count`` of them, naming ``kind``."""
+    try:
+        items = [value] if count is None else list(value)
+        ok = len(items) == (count or 1) and all(0 < v < math.inf for v in items)
+    except TypeError:  # not a number, or not a list of numbers
+        ok = False
+    if not ok:
+        must = "a finite value > 0" if count is None else f"{count} finite values > 0"
+        raise ValueError(f"{kind}: {key} must be {must}, not {value!r}")
+
+
 def _zero_margin(values: np.ndarray, width: int = 2) -> None:
     """Zero the ``width`` outermost cells at both ends of every axis, in place."""
     for ax in range(values.ndim):
@@ -110,6 +123,7 @@ def cone_grid(
     center: tuple | None = None,
 ) -> GridFunction:
     """Radial cone height*(1 - |x-c|/radius)_+ sampled at cell centers."""
+    _require_positive("cone", "radius", radius)
     shape = (extents,) * dim
     spacing = side / extents
     if center is None:
@@ -172,6 +186,8 @@ def _cone(spec: CorpusSpec, rng, *, count=1, radius=None, height=1.0):
 def _tensor_bump(spec: CorpusSpec, rng, *, count=1, widths=None):
     shape = (spec.extents,) * spec.dim
     h, side = spec.spacing, spec.side
+    if widths is not None:
+        _require_positive("tensor_bump", "widths", widths, spec.dim)
     out = []
     for _ in range(count):
         w = widths
@@ -197,6 +213,7 @@ def _mollified_disk(spec: CorpusSpec, rng, *, radius=None, eps_ladder=(0.2, 0.1,
     shape = (spec.extents,) * spec.dim
     h, side = spec.spacing, spec.side
     radius = 0.25 * side if radius is None else radius
+    _require_positive("mollified_disk", "radius", radius)
     center = (side / 2.0,) * spec.dim
     mask = disk_mask(shape, h, center, radius)
     return mollify_ladder(mask, h, [max(eps_rel * side, h) for eps_rel in eps_ladder])

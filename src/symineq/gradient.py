@@ -100,31 +100,22 @@ def _modulus_values(v: np.ndarray, h: float, mode: str) -> np.ndarray:
     return np.sqrt(modulus, out=modulus)
 
 
-def _box_modulus(f: GridFunction, box, mode: str, *, power: float | None = None) -> np.ndarray:
-    """|grad f| on ``box``, or |grad f^power| with a power, as a fresh array of the box's shape.
+def _box_modulus(cells: np.ndarray, box, grid: GridFunction, mode: str) -> np.ndarray:
+    """The gradient modulus of the box-shaped array ``cells``, as a fresh array of the box's shape.
 
-    ``box`` is a support box of f (``support_box``), so the modulus off it
-    is 0 and is not computed.  f^power is taken on a copy of f's box, never
-    in place: when the box is the whole grid, ``f.values[box]`` is all of f.
-    A power that is not finite raises ValueError, as a grid function's
-    values would.  A modulus that a grid function could not hold, not
-    finite (it overflowed) or not 0 on the grid's outer layer, raises
-    ValueError.
+    ``box`` is a support box (``support_box``) on ``grid`` of the function
+    whose values on it are ``cells``, so the modulus off it is 0 and is not
+    computed.  A modulus that a grid function could not hold, not finite
+    (it overflowed) or not 0 on the grid's outer layer, raises ValueError.
     """
-    cells = f.values[box]
-    if power is not None:
-        with np.errstate(over="ignore"):  # an overflow is reported below, as a ValueError
-            cells = cells**power
-        if not np.all(np.isfinite(cells)):
-            raise ValueError("grid values must be finite")
     require_gradient_mode(mode)
-    modulus = _modulus_values(cells, f.spacing, mode)
+    modulus = _modulus_values(cells, grid.spacing, mode)
     if not np.all(np.isfinite(modulus)):
         raise ValueError("the gradient modulus overflows a float: malformed input")
     # the box reaches the grid's outer layer only where one of its slices starts at 0 or ends at the extent
     faces = [
         np.moveaxis(modulus, ax, 0)[end]
-        for ax, (s, n) in enumerate(zip(box, f.extents))
+        for ax, (s, n) in enumerate(zip(box, grid.extents))
         for end, outer in ((0, s.start == 0), (-1, s.stop == n))
         if outer
     ]
@@ -150,7 +141,7 @@ def metric_gradient_modulus(f: GridFunction, mode: str = "metric_max") -> GridFu
     """
     box = support_box(f.values)
     values = np.zeros(f.extents)
-    values[box] = _box_modulus(f, box, mode)
+    values[box] = _box_modulus(f.values[box], box, f, mode)
     return GridFunction(f.spacing, values)
 
 
@@ -204,7 +195,7 @@ class PreparedFunction:
         return self._cached(("grad", mode), lambda: self._nonzero_grad(mode))
 
     def _nonzero_grad(self, mode: str) -> np.ndarray:
-        g = _box_modulus(self.grid, self.box, mode)
+        g = _box_modulus(self.grid.values[self.box], self.box, self.grid, mode)
         if not np.any(g) and not self.is_zero:
             raise ValueError("nonzero function with zero gradient: malformed input")
         return g

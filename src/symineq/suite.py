@@ -172,8 +172,14 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
     later_ps = [[kw.get("p") for *_, kw in per_function[i + 1:]] for i in range(len(per_function))]
 
     def run_functions(claims) -> list:
-        """(i, rows) per index i claimed: per entry, the rows of function i and of the pair (i - 1, i)."""
+        """(i, rows) per index i claimed: per entry, the rows of function i and of the pair (i - 1, i).
+
+        Each traced row's ``trace_text`` cache is filled as soon as the
+        function's rows are made, so the report writer's float formatting is
+        split across the workers too; the call formats each t column once.
+        """
         done = []
+        t_text: dict[bytes, list[str]] = {}
         prev_index, prev = None, None
         for i in claims:
             function_id, f = corpus[i]
@@ -193,6 +199,10 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
             if pairs:
                 pf.keep_profile_only()
                 prev_index, prev = i, pf
+            for rows_of_entry in out:
+                for report in rows_of_entry:
+                    if report.trace is not None:
+                        _trace_text(report, t_text)
             done.append((i, out))
         return done
 
@@ -299,23 +309,20 @@ def _run_forked(run_functions, ids: list, workers: int, run_here) -> list:
     half of the busiest range (``_claim``).  With one worker nothing forks,
     and the same loop runs over every index with no ledger.  ``run_here()``
     runs in this process after the forks and before its own claims, so the
-    children start at once.  Each process formats its rows' traces into
-    their ``trace_text`` caches, so the report writer's float formatting is
-    split too.  A child pickles its rows (or the exception it raised, with
-    the function it was running) into a pipe and leaves by ``os._exit``, so
-    it never returns into the caller's stack nor flushes this process's
-    stdio.  A failing child sets the ledger's stop word before it sends its
-    exception, so the other workers start no new function.  The pipes are
-    read in worker order.
+    children start at once.  Each worker's rows come with their traces
+    formatted (``run_functions``).  A child pickles its rows (or the
+    exception it raised, with the function it was running) into a pipe and
+    leaves by ``os._exit``, so it never returns into the caller's stack nor
+    flushes this process's stdio.  A failing child sets the ledger's stop
+    word before it sends its exception, so the other workers start no new
+    function.  The pipes are read in worker order.
     On the way out, whether with the rows, an exception or an interrupt,
     every pipe is closed and every child is killed (one that has sent its
     rows has only its exit left) and reaped.
     """
     if workers == 1:
         run_here()
-        done = run_functions(range(len(ids)))
-        _format_traces(done)
-        return done
+        return run_functions(range(len(ids)))
     readers, pids = [], []
     n = len(ids)
     ledger = _Ledger([(n * w // workers, n * (w + 1) // workers) for w in range(workers)])
@@ -332,7 +339,6 @@ def _run_forked(run_functions, ids: list, workers: int, run_here) -> list:
             pids.append(pid)
         run_here()
         done = run_functions(ledger.claims(0))
-        _format_traces(done)
         for worker, reader in enumerate(readers, start=1):
             try:
                 part, error = pickle.load(reader)
@@ -360,9 +366,7 @@ def _run_child(run_functions, ledger: _Ledger, worker: int, write_fd: int) -> No
     status = 1
     try:
         try:
-            done = run_functions(ledger.claims(worker))
-            _format_traces(done)
-            message = (done, None)
+            message = (run_functions(ledger.claims(worker)), None)
         # the process boundary: whatever stops the worker, an interrupt included, goes to the parent
         except BaseException as exc:
             ledger.stop()  # before the message: no worker starts a function the failed pass would discard
@@ -381,16 +385,6 @@ def _picklable(exc: BaseException) -> BaseException:
     except Exception:  # whatever stops the round trip, the stand-in carries the message
         return RuntimeError(f"{type(exc).__name__}: {exc}")
     return exc
-
-
-def _format_traces(done: list) -> None:
-    """Fill the ``trace_text`` cache of every traced report in a worker's (i, rows) list."""
-    t_text: dict[bytes, list[str]] = {}
-    for _, part in done:
-        for rows_of_entry in part:
-            for report in rows_of_entry:
-                if report.trace is not None:
-                    _trace_text(report, t_text)
 
 
 def _guarded(name: str, function_id: str, check) -> CheckReport:

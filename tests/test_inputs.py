@@ -1,6 +1,9 @@
 """Input documents: every reader refuses a bad document with a ValueError, every command with exit 2."""
 
+import csv
 import json
+import math
+import os
 import re
 import time
 
@@ -217,6 +220,55 @@ class TestSpecAndConfig:
         config_file = _write(tmp_path / "config.json", {"corpus": SMALL})
         argv = ["suite", "--config", str(config_file), "--out", str(tmp_path / "suite"), "--tol", "-1"]
         assert "tolerance must be a finite real >= 0" in _assert_input_error(capsys, argv, "options")
+
+
+_CONE_AND_BUMP = [{"kind": "cone"}, {"kind": "tensor_bump"}]
+_T_GRID = "t_grid must be a non-empty 1-d array of finite values > 0"
+_WIDTHS = "tensor_bump: widths must be 2 finite values > 0"
+# (the config's entries, or None for the default ones; its 32^2 corpus families; the message)
+_BAD_VALUES = {
+    "binomial_p_inf": ([{"id": "binomial_bounds", "p": math.inf}], _CONE_AND_BUMP, "the sweep needs a finite p > 1"),
+    "binomial_a_max_negative": (
+        [{"id": "binomial_bounds", "p": 2.5, "a_max": -1}], _CONE_AND_BUMP, "the sweep needs a finite a_max >= 0"
+    ),
+    "nash_c2_zero": ([{"id": "nash", "c2": 0}], _CONE_AND_BUMP, "the Nash form needs a finite c2 > 0"),
+    "nash_c1_negative": ([{"id": "nash", "c1": -1}], _CONE_AND_BUMP, "the Nash form needs a finite c1 > 0"),
+    "chain_rule_r_inf": ([{"id": "chain_rule", "r": math.inf}], _CONE_AND_BUMP, "chain rule sweep needs a finite r > 1"),
+    "oneil_t_inf": ([{"id": "oneil", "t_grid": [math.inf]}], _CONE_AND_BUMP, _T_GRID),
+    "oneil_t_zero": ([{"id": "oneil", "t_grid": [0, 0.5]}], _CONE_AND_BUMP, _T_GRID),
+    "one_width": (None, [{"kind": "cone"}, {"kind": "tensor_bump", "widths": [0.2]}], _WIDTHS),
+    "three_widths": (None, [{"kind": "cone"}, {"kind": "tensor_bump", "widths": [0.2, 0.2, 0.2]}], _WIDTHS),
+    "negative_width": (None, [{"kind": "cone"}, {"kind": "tensor_bump", "widths": [-0.2, 0.2]}], _WIDTHS),
+    "zero_width": (None, [{"kind": "cone"}, {"kind": "tensor_bump", "widths": [0.0, 0.2]}], _WIDTHS),
+    "disk_radius_negative": (
+        None, [{"kind": "mollified_disk", "radius": -0.1}], "mollified_disk: radius must be a finite value > 0"
+    ),
+    "cone_radius_negative": (None, [{"kind": "cone", "radius": -0.1}], "cone: radius must be a finite value > 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_VALUES))
+def test_a_bad_checker_or_family_value_exits_2_with_its_message(tmp_path, capsys, monkeypatch, name):
+    """A checker's value gives input_error rows, a family's a config error; no traceback and no RuntimeWarning.
+
+    One process runs the suite, so the tests' RuntimeWarning filter sees every check.
+    """
+    entries, families, named = _BAD_VALUES[name]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    config = {"corpus": {"extents": 32, "families": families}}
+    if entries is not None:
+        config["inequalities"] = entries
+    config_file = _write(tmp_path / "config.json", config)
+    out = tmp_path / "out"
+    assert cli_main(["suite", "--config", str(config_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    if entries is None:
+        assert f"cannot load config: {named}" in err
+        assert not out.exists()
+        return
+    with open(out / "reports.csv", newline="", encoding="utf-8") as fh:
+        assert {row["status"] for row in csv.DictReader(fh)} == {f"input_error: {named}"}
 
 
 # JSON values with small numbers: a size the readers accept is allocated by nobody

@@ -140,9 +140,18 @@ def _x_over_zero_grid():
     return GridFunction(1e159, np.array([0.0, 0.0, 1.0, 1.0 + 2.0**-10, 1.0, 0.0, 0.0]))
 
 
+def _negative_zeros_around_the_box_grid():
+    # -0.0 on the support box's edge and just off it: the stencil maximum's zero extension ties with them
+    v = np.full((7, 9), -0.0)
+    v[3, 3:6] = (1.0, 2.0, 1.0)
+    return GridFunction(1.0, v)
+
+
 class TestChainRuleOracle:
     @given(chain_grids(), st.sampled_from((1.5, 2.0, 2.5, 3.0)), st.sampled_from(GRADIENT_MODES))
     @example(_x_over_zero_grid(), 3.0, "metric_max")
+    @example(_negative_zeros_around_the_box_grid(), 2.5, "metric_max")
+    @example(_negative_zeros_around_the_box_grid(), 2.0, "euclidean_central")
     @settings(max_examples=150, deadline=None)
     def test_worst_ratio_and_location_bit_identical(self, f, r, mode):
         expected = pad_chain_rule(f, r, mode)
