@@ -152,9 +152,10 @@ class PreparedFunction:
     distribution of |f| for ``mode`` None and of |grad f| in that gradient
     mode otherwise, ``profile(mode)`` its decreasing rearrangement,
     ``powered(p, mode)`` the profile's p-th power and ``norm(p, mode)`` the
-    L^p norm.  Every artifact is built at most once and is bit-identical
-    to building it directly from ``grid`` over every cell.  ``is_zero`` is
-    the one zero-function test; ``grad``, ``norm`` and ``powered`` reject a
+    L^p norm.  Every artifact is built on first use, bit-identical to
+    building it directly from ``grid`` over every cell; building one p's
+    powered profile drops the other p's.  ``is_zero`` is the one
+    zero-function test; ``grad``, ``norm`` and ``powered`` reject a
     nonzero f whose gradient, norm or power underflows to nothing.
 
     ``box`` is f's support box (``support_box``), found once, and every
@@ -210,14 +211,13 @@ class PreparedFunction:
         return norm
 
     def powered(self, p: float, mode: str | None = None) -> StepProfile:
-        """``powered_profile(self.profile(mode), p)``, built once."""
-        return self._cached(("powered", p, mode), lambda: powered_profile(self.profile(mode), p))
-
-    def keep_powers(self, ps) -> None:
-        """Drop every cached powered profile whose p is not in ``ps``."""
-        # deleted in place: a rebuilt dict would hash every key again, once per suite entry
-        for key in [key for key in self._cache if key[0] == "powered" and key[1] not in ps]:
-            del self._cache[key]
+        """``powered_profile(self.profile(mode), p)``, cached; building it drops every other p's."""
+        key = ("powered", p, mode)
+        if key not in self._cache:
+            for other in [k for k in self._cache if k[0] == "powered" and k[1] != p]:
+                del self._cache[other]
+            self._cache[key] = powered_profile(self.profile(mode), p)
+        return self._cache[key]
 
     def keep_profile_only(self) -> None:
         """Drop every cached artifact but f's profile, which is kept if it has been built."""

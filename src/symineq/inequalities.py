@@ -16,7 +16,7 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from .measure import GridFunction, MassFunction, declared_keys, require_finite_p, support_measure
+from .measure import GridFunction, MassFunction, check_whole, declared_keys, require_finite_p, support_measure
 from .rearrangement import (
     StepProfile,
     _weak_sup,
@@ -67,6 +67,8 @@ CONSTANT_MODES = ("analytic", "fitted")
 # The (a, b) lattice of the scalar sweeps: [0, SWEEP_A_MAX]^2 at SWEEP_POINTS per axis.
 SWEEP_A_MAX = 20.0
 SWEEP_POINTS = 400
+# Lattice cells per block of rows in the binomial sweep, which so runs in bounded memory.
+SWEEP_BLOCK_CELLS = 1 << 14
 
 # Geometric pieces per t-grid interval in the derivative form's lower sum.
 DERIVATIVE_REFINE = 16
@@ -381,42 +383,52 @@ def check_binomial_bounds(
         raise ValueError("the sweep needs a finite p > 1")
     if not 0 <= a_max < math.inf:
         raise ValueError("the sweep needs a finite a_max >= 0")
+    grid_points = check_whole("binomial_bounds", "grid_points", grid_points, 1)
     k, c_p = power_k(p), oscillation_constant(p)
     axis = np.linspace(0.0, a_max, grid_points)
-    rows, cols = np.nonzero(axis[:, None] >= axis)  # the lattice points with a >= b, row by row
-    a, b = axis[rows], axis[cols]
-    d = a - b
-    series = np.zeros_like(a)
-    for j in range(1, k + 1):
-        series += binomial_coefficient(p, j) * b ** (p - j) * d**j
-
-    ap, bp = a**p, b**p
-    lhs1 = ap - bp - series
-    rhs1 = d**p
-    lhs2 = ap + bp + series
-    rhs2 = (c_p * a + b) ** p
-    scale = np.maximum(1.0, ap)
-
-    v1 = (lhs1 - rhs1) / scale
-    v2 = (lhs2 - rhs2) / scale
-    worst1 = int(np.argmax(v1))
-    worst2 = int(np.argmax(v2))
+    # per part, the first worst (violation, a, b) of the lattice points with a >= b, row by row,
+    # swept a block of rows at a time; a later block's maximum replaces it only if larger
+    worst1 = worst2 = None
+    slack1 = 0.0
+    block = max(1, SWEEP_BLOCK_CELLS // grid_points)
+    for start in range(0, grid_points, block):
+        rows, cols = np.nonzero(axis[start : start + block, None] >= axis)
+        a, b = axis[rows + start], axis[cols]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, as a ValueError
+            d = a - b
+            series = np.zeros_like(a)
+            for j in range(1, k + 1):
+                series += binomial_coefficient(p, j) * b ** (p - j) * d**j
+            ap, bp = a**p, b**p
+            lhs1 = ap - bp - series
+            rhs1 = d**p
+            lhs2 = ap + bp + series
+            rhs2 = (c_p * a + b) ** p
+            scale = np.maximum(1.0, ap)
+            v1 = (lhs1 - rhs1) / scale
+            v2 = (lhs2 - rhs2) / scale
+            slack = float(np.max(np.abs(rhs1 - lhs1)))
+        i1, i2 = int(np.argmax(v1)), int(np.argmax(v2))  # a NaN is the first maximum
+        if not all(math.isfinite(x) for x in (v1[i1], v2[i2], slack)):
+            raise ValueError(f"the binomial sweep overflows a float at p = {p:g}, a_max = {a_max:g}: malformed input")
+        if worst1 is None or v1[i1] > worst1[0]:
+            worst1 = (float(v1[i1]), float(a[i1]), float(b[i1]))
+        if worst2 is None or v2[i2] > worst2[0]:
+            worst2 = (float(v2[i2]), float(a[i2]), float(b[i2]))
+        slack1 = max(slack1, slack)
     params_doc = {
         "p": p,
         "k": k,
         "c_p": c_p,
         "a_max": a_max,
         "grid_points": grid_points,
-        "worst_violation_part1": float(v1[worst1]),
-        "worst_violation_part2": float(v2[worst2]),
-        "worst_ab_part1": [float(a[worst1]), float(b[worst1])],
-        "worst_ab_part2": [float(a[worst2]), float(b[worst2])],
-        "max_abs_slack_part1": float(np.max(np.abs(rhs1 - lhs1))),
+        "worst_violation_part1": worst1[0],
+        "worst_violation_part2": worst2[0],
+        "worst_ab_part1": list(worst1[1:]),
+        "worst_ab_part2": list(worst2[1:]),
+        "max_abs_slack_part1": slack1,
     }
-    if float(v1[worst1]) >= float(v2[worst2]):
-        worst, loc = float(v1[worst1]), float(a[worst1])
-    else:
-        worst, loc = float(v2[worst2]), float(a[worst2])
+    worst, loc = (worst1[0], worst1[1]) if worst1[0] >= worst2[0] else (worst2[0], worst2[1])
     return CheckReport(
         inequality_id="binomial_bounds",
         params=params_doc,
@@ -452,10 +464,13 @@ def _scalar_chain_sweep(r: float) -> tuple[float, float, float]:
     """
     axis = np.linspace(0.0, SWEEP_A_MAX, SWEEP_POINTS)
     a, b = axis[:, None], axis
-    scalar_lhs = np.abs(a**r - b**r)
-    scalar_rhs = r * (a ** (r - 1.0) + b ** (r - 1.0)) * np.abs(a - b)
-    scalar_ratios = _ratio_in_place(scalar_lhs, scalar_rhs)
-    i, j = divmod(int(np.argmax(scalar_ratios)), SWEEP_POINTS)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, as a ValueError
+        scalar_lhs = np.abs(a**r - b**r)
+        scalar_rhs = r * (a ** (r - 1.0) + b ** (r - 1.0)) * np.abs(a - b)
+        scalar_ratios = _ratio_in_place(scalar_lhs, scalar_rhs)
+    i, j = divmod(int(np.argmax(scalar_ratios)), SWEEP_POINTS)  # a NaN is the first maximum
+    if not math.isfinite(scalar_ratios[i, j]):
+        raise ValueError(f"the chain-rule sweep overflows a float at r = {r:g}: malformed input")
     return float(scalar_ratios[i, j]), float(axis[i]), float(axis[j])
 
 

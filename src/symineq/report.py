@@ -31,8 +31,8 @@ class CheckReport:
 
     ``trace`` holds the per-t evidence of a traced check as an (m, 3) float64
     array of (t, lhs, rhs) rows, also in a report loaded from JSON.
-    ``trace_text`` is the report writer's cache of the formatted trace,
-    paired with the trace it formats.
+    ``trace_text`` is the report writer's cache of the trace's JSON list
+    text, paired with the trace it formats.
     """
 
     inequality_id: str
@@ -74,8 +74,8 @@ class CheckReport:
             constant_used=constant, tolerance=tolerance,
         )
 
-    def to_dict(self, include_trace: bool = False) -> dict:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "inequality_id": self.inequality_id,
             "function_id": self.function_id,
             "params": self.params,
@@ -86,9 +86,6 @@ class CheckReport:
             "pass": self.passed,
             "status": self.status,
         }
-        if include_trace and self.trace is not None:
-            doc["trace"] = self.trace.tolist()
-        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CheckReport":

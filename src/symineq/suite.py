@@ -18,6 +18,7 @@ import signal
 import time
 import traceback
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
 
 try:
@@ -27,7 +28,7 @@ except ImportError:  # no POSIX locks (Windows), nor the affinity call, so nothi
 
 from .corpus import CorpusSpec, generate_corpus
 from .gradient import GRADIENT_MODES, PreparedFunction
-from .inequalities import ARITY, CHECKERS, CONSTANT_MODES, checker_kwargs, entry_keys
+from .inequalities import ARITY, CHECKERS, CONSTANT_MODES, TGRID_CACHE_SIZE, checker_kwargs, entry_keys
 from .inequalities import check_binomial_bounds, check_oneil  # called by name here, so a tracer can rebind them
 from .measure import json_object, read_document, write_document
 from .report import CheckReport, best_constant, require_tolerance
@@ -158,28 +159,24 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
         for index, name, kwargs in sweeps:
             rows[index].append(_guarded(name, "-", lambda: check_binomial_bounds(**kwargs)))
 
-    # entries that share a p run one after another, the groups in the order of
-    # each p's first entry, so one p's powered profiles are dropped before the
-    # next p's are built; rows still come out in config order through the slots.
-    # Lists, not sets: a p that a checker will reject may be unhashable.
-    ps = []
+    # the entries without a p run first, then the groups that share a p, in the
+    # order of each p's first entry, so no power is built twice (building one
+    # p's powered profiles drops the last p's); rows still come out in config
+    # order through the slots.  Lists: a p that a checker rejects may be unhashable.
+    ps = [None]
     for *_, kw in per_function:
         if kw.get("p") not in ps:
             ps.append(kw.get("p"))
     per_function.sort(key=lambda e: ps.index(e[3].get("p")))
-    # a powered profile stays cached only while a later entry of the same
-    # function may read it; one whose p no later entry names is dropped
-    later_ps = [[kw.get("p") for *_, kw in per_function[i + 1:]] for i in range(len(per_function))]
 
     def run_functions(claims) -> list:
         """(i, rows) per index i claimed: per entry, the rows of function i and of the pair (i - 1, i).
 
         Each traced row's ``trace_text`` cache is filled as soon as the
         function's rows are made, so the report writer's float formatting is
-        split across the workers too; the call formats each t column once.
+        split across the workers too.
         """
         done = []
-        t_text: dict[bytes, list[str]] = {}
         prev_index, prev = None, None
         for i in claims:
             function_id, f = corpus[i]
@@ -193,16 +190,15 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
                 for index, name, kwargs in pairs:
                     out[index].append(_guarded(name, pair_id, lambda: check_oneil(prev, pf, **kwargs)))
             prev = None  # before f's own checks build their artifacts
-            for (index, name, runner, kwargs), keep in zip(per_function, later_ps):
+            for index, name, runner, kwargs in per_function:
                 out[index].append(_guarded(name, function_id, lambda: runner(pf, **kwargs)))
-                pf.keep_powers(keep)
             if pairs:
                 pf.keep_profile_only()
                 prev_index, prev = i, pf
             for rows_of_entry in out:
                 for report in rows_of_entry:
                     if report.trace is not None:
-                        _trace_text(report, t_text)
+                        _trace_text(report)
             done.append((i, out))
         return done
 
@@ -231,7 +227,8 @@ def _claim(words, worker: int) -> int | None:
     has failed.  A worker claims its own range front to back.  Once it is
     used up, the worker takes over the back half, rounded up, of the largest
     unclaimed remainder (the first such worker's on a tie), and claims that
-    front to back.
+    front to back.  A remainder of two goes whole: split, each half's O'Neil
+    pair would re-prepare the profile before it.
     """
     if words[-1]:
         return None
@@ -242,7 +239,7 @@ def _claim(words, worker: int) -> int | None:
         if left == 0:
             return None
         end = words[2 * victim + 1]
-        start = end - (left + 1) // 2
+        start = end - (2 if left == 2 else (left + 1) // 2)
         words[2 * victim + 1] = start
         words[2 * worker + 1] = end
     words[2 * worker] = start + 1
@@ -437,41 +434,34 @@ def _report_row(report: CheckReport, seed) -> dict:
     return row
 
 
-def _trace_text(report: CheckReport, t_text: dict) -> str:
-    """The report's trace as CSV lines "t,lhs,rhs" ended by CRLF, each value its repr.
+@lru_cache(maxsize=TGRID_CACHE_SIZE)  # a shared t column is a check's t-grid
+def _t_reprs(column: bytes) -> tuple:
+    """The reprs of a float64 t column, given as its bytes (so -0.0 and 0.0 stay apart)."""
+    return tuple(repr(t) for t in memoryview(column).cast("d").tolist())
+
+
+def _trace_text(report: CheckReport) -> str:
+    """The report's trace as the JSON list of [t, lhs, rhs] lists that ``json.dumps`` writes.
 
     Both report formats are derived from this text, so each trace value is
     formatted once.  The text is cached on the report together with the trace
     it was made from, and made anew if ``report.trace`` is replaced.  Checks
-    on one grid shape share their t column, so a column is formatted once per
-    ``t_text``, which maps the column's bytes (-0.0 and 0.0 differ) to its
-    reprs.
+    on one grid shape share their t column, so a column's reprs come from
+    ``_t_reprs``.
     """
     trace = report.trace
     if report.trace_text is not None and report.trace_text[0] is trace:
         return report.trace_text[1]
-    t = trace[:, 0]
-    key = t.tobytes()
-    if key not in t_text:
-        t_text[key] = [repr(x) for x in t.tolist()]
     values = trace.ravel().tolist()
-    values[0::3] = t_text[key]
-    text = "%s,%r,%r\r\n" * len(trace) % tuple(values)
+    values[0::3] = _t_reprs(trace[:, 0].tobytes())
+    text = "[" + ("[%s, %r, %r], " * len(trace))[:-2] % tuple(values) + "]"
+    if "n" in text:  # only the reprs inf, -inf and nan contain an "n"
+        text = text.replace("inf", "Infinity").replace("nan", "NaN")
     report.trace_text = (trace, text)
     return text
 
 
-def _json_trace(text: str) -> str:
-    """The trace text as the JSON list of [t, lhs, rhs] lists that json.dumps writes."""
-    if not text:
-        return "[]"
-    doc = "[[" + text[:-2].replace(",", ", ").replace("\r\n", "], [") + "]]"
-    if "n" in doc:  # only the reprs inf, -inf and nan contain an "n"
-        doc = doc.replace("inf", "Infinity").replace("nan", "NaN")
-    return doc
-
-
-def _json_row(encode, report: CheckReport, seed, detail: bool, t_text: dict) -> str:
+def _json_row(encode, report: CheckReport, seed, detail: bool) -> str:
     """One report row as sort_keys JSON; a trace is spliced in between the other keys."""
     row = _report_row(report, seed)
     if not detail or report.trace is None:
@@ -479,7 +469,7 @@ def _json_row(encode, report: CheckReport, seed, detail: bool, t_text: dict) -> 
     # a row always has keys on both sides of "trace" (constant_used, worst_ratio)
     before = encode({k: v for k, v in row.items() if k < "trace"})
     after = encode({k: v for k, v in row.items() if k > "trace"})
-    return before[:-1] + ', "trace": ' + _json_trace(_trace_text(report, t_text)) + ", " + after[1:]
+    return before[:-1] + ', "trace": ' + _trace_text(report) + ", " + after[1:]
 
 
 def emit_report(
@@ -493,15 +483,14 @@ def emit_report(
     the CSV format writes an additional table with one (function,
     inequality, t, lhs, rhs) row per trace point next to the main one.
 
-    A trace is formatted once, on the first call that writes it: the JSON
-    lists and the trace table are both rewritten from that text, byte for byte
-    what ``json`` and ``csv.writer`` would write for the rows as lists.  A t
-    column that several traces share is formatted once per call.
+    A trace is formatted once, into the JSON list text cached on the report
+    (``_trace_text``): the JSON writer splices it in as it is, and the trace
+    table's lines are derived from it, byte for byte what ``json`` and
+    ``csv.writer`` would write for the rows as lists.
     """
     path = Path(path)
     if path.parent and not path.parent.exists():
         raise FileNotFoundError(f"output directory {path.parent} does not exist")
-    t_text: dict[bytes, list[str]] = {}
     if fmt == "json":
         # json encodes in C only without indent; row by row, the document is
         # never held as one string
@@ -514,7 +503,7 @@ def emit_report(
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(header[:-1] + ', "reports": [')
                 for i, r in enumerate(reports):
-                    fh.write((",\n" if i else "\n") + _json_row(encode, r, seed, detail, t_text))
+                    fh.write((",\n" if i else "\n") + _json_row(encode, r, seed, detail))
                 fh.write("\n]}\n")
         except OSError as exc:
             raise OSError(f"cannot write report to {path}: {exc}") from exc
@@ -538,14 +527,18 @@ def emit_report(
             with open(trace_path, "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh).writerow(["function_id", "inequality_id", "t", "lhs", "rhs"])
                 for r in reports:
-                    text = "" if r.trace is None else _trace_text(r, t_text)
-                    if not text:
+                    if r.trace is None or not len(r.trace):
                         continue
                     keys.writerow([r.function_id, r.inequality_id, ""])
                     key = key_buffer.getvalue()[:-2]  # drop the "\r\n" row end
                     key_buffer.seek(0)
                     key_buffer.truncate()
-                    fh.write(key + text[:-2].replace("\r\n", "\r\n" + key) + "\r\n")
+                    # the numbers are rewritten before the ids are spliced in, so no id ever is;
+                    # only Infinity and NaN hold capitals, and only the ", " separators hold spaces
+                    body = _trace_text(r)[2:-2]
+                    if "I" in body or "N" in body:
+                        body = body.replace("Infinity", "inf").replace("NaN", "nan")
+                    fh.write(key + body.replace(" ", "").replace("],[", "\r\n" + key) + "\r\n")
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 

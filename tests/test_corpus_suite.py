@@ -270,6 +270,14 @@ def _trace_list(report):
     return None if report.trace is None else report.trace.tolist()
 
 
+def _traced_row(report, **columns):
+    """The report's row with these columns and, if it has a trace, its trace list: a detail-mode JSON row."""
+    row = dict(report.to_dict(), **columns)
+    if report.trace is not None:
+        row["trace"] = _trace_list(report)
+    return row
+
+
 class TestDetailReports:
     def test_json_round_trip_keeps_every_trace(self, detail_reports, tmp_path):
         path = tmp_path / "reports.json"
@@ -290,12 +298,7 @@ class TestDetailReports:
         doc = json.loads(text)
         assert doc.pop("generated_at")
         rows = [
-            dict(
-                r.to_dict(include_trace=True),
-                grid=r.params.get("grid"),
-                gradient_mode=r.params.get("gradient_mode"),
-                seed=3,
-            )
+            _traced_row(r, grid=r.params.get("grid"), gradient_mode=r.params.get("gradient_mode"), seed=3)
             for r in detail_reports
         ]
         indented = json.dumps(
@@ -382,7 +385,7 @@ def _assert_writers_match(reports, csv_first):
     encode = json.JSONEncoder(sort_keys=True).encode
     rows = [line[:-1] if line.endswith(",") else line for line in json_lines[1:-2]]
     assert rows == [
-        encode(dict(r.to_dict(include_trace=True), grid="4x4", gradient_mode="metric_max", seed=1))
+        encode(_traced_row(r, grid="4x4", gradient_mode="metric_max", seed=1))
         for r in reports
     ]
     expected = io.StringIO(newline="")
@@ -439,6 +442,46 @@ class TestTraceWriters:
     def test_shared_t_columns_keep_each_report_bytes(self, specs, csv_first):
         """Traces sharing a t column (formatted once per call) still write their own lhs and rhs."""
         _assert_writers_match([_traced_report(*spec) for spec in specs], csv_first)
+
+    @pytest.mark.parametrize("csv_first", [False, True])
+    def test_hand_built_traces_write_the_pinned_bytes(self, tmp_path, csv_first):
+        """Non-finite values, -0.0, an empty trace and none; ids that read as trace text are never rewritten."""
+        inf, nan = math.inf, math.nan
+        reports = [
+            _traced_report(*spec, True)
+            for spec in (
+                ("f, 1", "oscillation_p", [(0.5, inf, -inf), (-0.0, nan, 1e-300)]),
+                ("NaN", "Infinity", [(nan, -inf, 2.5e20)]),
+                ("], [", "derivative_p", [(0.25, 2.0, -0.0), (0.5, 0.1, inf)]),
+                ('g"],[h', "s_phi_p", []),
+                ("untraced", "oneil", None),
+            )
+        ]
+        for fmt in ("csv", "json") if csv_first else ("json", "csv"):
+            sq.emit_report(reports, fmt, tmp_path / f"reports.{fmt}", detail=True, seed=1)
+        head = '{"constant_used": 1.0, "function_id": '
+        tail = ', "gradient_mode": "metric_max", "grid": "4x4", "inequality_id": '
+        row = ', "params": {"gradient_mode": "metric_max", "grid": "4x4"}, "pass": true, "seed": 1, "status": "ok", "tolerance": 0.05'
+        end = ', "worst_location": 1.0, "worst_ratio": 0.5}'
+        assert (tmp_path / "reports.json").read_text(encoding="utf-8").split("\n")[1:] == [
+            head + '"f, 1"' + tail + '"oscillation_p"' + row
+            + ', "trace": [[0.5, Infinity, -Infinity], [-0.0, NaN, 1e-300]]' + end + ",",
+            head + '"NaN"' + tail + '"Infinity"' + row + ', "trace": [[NaN, -Infinity, 2.5e+20]]' + end + ",",
+            head + '"], ["' + tail + '"derivative_p"' + row
+            + ', "trace": [[0.25, 2.0, -0.0], [0.5, 0.1, Infinity]]' + end + ",",
+            head + '"g\\"],[h"' + tail + '"s_phi_p"' + row + ', "trace": []' + end + ",",
+            head + '"untraced"' + tail + '"oneil"' + row + end,
+            "]}",
+            "",
+        ]
+        assert (tmp_path / "reports_trace.csv").read_bytes() == (
+            b"function_id,inequality_id,t,lhs,rhs\r\n"
+            b'"f, 1",oscillation_p,0.5,inf,-inf\r\n'
+            b'"f, 1",oscillation_p,-0.0,nan,1e-300\r\n'
+            b"NaN,Infinity,nan,-inf,2.5e+20\r\n"
+            b'"], [",derivative_p,0.25,2.0,-0.0\r\n'
+            b'"], [",derivative_p,0.5,0.1,inf\r\n'
+        )
 
     def test_replaced_trace_is_formatted_anew(self, tmp_path):
         report = _traced_report("f", "oscillation_p", [(1.0, 2.0, 3.0)], True)

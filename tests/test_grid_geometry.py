@@ -211,7 +211,9 @@ def test_disk_mask_equals_the_meshgrid_mask(extents, spacing, center, radius):
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.7, 4.7])
-@pytest.mark.parametrize("a_max, grid_points", [(inequalities.SWEEP_A_MAX, inequalities.SWEEP_POINTS), (0.0, 7)])
+@pytest.mark.parametrize(
+    "a_max, grid_points", [(inequalities.SWEEP_A_MAX, inequalities.SWEEP_POINTS), (0.0, 7), (5.0, 300)]
+)
 def test_binomial_sweep_equals_the_meshgrid_sweep(p, a_max, grid_points):
     report = sq.check_binomial_bounds(p, a_max=a_max, grid_points=grid_points)
     want = mesh_binomial_params(p, a_max, grid_points)
@@ -219,6 +221,18 @@ def test_binomial_sweep_equals_the_meshgrid_sweep(p, a_max, grid_points):
     # at a_max = 0 every lattice point is (0, 0), and the a >= b mask keeps them all
     if a_max == 0.0:
         assert want["worst_ab_part1"] == [0.0, 0.0]
+    # 300 rows are swept in several blocks, the last one short
+    if grid_points == 300:
+        block = inequalities.SWEEP_BLOCK_CELLS // grid_points
+        assert 1 < block < grid_points and grid_points % block
+
+
+def test_binomial_sweep_memory_is_bounded_by_its_block():
+    """At 1,600 points the a >= b lattice has 1.3M cells: the whole-lattice sweep peaked at 166 MiB."""
+    report, peak = _traced_peak(lambda: sq.check_binomial_bounds(2.5, grid_points=1600))
+    assert report.passed
+    # about 13 float arrays of one block, its mask and its two index arrays
+    assert peak < 24 * 8 * inequalities.SWEEP_BLOCK_CELLS, peak / 2**20
 
 
 @pytest.mark.parametrize("r", [1.5, 2.0, 3.7, 4.7])

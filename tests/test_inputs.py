@@ -83,7 +83,7 @@ class TestReportFile:
             "oscillation_p", {}, worst_ratio=0.5, worst_location=1.0, constant_used=1.0, tolerance=0.05,
             trace=np.array([[0.5, 1.0, 2.0]]),
         )
-        return dict(report.to_dict(include_trace=True), grid=None, gradient_mode=None, seed=None)
+        return dict(report.to_dict(), trace=report.trace.tolist(), grid=None, gradient_mode=None, seed=None)
 
     @pytest.mark.parametrize(
         "trace", [[[0.5, 1.0]], [[0.5, 1.0, 2.0, 3.0]], [0.5, 1.0, 2.0], [[]], [[0.5, 1.0, 2.0], [1.0]]]
@@ -230,6 +230,26 @@ _BAD_VALUES = {
     "binomial_p_inf": ([{"id": "binomial_bounds", "p": math.inf}], _CONE_AND_BUMP, "the sweep needs a finite p > 1"),
     "binomial_a_max_negative": (
         [{"id": "binomial_bounds", "p": 2.5, "a_max": -1}], _CONE_AND_BUMP, "the sweep needs a finite a_max >= 0"
+    ),
+    "binomial_grid_points_zero": (
+        [{"id": "binomial_bounds", "p": 2.5, "grid_points": 0}], _CONE_AND_BUMP,
+        "binomial_bounds: grid_points must be an integer >= 1, not 0",
+    ),
+    "binomial_grid_points_fraction": (
+        [{"id": "binomial_bounds", "p": 2.5, "grid_points": 2.5}], _CONE_AND_BUMP,
+        "binomial_bounds: grid_points must be an integer >= 1, not 2.5",
+    ),
+    # a sweep whose powers overflow a float: once a passing row with a NaN ratio, and a RuntimeWarning
+    "binomial_p_overflows": (
+        [{"id": "binomial_bounds", "p": 400.0}], _CONE_AND_BUMP,
+        "the binomial sweep overflows a float at p = 400, a_max = 20: malformed input",
+    ),
+    "binomial_a_max_overflows": (
+        [{"id": "binomial_bounds", "p": 2.5, "a_max": 1e300}], _CONE_AND_BUMP,
+        "the binomial sweep overflows a float at p = 2.5, a_max = 1e+300: malformed input",
+    ),
+    "chain_rule_r_overflows": (
+        [{"id": "chain_rule", "r": 400.0}], _CONE_AND_BUMP, "the chain-rule sweep overflows a float at r = 400: malformed input"
     ),
     "nash_c2_zero": ([{"id": "nash", "c2": 0}], _CONE_AND_BUMP, "the Nash form needs a finite c2 > 0"),
     "nash_c1_negative": ([{"id": "nash", "c1": -1}], _CONE_AND_BUMP, "the Nash form needs a finite c1 > 0"),

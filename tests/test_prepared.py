@@ -1,3 +1,4 @@
+import functools
 import inspect
 import json
 import math
@@ -82,12 +83,15 @@ class TestPreparedFunction:
         assert pf.powered(2.0) is not squared
 
 
-    def test_keep_powers_drops_the_other_powers(self, cone512):
+    def test_building_one_powered_profile_drops_the_other_ps(self, cone512):
         pf = PreparedFunction(cone512)
         profile, grad_profile = pf.profile(), pf.profile("metric_max")
-        squared, cubed = pf.powered(2.0), pf.powered(3.0, "metric_max")
-        pf.keep_powers({2.0})
-        assert pf.powered(2.0) is squared
+        squared, grad_squared = pf.powered(2.0), pf.powered(2.0, "metric_max")
+        assert pf.powered(2.0) is squared and pf.powered(2.0, "metric_max") is grad_squared
+        cubed = pf.powered(3.0, "metric_max")
+        assert pf.powered(3.0, "metric_max") is cubed
+        # building p = 3 dropped both of p = 2's powers, and rebuilding p = 2's drops p = 3's
+        assert pf.powered(2.0) is not squared
         assert pf.powered(3.0, "metric_max") is not cubed
         assert pf.profile() is profile and pf.profile("metric_max") is grad_profile
 
@@ -246,7 +250,7 @@ def test_suite_rows_equal_direct_checker_calls(small_corpus):
     assert any(r.trace is not None and len(r.trace) for r in suite_rows)
 
     def dump(rows):
-        return [json.dumps(r.to_dict(include_trace=True), sort_keys=True) for r in rows]
+        return [json.dumps([r.to_dict(), None if r.trace is None else r.trace.tolist()], sort_keys=True) for r in rows]
 
     assert dump(suite_rows) == dump(direct_rows)
 
@@ -277,7 +281,7 @@ def test_rows_across_grid_shapes_equal_calls_on_fresh_functions(chain_rule_first
     assert not any(r.status.startswith("input_error") for r in suite_rows)
 
     def dump(rows):
-        return [json.dumps(r.to_dict(include_trace=True), sort_keys=True) for r in rows]
+        return [json.dumps([r.to_dict(), None if r.trace is None else r.trace.tolist()], sort_keys=True) for r in rows]
 
     # each direct call prepares the plain GridFunction afresh
     assert dump(suite_rows) == dump(_direct_reports(config, corpus))
@@ -443,6 +447,44 @@ def test_default_suite_builds_each_artifact_once(small_corpus, monkeypatch):
     assert counts["modulus"] == 2 * n
     # f* and |grad f|* at each of p = 1, 1.5, 2, 3 per function
     assert counts["powered"] == 8 * n
+
+
+def test_p_free_entries_run_first_and_no_power_is_built_twice(monkeypatch):
+    """A p named twice apart and p-free entries between the p's: the suite reorders the entries.
+
+    The p-free checks run before any power is cached, so the chain rule's
+    box temporaries never stack on one, and each power is built once.
+    """
+    _one_worker(monkeypatch)
+    corpus = sq.generate_corpus(SPECS["2d"])[:3]
+    built, powers_at_p_free = [], []
+    original_powered = gradient.powered_profile
+    # the profiles stay referenced, so their ids name them for the whole pass
+    monkeypatch.setattr(gradient, "powered_profile", lambda s, p: built.append((s, p)) or original_powered(s, p))
+    for name in ("chain_rule", "nash_classical", "sobolev_exp"):
+        original = inequalities.CHECKERS[name]
+
+        @functools.wraps(original)  # the suite reads the entry keys from the signature
+        def wrapped(pf, original=original, **kwargs):
+            powers_at_p_free.append([key for key in pf._cache if key[0] == "powered"])
+            return original(pf, **kwargs)
+
+        monkeypatch.setitem(inequalities.CHECKERS, name, wrapped)
+    entries = (
+        {"id": "oscillation_p", "p": 2.0},
+        {"id": "chain_rule", "r": 2.0},
+        {"id": "derivative_p", "p": 1.0},
+        {"id": "nash_classical"},
+        {"id": "derivative_p", "p": 2.0},
+        {"id": "sobolev_exp"},
+    )
+    reports = sq.run_suite(SuiteConfig(inequalities=entries), corpus)
+    assert not _input_errors(reports), _input_errors(reports)
+    assert powers_at_p_free == [[]] * (3 * len(corpus))
+    keys = [(id(s), p) for s, p in built]
+    assert len(set(keys)) == len(keys)
+    # f* and |grad f|* at p = 2, |grad f|* at p = 1, per function
+    assert {p for _, p in built} == {1.0, 2.0} and len(keys) >= 3 * len(corpus)
 
 
 def test_default_suite_builds_each_tgrid_artifact_once(small_corpus, monkeypatch):

@@ -182,12 +182,35 @@ def test_every_index_is_claimed_once_in_ascending_runs(run):
             elif remainders[w]:
                 assert i == claimed[w][-1] + 1 if claimed[w] else i == n * w // workers
                 claimed[w].append(i)
-            else:  # a steal: the back half, rounded up, of the largest remainder, from its front
-                assert words[2 * w + 1] - i == (max(remainders) + 1) // 2
+            else:  # a steal: the back half, rounded up, of the largest remainder (all of a two), from its front
+                largest = max(remainders)
+                assert words[2 * w + 1] - i == (2 if largest == 2 else (largest + 1) // 2)
                 claimed[w].append(i)
         assert sorted(i for c in claimed for i in c) == list(range(n))
     finally:
         ledger.close()
+
+
+@pytest.mark.parametrize(
+    "words, claimed, after",
+    [
+        # worker 0's range is used up and worker 1 runs 7 with 8 and 9 left: worker 0 takes both
+        ([5, 5, 8, 10, 0], 8, [9, 10, 8, 8, 0]),
+        # three left: the back two, rounded up from half
+        ([5, 5, 7, 10, 0], 8, [9, 10, 7, 8, 0]),
+        # one left: it goes
+        ([5, 5, 9, 10, 0], 9, [10, 10, 9, 9, 0]),
+        # four left: the back half
+        ([5, 5, 6, 10, 0], 8, [9, 10, 6, 8, 0]),
+        # nothing left anywhere, or the pass stopped
+        ([5, 5, 10, 10, 0], None, [5, 5, 10, 10, 0]),
+        ([0, 5, 5, 10, 1], None, [0, 5, 5, 10, 1]),
+    ],
+)
+def test_a_remainder_of_two_is_taken_whole(words, claimed, after):
+    """Split, a remainder of two gives the thief its back function, whose O'Neil pair re-prepares the front one's profile."""
+    assert suite._claim(words, 0) == claimed
+    assert words == after
 
 
 class _SlowWords:
