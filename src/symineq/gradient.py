@@ -15,9 +15,9 @@ form is the faithful limsup.  Out-of-grid neighbors count as 0, consistent
 with extending compactly supported functions by zero.
 
 Every grid check is a functional of two rearrangements, f* and |grad f|*.
-``PreparedFunction`` builds each of them (and the mass functions and the
-gradient modulus behind them) at most once per function, so checkers that
-share a function share one sort per rearrangement.  The cells off f's
+``PreparedFunction`` builds each of them (and the mass functions behind
+them) at most once per function, so checkers that share a function share
+one sort per rearrangement.  The cells off f's
 support box (``support_box``) enter both only through their count, so every
 kernel that reads f runs on that box alone.
 """
@@ -28,7 +28,16 @@ import math
 
 import numpy as np
 
-from .measure import GridFunction, MassFunction, box_to_mass, lp_norm, require_finite_p, support_box
+from .measure import (
+    BLOCK_CELLS,
+    GridFunction,
+    MassFunction,
+    box_to_mass,
+    lp_norm,
+    require_finite_p,
+    slabs,
+    support_box,
+)
 from .rearrangement import (
     StepProfile,
     _consecutive_integrals,
@@ -54,50 +63,74 @@ GRADIENT_MODES = ("metric_max", "euclidean_central")
 JUMP_THRESHOLD = 0.25
 
 
-def _axis_magnitude(v: np.ndarray, axis: int, mode: str, out: np.ndarray, work: np.ndarray) -> None:
+def _axis_magnitude(v: np.ndarray, axis: int, mode: str, out: np.ndarray) -> None:
     """Write the undivided difference magnitude of ``v`` along ``axis`` into ``out``.
 
-    ``metric_max``: the larger of |v(x) - v(x +- e)|, from one absolute
-    difference array d = |v(x + e) - v(x)| and its two shifts.
-    ``euclidean_central``: |v(x + e) - v(x - e)|.  An out-of-grid neighbour is 0.
-    ``v`` and ``out`` are C-contiguous, so a step along ``axis`` is a step of
-    ``s`` cells in the flat array; the flat formula is wrong only on the
-    axis's two faces, which are then rewritten from the true neighbours.  d is
-    written into the cell-sized ``work``.
+    ``metric_max``: the larger of |v(x) - v(x +- e)|: each cell's backward
+    difference |v(x) - v(x - e)| is written into ``out`` and then maxed with
+    the next cell's, in place.  ``euclidean_central``: |v(x + e) - v(x - e)|.
+    An out-of-grid neighbour is 0.  ``v`` and ``out`` are C-contiguous, so a
+    step along ``axis`` is a step of ``s`` cells in the flat array; the flat
+    formula is wrong only on the axis's two faces, which are then rewritten
+    from the true neighbours.
     """
     s = math.prod(v.shape[axis + 1 :])
     flat, o = v.reshape(-1), out.reshape(-1)
-    vm, om = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)
+    first, second, before_last, last = _faces(axis)
     if mode == "metric_max":
-        d = np.subtract(flat[s:], flat[:-s], out=work[: flat.size - s])
-        np.abs(d, out=d)
-        np.maximum(d[s:], d[:-s], out=o[s:-s])
-        np.maximum(np.abs(vm[1:2] - vm[:1]), np.abs(vm[:1]), out=om[:1])
-        np.maximum(np.abs(vm[-1:]), np.abs(vm[-1:] - vm[-2:-1]), out=om[-1:])
+        np.subtract(flat[s:], flat[:-s], out=o[s:])
+        np.abs(o[s:], out=o[s:])
+        # the read runs ahead of the write, so numpy needs no copy
+        np.maximum(o[s:-s], o[2 * s :], out=o[s:-s])
+        np.maximum(np.abs(v[second] - v[first]), np.abs(v[first]), out=out[first])
+        np.maximum(np.abs(v[last]), np.abs(v[last] - v[before_last]), out=out[last])
     else:
         np.subtract(flat[2 * s :], flat[: -2 * s], out=o[s:-s])
         np.abs(o[s:-s], out=o[s:-s])
-        np.abs(vm[1:2], out=om[:1])
-        np.abs(vm[-2:-1], out=om[-1:])
+        np.abs(v[second], out=out[first])
+        np.abs(v[before_last], out=out[last])
+
+
+def _faces(axis: int) -> tuple:
+    """Indices of the first, second, last but one and last layers along ``axis``, each kept as an axis of length 1."""
+    lead = (slice(None),) * axis
+    return tuple(lead + (layer,) for layer in (slice(0, 1), slice(1, 2), slice(-2, -1), slice(-1, None)))
+
+
+def _slab_modulus(sub: np.ndarray, inner: slice, h: float, mode: str, out: np.ndarray) -> None:
+    """Write the gradient modulus of the rows ``inner`` of ``sub`` at spacing ``h`` into ``out``.
+
+    ``sub`` is a C-contiguous halo (``slabs``): a slab of rows and the row
+    on each side of it that the whole array has, so the slab's cells have
+    their true neighbours; the result is that of the whole array, bit for
+    bit.  Axis 0 is differenced over the halo and every other axis over the
+    slab alone, through one halo-sized component buffer; the squares are
+    summed in ``out``, axis by axis, and rooted there.
+    """
+    step = h if mode == "metric_max" else 2.0 * h
+    rows = sub[inner]
+    buf = np.empty_like(sub)
+    with np.errstate(over="ignore"):  # an overflow reads inf, which ``_checked_modulus`` reports
+        _axis_magnitude(sub, 0, mode, buf)
+        comp = buf[inner]
+        comp /= step
+        np.multiply(comp, comp, out=out)
+        # later axes reuse the buffer, on the slab's rows only
+        comp = buf.reshape(-1)[: rows.size].reshape(rows.shape)
+        for ax in range(1, sub.ndim):
+            _axis_magnitude(rows, ax, mode, comp)
+            comp /= step
+            np.multiply(comp, comp, out=comp)
+            out += comp
+    np.sqrt(out, out=out)
 
 
 def _modulus_values(v: np.ndarray, h: float, mode: str) -> np.ndarray:
-    """The gradient modulus of the cell values ``v`` at spacing ``h``, as a fresh array."""
-    v = np.ascontiguousarray(v)
-    step = h if mode == "metric_max" else 2.0 * h
-    # the first axis's squared component becomes the sum; later axes reuse one array
-    modulus = np.empty_like(v)
-    comp = np.empty_like(v) if v.ndim > 1 else None
-    work = np.empty(v.size) if mode == "metric_max" else None
-    with np.errstate(over="ignore"):  # an overflow reads inf, which ``_box_modulus`` reports
-        for ax in range(v.ndim):
-            buf = comp if ax else modulus
-            _axis_magnitude(v, ax, mode, buf, work)
-            buf /= step
-            np.multiply(buf, buf, out=buf)
-            if ax:
-                modulus += buf
-    return np.sqrt(modulus, out=modulus)
+    """The gradient modulus of the cell values ``v`` at spacing ``h``, as a fresh array, slab by slab."""
+    modulus = np.empty(v.shape)
+    for slab, halo, inner in slabs(v.shape):
+        _slab_modulus(np.ascontiguousarray(v[halo]), inner, h, mode, modulus[slab])
+    return modulus
 
 
 def _box_modulus(cells: np.ndarray, box, grid: GridFunction, mode: str) -> np.ndarray:
@@ -105,12 +138,20 @@ def _box_modulus(cells: np.ndarray, box, grid: GridFunction, mode: str) -> np.nd
 
     ``box`` is a support box (``support_box``) on ``grid`` of the function
     whose values on it are ``cells``, so the modulus off it is 0 and is not
-    computed.  A modulus that a grid function could not hold, not finite
-    (it overflowed) or not 0 on the grid's outer layer, raises ValueError.
+    computed.  A modulus that a grid function could not hold raises
+    ValueError (``_checked_modulus``).
     """
     require_gradient_mode(mode)
-    modulus = _modulus_values(cells, grid.spacing, mode)
-    if not np.all(np.isfinite(modulus)):
+    return _checked_modulus(_modulus_values(cells, grid.spacing, mode), box, grid)
+
+
+def _checked_modulus(modulus: np.ndarray, box, grid: GridFunction) -> np.ndarray:
+    """``modulus``, a gradient modulus on the support box ``box`` of ``grid``, if a grid function could hold it.
+
+    One that is not finite (it overflowed) or not 0 on the grid's outer
+    layer raises ValueError.
+    """
+    if not math.isfinite(np.max(modulus)):
         raise ValueError("the gradient modulus overflows a float: malformed input")
     # the box reaches the grid's outer layer only where one of its slices starts at 0 or ends at the extent
     faces = [
@@ -153,16 +194,19 @@ class PreparedFunction:
     mode otherwise, ``profile(mode)`` its decreasing rearrangement,
     ``powered(p, mode)`` the profile's p-th power and ``norm(p, mode)`` the
     L^p norm.  Every artifact is built on first use, bit-identical to
-    building it directly from ``grid`` over every cell; building one p's
-    powered profile drops the other p's.  ``is_zero`` is the one
-    zero-function test; ``grad``, ``norm`` and ``powered`` reject a
+    building it directly from ``grid`` over every cell.  No power is
+    cached: ``powered`` builds it afresh for the check that reads it, so
+    the cache holds one copy of f* and one of |grad f|*.  ``is_zero`` is
+    the one zero-function test; ``grad``, ``norm`` and ``powered`` reject a
     nonzero f whose gradient, norm or power underflows to nothing.
 
     ``box`` is f's support box (``support_box``), found once, and every
     kernel that reads f runs on it alone.  ``grad(mode)`` is the modulus
     on the box, an array of its shape; off the box it is 0.  A mass build
     sorts the box's cells and counts the others into the zero atom.  The
-    chain rule works on the box and O'Neil's product on the meet of two
+    gradient's mass build sorts the cached modulus where it lies and drops
+    it from the cache; ``grad(mode)`` builds it anew if it is read later.
+    The chain rule works on the box and O'Neil's product on the meet of two
     boxes.  Each kernel allocates the box-sized arrays it writes.
     """
 
@@ -180,8 +224,13 @@ class PreparedFunction:
 
     def mass(self, mode: str | None = None) -> MassFunction:
         def build():
-            on_box = self.grid.values[self.box] if mode is None else self.grad(mode)
-            return box_to_mass(on_box, self.grid.values.size, self.grid.cell_measure)
+            cells, cell_measure = self.grid.values.size, self.grid.cell_measure
+            if mode is None:
+                return box_to_mass(self.grid.values[self.box], cells, cell_measure)
+            self.grad(mode)  # cached, if it is not yet
+            # the modulus is >= +0, its own |.|: handed over to the build, which sorts it where it lies
+            modulus = [self._cache.pop(("grad", mode)).reshape(-1)]
+            return MassFunction(modulus, cell_measure, zeros=cells - modulus[0].size, _sort_in_place=True)
 
         return self._cached(("mass", mode), build)
 
@@ -211,13 +260,8 @@ class PreparedFunction:
         return norm
 
     def powered(self, p: float, mode: str | None = None) -> StepProfile:
-        """``powered_profile(self.profile(mode), p)``, cached; building it drops every other p's."""
-        key = ("powered", p, mode)
-        if key not in self._cache:
-            for other in [k for k in self._cache if k[0] == "powered" and k[1] != p]:
-                del self._cache[other]
-            self._cache[key] = powered_profile(self.profile(mode), p)
-        return self._cache[key]
+        """``powered_profile(self.profile(mode), p)``, built afresh on each call."""
+        return powered_profile(self.profile(mode), p)
 
     def keep_profile_only(self) -> None:
         """Drop every cached artifact but f's profile, which is kept if it has been built."""
@@ -277,16 +321,19 @@ def polya_szego_lhs(
     if s.levels.size < 2:
         return 0.0
     b, levels = s.breakpoints, s.levels
+    beta = (1.0 - 1.0 / n) * p + 1.0
     # the steps of (coeff * slopes)**p * power_segment_integral(mids[:-1], mids[1:], beta) with
-    # mids = (b[:-1] + b[1:]) / 2 and slopes = -diff(levels) / diff(mids), in three arrays
-    mids = np.add(b[:-1], b[1:])
-    mids /= 2.0
+    # mids = (b[:-1] + b[1:]) / 2 and slopes = -diff(levels) / diff(mids), a block of terms at a time
     terms = np.subtract(levels[1:], levels[:-1])
     np.negative(terms, out=terms)
-    terms /= np.diff(mids)  # the slopes, >= 0 by monotonicity
-    terms *= coeff
-    terms **= p
-    terms *= _consecutive_integrals(mids, (1.0 - 1.0 / n) * p + 1.0)
+    for lo in range(0, terms.size, BLOCK_CELLS):
+        block = terms[lo : lo + BLOCK_CELLS]
+        mids = np.add(b[lo : lo + block.size + 1], b[lo + 1 : lo + block.size + 2])
+        mids /= 2.0
+        block /= np.diff(mids)  # the slopes, >= 0 by monotonicity
+        block *= coeff
+        block **= p
+        block *= _consecutive_integrals(mids, beta)
     return float(np.add.reduce(terms)) ** (1.0 / p)  # summed pairwise, not by a threaded BLAS dot
 
 

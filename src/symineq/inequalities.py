@@ -16,7 +16,16 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from .measure import GridFunction, MassFunction, check_whole, declared_keys, require_finite_p, support_measure
+from .measure import (
+    BLOCK_CELLS,
+    GridFunction,
+    MassFunction,
+    check_whole,
+    declared_keys,
+    require_finite_p,
+    slabs,
+    support_measure,
+)
 from .rearrangement import (
     StepProfile,
     _weak_sup,
@@ -28,7 +37,9 @@ from .rearrangement import (
 )
 from .gradient import (
     PreparedFunction,
-    _box_modulus,
+    _checked_modulus,
+    _faces,
+    _slab_modulus,
     polya_szego_compare,
     prepare,
     require_gradient_mode,
@@ -67,8 +78,6 @@ CONSTANT_MODES = ("analytic", "fitted")
 # The (a, b) lattice of the scalar sweeps: [0, SWEEP_A_MAX]^2 at SWEEP_POINTS per axis.
 SWEEP_A_MAX = 20.0
 SWEEP_POINTS = 400
-# Lattice cells per block of rows in the binomial sweep, which so runs in bounded memory.
-SWEEP_BLOCK_CELLS = 1 << 14
 
 # Geometric pieces per t-grid interval in the derivative form's lower sum.
 DERIVATIVE_REFINE = 16
@@ -269,13 +278,14 @@ def check_oscillation_p(
     doc["constant_formula"] = "2^((k+1)/p - 1)"
     if pf.is_zero:
         return CheckReport.trivial_pass("oscillation_p", doc, constant, tolerance)
+    # f's power is read and dropped before |grad f|'s is built: one power is held at a time
     fp = pf.powered(p)
-    gp = pf.powered(p, gradient_mode)
     span = _check_span(pf.grid)
     t = _tgrid(span)
     phi_t = _phi_on_tgrid(span, _phi_for(pf, phi))
     lhs = (maximal_average(fp, t) ** (1.0 / p) - fp.value(t) ** (1.0 / p)) / phi_t
-    rhs = maximal_average(gp, t) ** (1.0 / p)
+    del fp
+    rhs = maximal_average(pf.powered(p, gradient_mode), t) ** (1.0 / p)
     ratios = _ratio(lhs, rhs)
     j = int(np.argmax(ratios))
     trace = _trace(t, lhs, rhs) if capture_trace else None
@@ -327,15 +337,17 @@ def check_derivative_p(
     if pf.is_zero:
         return CheckReport.trivial_pass("derivative_p", doc, constant, tolerance)
     phi = _phi_for(pf, phi)
+    # |grad f|'s power is read and dropped before f's is built: one power is held at a time
     gp = pf.powered(p, gradient_mode)
     span = _check_span(pf.grid)
     t = _tgrid(span)
     status = "ok"
     if form == "integrated":
-        amplitude = maximal_average(pf.powered(p), t) ** (1.0 / p)
-        lhs = amplitude[:-1] - amplitude[1:]
         right, phi_over_t, widths = _refined_tgrid(span, phi, DERIVATIVE_REFINE)
         vals = phi_over_t * maximal_average(gp, right) ** (1.0 / p)
+        del gp
+        amplitude = maximal_average(pf.powered(p), t) ** (1.0 / p)
+        lhs = amplitude[:-1] - amplitude[1:]
         # right-endpoint sums under-estimate the decreasing integrand
         rhs = np.sum(vals * widths, axis=1)
         locs = t[:-1]
@@ -345,8 +357,10 @@ def check_derivative_p(
             if np.any(integrand[1:] > integrand[:-1] * (1.0 + INTEGRAND_RISE_SLACK)):
                 status = "flagged:non_monotone_integrand"
     else:
+        amplitude = maximal_average(gp, t) ** (1.0 / p)
+        del gp
         lhs = dform_derivative(pf.profile(), p, t)
-        rhs = _phi_on_tgrid(span, phi) / t * maximal_average(gp, t) ** (1.0 / p)
+        rhs = _phi_on_tgrid(span, phi) / t * amplitude
         locs = t
     ratios = _ratio(lhs, rhs)
     j = int(np.argmax(ratios))
@@ -390,7 +404,7 @@ def check_binomial_bounds(
     # swept a block of rows at a time; a later block's maximum replaces it only if larger
     worst1 = worst2 = None
     slack1 = 0.0
-    block = max(1, SWEEP_BLOCK_CELLS // grid_points)
+    block = max(1, BLOCK_CELLS // grid_points)
     for start in range(0, grid_points, block):
         rows, cols = np.nonzero(axis[start : start + block, None] >= axis)
         a, b = axis[rows + start], axis[cols]
@@ -442,16 +456,24 @@ def check_binomial_bounds(
 def _local_stencil_max(values: np.ndarray) -> np.ndarray:
     """Each cell's max over itself and its axis neighbours, as a fresh array; an out-of-array neighbour is 0.
 
-    Per axis, the neighbour at +1 comes first, then the one at -1.
+    Per axis, the neighbour at +1 comes first, then the one at -1.  As in
+    the gradient's stencil, a neighbour is a flat shift of the C-ordered
+    arrays, which reads a wrong cell only on the axis's faces: each face is
+    kept before its shift and then maxed with its out-of-array neighbour
+    instead.  Every operand is then a flat slice, so no ufunc copies one.
     """
-    values = np.ascontiguousarray(values)  # neighbours read from a strided view cost a third more
+    values = np.ascontiguousarray(values)  # the flat shifts read C-ordered cells
     out = values.copy()
+    flat, o = values.reshape(-1), out.reshape(-1)
     for ax in range(values.ndim):
-        om, vm = np.moveaxis(out, ax, 0), np.moveaxis(values, ax, 0)
-        np.maximum(om[:-1], vm[1:], out=om[:-1])
-        np.maximum(om[-1:], 0.0, out=om[-1:])
-        np.maximum(om[1:], vm[:-1], out=om[1:])
-        np.maximum(om[:1], 0.0, out=om[:1])
+        s = math.prod(values.shape[ax + 1 :])
+        first, _, _, last = _faces(ax)
+        face = out[last].copy()
+        np.maximum(o[:-s], flat[s:], out=o[:-s])
+        np.maximum(face, 0.0, out=out[last])
+        face = out[first].copy()
+        np.maximum(o[s:], flat[:-s], out=o[s:])
+        np.maximum(face, 0.0, out=out[first])
     return out
 
 
@@ -494,23 +516,35 @@ def check_chain_rule(
     grid, box = pf.grid, pf.box
     # off f's support box both sides are 0, and so is every ratio; every neighbour off it is 0
     cells = grid.values[box]
-    if np.any(cells < 0):
+    if np.min(cells) < 0:
         raise ValueError("chain rule check expects a nonnegative function")
-    with np.errstate(over="ignore"):  # an overflow is reported below, as a ValueError
-        powered = cells**r  # a fresh array: f is never written
-    if not np.all(np.isfinite(powered)):
-        raise ValueError(f"f to the power {r:g} overflows a float: malformed input")
-    lhs = _box_modulus(powered, box, grid, gradient_mode)
-    del powered  # before the right side's box-sized arrays
+    # |grad f^r|, from a fresh f^r on each slab's halo: f is never written.  An f^r past the
+    # float range is named before the mode is checked, and the modulus after
+    lhs = np.empty(cells.shape)
+    for slab, halo, inner in slabs(cells.shape):
+        with np.errstate(over="ignore"):  # an overflow is reported below, as a ValueError
+            powered = cells[halo] ** r
+        if not np.all(np.isfinite(powered)):
+            raise ValueError(f"f to the power {r:g} overflows a float: malformed input")
+        _slab_modulus(powered, inner, grid.spacing, gradient_mode, lhs[slab])
+        del powered  # before the next slab's, and before |grad f| is built
+    require_gradient_mode(gradient_mode)
+    _checked_modulus(lhs, box, grid)
     grad = pf.grad(gradient_mode)
-    # rhs = (2r * fhat^(r-1)) * |grad f|, built in place in that order
-    rhs = _local_stencil_max(cells)
-    rhs **= r - 1.0
-    rhs *= 2.0 * r
-    rhs *= grad
-    grid_ratios = _ratio_in_place(lhs, rhs)
-    g_idx = int(np.argmax(grid_ratios))
-    grid_worst = float(grid_ratios.ravel()[g_idx])
+    # per slab, rhs = (2r * fhat^(r-1)) * |grad f|, built in place in that order, and the ratios
+    # written over lhs; a later slab's maximum replaces the first one only if it is larger
+    grid_worst, g_idx = -math.inf, 0
+    row_cells = cells.size // cells.shape[0]
+    for slab, halo, inner in slabs(cells.shape):
+        rhs = _local_stencil_max(cells[halo])[inner]
+        rhs **= r - 1.0
+        rhs *= 2.0 * r
+        rhs *= grad[slab]
+        ratios = _ratio_in_place(lhs[slab], rhs)
+        j = int(np.argmax(ratios))
+        if ratios.flat[j] > grid_worst:
+            grid_worst, g_idx = float(ratios.flat[j]), slab.start * row_cells + j
+        del rhs  # before the next slab's
     # the first maximum's flat index on the whole grid, which is cell 0 if every ratio is 0
     if grid_worst == 0:
         g_idx = 0
@@ -551,10 +585,16 @@ def _product_average(sf: StepProfile, sg: StepProfile, t: np.ndarray) -> np.ndar
     a's breakpoint t_k is sum_{i<k} a_i (B(t_{i+1}) - B(t_i)), and at t in
     a's step k the partial a_k (B(t) - B(t_k)) is added; a is 0 past its
     extent, so t is clamped there.  B is read at a's breakpoints and at t
-    only: O(min(n, m) log max(n, m)) time and O(min(n, m)) memory for n and m
-    steps.  As a is non-increasing, a_i B(t_{i+1}) is at most the integral
-    up to t_{i+1}, so the sum is off by a few (n + m) ulps of the integral at
-    most, the order of a running sum over the n + m merged steps.
+    only: O(min(n, m) log max(n, m)) time for n and m steps.  As a is
+    non-increasing, a_i B(t_{i+1}) is at most the integral up to t_{i+1},
+    so the sum is off by a few (n + m) ulps of the integral at most, the
+    order of a running sum over the n + m merged steps.
+
+    a's breakpoints are read ``BLOCK_CELLS`` at a time, the running sum
+    carried from block to block, so the memory is that of one block: a
+    running sum is a sequential scan, so it is the whole array's bit for
+    bit.  Each block's breakpoints are searched for among b's between the
+    previous block's last index and the block's own last one.
     """
     a, b = (sf, sg) if sf.levels.size <= sg.levels.size else (sg, sf)
     t_in = np.minimum(t, a.total_measure)
@@ -562,15 +602,34 @@ def _product_average(sf: StepProfile, sg: StepProfile, t: np.ndarray) -> np.ndar
     k = np.searchsorted(a.breakpoints, t_in, side="right")
     k -= 1
     np.minimum(k, a.levels.size - 1, out=k)
-    # [0, a_i (B(t_{i+1}) - B(t_i))...], summed in place: the integral up to each of a's breakpoints
-    cum = b.prefix_integral(a.breakpoints)
-    out -= cum[k]
-    cum[1:] -= cum[:-1]
-    cum[0] = 0.0
-    cum[1:] *= a.levels
-    np.cumsum(cum, out=cum)
+    # at each t: B at a's breakpoint t_k, and the integral up to t_k
+    b_at_k, integral_at_k = np.empty(t.shape), np.empty(t.shape)
+    last_b, running, found = 0.0, 0.0, 0
+    for lo in range(0, a.breakpoints.size, BLOCK_CELLS):
+        keys = a.breakpoints[lo : lo + BLOCK_CELLS]
+        end = int(np.searchsorted(b.breakpoints, keys[-1], side="right"))
+        window = np.searchsorted(b.breakpoints[found:end], keys, side="right")
+        window += found
+        found = end
+        b_keys = b._prefix_at(keys, window)
+        # [a_i (B(t_{i+1}) - B(t_i))...] over the block, B(t_0) = 0 and the sum up to t_0 carried in
+        steps = np.empty(keys.size)
+        steps[0] = b_keys[0] - last_b
+        np.subtract(b_keys[1:], b_keys[:-1], out=steps[1:])
+        if lo:
+            steps *= a.levels[lo - 1 : lo - 1 + keys.size]
+        else:
+            steps[0] = 0.0
+            steps[1:] *= a.levels[: keys.size - 1]
+        steps[0] += running
+        np.cumsum(steps, out=steps)
+        here = (k >= lo) & (k < lo + keys.size)
+        b_at_k[here] = b_keys[k[here] - lo]
+        integral_at_k[here] = steps[k[here] - lo]
+        last_b, running = b_keys[-1], steps[-1]
+    out -= b_at_k
     out *= a.levels[k]
-    out += cum[k]
+    out += integral_at_k
     out /= t
     return out
 
@@ -608,15 +667,16 @@ def check_oneil(
         gf, gg = pf.grid, pg.grid
         if gf.extents != gg.extents or gf.spacing != gg.spacing:
             raise ValueError("grid functions must share extents and spacing")
-        prof_f, prof_g = pf.profile(), pg.profile()
+        prof_f = pf.profile()
         # the meet of the two boxes, empty along an axis where they do not meet
         starts = [max(a.start, b.start) for a, b in zip(pf.box, pg.box)]
         box = tuple(slice(lo, max(lo, min(a.stop, b.stop))) for lo, a, b in zip(starts, pf.box, pg.box))
-        # |f g| = |f| |g| bit for bit; like |f| in box_to_mass, the product is sorted where it lies
-        vfg = np.multiply(gf.values[box], gg.values[box])
-        np.abs(vfg, out=vfg)
-        vfg = vfg.reshape(-1)
+        # |f g| = |f| |g| bit for bit; like |f| in box_to_mass, the product is handed over and sorted where it lies
+        product = [np.multiply(gf.values[box], gg.values[box]).reshape(-1)]
+        np.abs(product[0], out=product[0])
         cell_masses, atoms = gf.cell_measure, gf.values.size
+        if t_grid is None:
+            t_grid = _tgrid((gf.domain_measure * 1e-5, gf.domain_measure, 16))
     else:
         vf = np.abs(np.asarray(f, dtype=float).ravel())
         vg = np.abs(np.asarray(g, dtype=float).ravel())
@@ -628,19 +688,18 @@ def check_oneil(
         if vf.shape != vg.shape or (cell_masses.ndim and vf.shape != cell_masses.shape):
             raise ValueError("mismatched domains: f, g and masses must align")
         prof_f = decreasing_rearrangement(MassFunction(vf, cell_masses))
-        prof_g = decreasing_rearrangement(MassFunction(vg, cell_masses))
-        vfg = vf * vg
-        atoms = vfg.size
+        product = [vf * vg]
+        atoms = vf.size
 
-    if t_grid is None and grid_pair:
-        t_grid = _tgrid((gf.domain_measure * 1e-5, gf.domain_measure, 16))
-    if t_grid is not None:  # the right side's temporaries go before the product sort builds its own
-        rhs = _product_average(prof_f, prof_g, t_grid)
-    prof_fg = decreasing_rearrangement(MassFunction(vfg, cell_masses, zeros=atoms - vfg.size, _sort_in_place=True))
+    # the product's profile is built and read before g's: at most one factor profile is held with it
+    off_box = atoms - product[0].size
+    prof_fg = decreasing_rearrangement(MassFunction(product, cell_masses, zeros=off_box, _sort_in_place=True))
     if t_grid is None:  # value arrays: the grid ends at the product's summed masses
         t_grid = _tgrid((prof_fg.total_measure * 1e-5, prof_fg.total_measure, 16))
-        rhs = _product_average(prof_f, prof_g, t_grid)
     lhs = maximal_average(prof_fg, t_grid)
+    del prof_fg
+    prof_g = pg.profile() if grid_pair else decreasing_rearrangement(MassFunction(vg, cell_masses))
+    rhs = _product_average(prof_f, prof_g, t_grid)
     ratios = _ratio(lhs, rhs)
     j = int(np.argmax(ratios))
     return CheckReport(

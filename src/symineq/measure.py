@@ -21,6 +21,28 @@ __all__ = [
 ]
 
 
+# Cells per block of every kernel that works a block at a time (the binomial sweep's rows,
+# the gradient's and the chain rule's slabs, O'Neil's right side, the oscillation and
+# Polya-Szego sums), so each one's temporaries stay bounded on any grid.
+BLOCK_CELLS = 1 << 14
+
+
+def slabs(shape):
+    """Cut axis 0 of an array of ``shape`` into slabs of about ``BLOCK_CELLS`` cells, one row at least.
+
+    Yields (slab, halo, inner) per slab, as slices of axis 0: its rows; its
+    rows with the row on each side of them that the array has, so a stencil
+    on the halo gives the slab's rows their true neighbours; and the slab's
+    rows within the halo.
+    """
+    rows = shape[0]
+    step = max(1, BLOCK_CELLS // max(1, math.prod(shape[1:])))
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        start = max(lo - 1, 0)
+        yield slice(lo, hi), slice(start, min(hi + 1, rows)), slice(lo - start, hi - start)
+
+
 def support_box(values: np.ndarray) -> tuple:
     """The bounding box of the nonzero cells of ``values``, grown by one cell and clamped to the grid.
 
@@ -69,15 +91,24 @@ class MassFunction:
     stored: they join the zero atom's run after the sort (the cells off a
     grid function's support box, say), so they are never sorted.
 
+    A scalar mass stores no per-atom masses: ``masses`` rebuilds them from
+    the breakpoints on each read.  The run lengths are exact integers, so
+    rint(breakpoints / m) recovers them below 2**51 cells, and their
+    differences times m are the run-length masses bit for bit.
+
     ``_sort_in_place`` is for this package's own builders: ``values`` is then
-    a float64 array that the builder made and reads no more, and with a
-    scalar mass it is sorted where it lies instead of copied first.  A
-    caller's array is never written.
+    a list holding one float64 array that the builder made and hands over.
+    The build takes it out of the list, so it holds the only reference; with
+    a scalar mass it sorts the array where it lies and frees it once the
+    atom values are gathered, before the breakpoints are made.  A caller's
+    array is never written.
     """
 
-    __slots__ = ("values", "masses", "cum_masses", "breakpoints")
+    __slots__ = ("values", "_masses", "_mass", "cum_masses", "breakpoints")
 
     def __init__(self, values, masses, *, zeros: int = 0, _sort_in_place=False):
+        if _sort_in_place:
+            values = values.pop()
         values = np.atleast_1d(np.asarray(values, dtype=float))
         masses = np.asarray(masses, dtype=float)
         uniform = masses.ndim == 0
@@ -111,6 +142,7 @@ class MassFunction:
             v = values[order]
             m = masses[order]
             del order  # one cell-sized array less at the peak of the build
+        del values  # with _sort_in_place, v is now the one reference to the sorted cells
         # sorted, the extreme values (NaN and infinities included) sit at the two ends
         if not (math.isfinite(v[0]) and math.isfinite(v[-1])):
             raise ValueError("atoms must be finite")
@@ -125,21 +157,20 @@ class MassFunction:
         del edge
         bounds[-1] += zeros  # the zero atom's run, which ends the sorted values, takes the counted zeros
         self.values = v[bounds[:-1]]
-        del v  # the sorted copy, before the mass arrays are made
+        del v  # the sorted cells, before the breakpoints are made
         if self.values[-1] == 0.0:
             self.values[-1] = 0.0  # -0.0 ties with 0.0; store the zero atom as +0.0
         self.breakpoints = np.empty(bounds.size)
         self.cum_masses = self.breakpoints[1:]
         with np.errstate(over="ignore"):  # an overflow is reported below, as a ValueError
             if uniform:
-                # run-length masses: one rounding of (exact integer) * m each
+                # run-length breakpoints: one rounding of (exact integer) * m each
                 np.multiply(bounds, m, out=self.breakpoints)
-                self.masses = np.subtract(bounds[1:], bounds[:-1], dtype=float)
-                self.masses *= m
+                self._masses, self._mass = None, m
             else:
                 self.breakpoints[0] = 0.0
-                self.masses = np.add.reduceat(m, bounds[:-1])
-                np.cumsum(self.masses, out=self.cum_masses)
+                self._masses, self._mass = np.add.reduceat(m, bounds[:-1]), None
+                np.cumsum(self._masses, out=self.cum_masses)
         if not math.isfinite(self.cum_masses[-1]):
             raise ValueError("the total mass overflows a float")
 
@@ -147,6 +178,21 @@ class MassFunction:
     def from_atoms(cls, atoms) -> "MassFunction":
         pairs = list(atoms)
         return cls([p[0] for p in pairs], [p[1] for p in pairs])
+
+    @property
+    def masses(self) -> np.ndarray:
+        """The atoms' masses; with a scalar mass m, each run length times m, as a fresh array."""
+        return self._masses_of(0, len(self))
+
+    def _masses_of(self, start: int, stop: int) -> np.ndarray:
+        """``masses[start:stop]``, rebuilt from those atoms' breakpoints alone with a scalar mass."""
+        if self._masses is not None:
+            return self._masses[start:stop]
+        counts = np.divide(self.breakpoints[start : stop + 1], self._mass)
+        np.rint(counts, out=counts)
+        masses = np.diff(counts)
+        masses *= self._mass
+        return masses
 
     @property
     def atoms(self) -> list[tuple[float, float]]:
@@ -326,16 +372,15 @@ def box_to_mass(on_box: np.ndarray, cells: int, cell_measure: float) -> MassFunc
     """The mass function of |v|, for the values v of ``cells`` cells that are ``on_box`` on a box and 0 elsewhere.
 
     Each cell is an atom of mass ``cell_measure``.  |v| on the box is a
-    fresh array, sorted where it lies; the ``cells - on_box.size`` cells off
-    the box join the zero atom by count.
+    fresh array, handed over to the build, which sorts it where it lies; the
+    ``cells - on_box.size`` cells off the box join the zero atom by count.
     """
-    work = np.abs(on_box).reshape(-1)
-    return MassFunction(work, cell_measure, zeros=cells - work.size, _sort_in_place=True)
+    return MassFunction([np.abs(on_box).reshape(-1)], cell_measure, zeros=cells - on_box.size, _sort_in_place=True)
 
 
 def support_measure(f: MassFunction, threshold: float = 0.0) -> float:
     """Total mass of atoms with value strictly above ``threshold``."""
-    if threshold < 0:
+    if not threshold >= 0:  # a NaN fails too
         raise ValueError("threshold must be nonnegative")
     k = int(np.count_nonzero(f.values > threshold))
     return float(f.cum_masses[k - 1]) if k else 0.0
@@ -375,13 +420,14 @@ def require_finite_p(p: float) -> None:
 
 def lp_norm(f: MassFunction, p: float) -> float:
     """(sum value**p * mass)**(1/p); the max value for p = inf, and inf where the sum overflows."""
-    if math.isinf(p):
-        return f.max_value
-    if p < 1:
+    if not p >= 1:  # a NaN fails too
         raise ValueError("p must be >= 1")
+    if p == math.inf:
+        return f.max_value
     # a pairwise sum, not np.dot: BLAS splits a long dot over its threads, so
     # its last bits would depend on the core count
     with np.errstate(over="ignore"):  # a sum past the float range reads inf
         terms = f.values**p
-        terms *= f.masses
+        for lo in range(0, terms.size, BLOCK_CELLS):  # the masses a block at a time
+            terms[lo : lo + BLOCK_CELLS] *= f._masses_of(lo, lo + BLOCK_CELLS)
         return float(np.add.reduce(terms)) ** (1.0 / p)

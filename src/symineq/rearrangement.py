@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .measure import MassFunction, support_measure
+from .measure import BLOCK_CELLS, MassFunction, support_measure
 
 # The least normal float: a powered top level below it has underflowed.
 _TINY = np.finfo(float).tiny
@@ -131,7 +131,7 @@ class StepProfile:
     def value(self, t):
         """Profile value at t (vectorized); 0 for t >= M."""
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0):
+        if not np.all(t_arr >= 0):  # a NaN fails too
             raise ValueError("t must be nonnegative")
         idx = self._segment_index(t_arr)
         inside = idx < self.levels.size
@@ -141,20 +141,24 @@ class StepProfile:
     def prefix_integral(self, t):
         """Exact integral of the profile over (0, t], vectorized."""
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0):
+        if not np.all(t_arr >= 0):  # a NaN fails too
             raise ValueError("t must be nonnegative")
+        flat = t_arr.reshape(-1)
+        out = self._prefix_at(flat, np.searchsorted(self.breakpoints, flat, side="right"))
+        out = out.reshape(t_arr.shape)
+        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+    def _prefix_at(self, t: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """``prefix_integral`` of the 1-d array t >= 0, given idx = searchsorted(breakpoints, t, "right"), which is written."""
         # the step holding min(t, M), the last one from M on: the sum there over that step's
         # width is the running one that built the prefix integrals, bit for bit, at M too
-        flat = t_arr.reshape(-1)
-        idx = np.searchsorted(self.breakpoints, flat, side="right")
         idx -= 1
         np.minimum(idx, self.levels.size - 1, out=idx)
-        out = np.minimum(flat, self.breakpoints[-1])
+        out = np.minimum(t, self.breakpoints[-1])
         out -= self.breakpoints[idx]
         out *= self.levels[idx]
         out += self._cum_integral[idx]
-        out = out.reshape(t_arr.shape)
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+        return out
 
     def __repr__(self) -> str:
         return (
@@ -165,7 +169,7 @@ class StepProfile:
 
 def distribution(f, lam: float) -> float:
     """Measure of {value > lam} (strict), for a MassFunction or StepProfile."""
-    if lam < 0:
+    if not lam >= 0:  # a NaN fails too
         raise ValueError("lambda must be nonnegative")
     if isinstance(f, MassFunction):
         return support_measure(f, lam)
@@ -188,7 +192,7 @@ def decreasing_rearrangement(f: MassFunction) -> StepProfile:
 def maximal_average(s: StepProfile, t: float):
     """(1/t) * integral of the profile over (0, t); defined for all t > 0."""
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
+    if not np.all(t_arr > 0):  # a NaN fails too
         raise ValueError("t must be positive")
     out = s.prefix_integral(t_arr) / t_arr
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
@@ -201,7 +205,7 @@ def powered_profile(s: StepProfile, p: float) -> StepProfile:
     (below the least normal float) is rejected: its powered integrals would
     read 0 or be dominated by rounding.
     """
-    if p < 1:
+    if not p >= 1:  # a NaN fails too
         raise ValueError("p must be >= 1")
     if p == 1.0:
         return s
@@ -217,7 +221,7 @@ def layer_cake_excess(f: MassFunction, lam: float) -> float:
 
     Equals the tail integral of the distribution function over (lam, inf).
     """
-    if lam < 0:
+    if not lam >= 0:  # a NaN fails too
         raise ValueError("lambda must be nonnegative")
     k = int(np.count_nonzero(f.values > lam))
     if k == 0:
@@ -234,10 +238,14 @@ def oscillation_norm(s: StepProfile, q: float, inv_pbar: float = 0.0, tail: bool
     (Bennett-Sharpley, ch. 2), and c_0 = 0; past M it is (total integral) / t.
     Divergent integrals, and sums past the float range, give ``inf``.
     """
+    if not q >= 1:  # a NaN fails too
+        raise ValueError("q must be >= 1")
+    if not math.isfinite(inv_pbar):
+        raise ValueError("inv_pbar must be finite")
     b = s.breakpoints
     alpha = q * inv_pbar - q
     # sum(c[active]**q * power_segment_integral(b[:-1][active], b[1:][active], alpha)) over
-    # the active segments, step by step in place
+    # the active segments, step by step in place, the integrals a block of segments at a time
     c = s.levels * b[:-1]
     np.subtract(s._cum_integral[:-1], c, out=c)
     active = c > 0
@@ -246,12 +254,20 @@ def oscillation_norm(s: StepProfile, q: float, inv_pbar: float = 0.0, tail: bool
         if k and active[-k:].all():  # the last k segments, as for strictly decreasing levels: slices
             terms = c[-k:]
             terms **= q
-            terms *= _consecutive_integrals(b[-k - 1:].copy(), alpha)
+            first = c.size - k
+            for lo in range(0, k, BLOCK_CELLS):
+                block = terms[lo : lo + BLOCK_CELLS]
+                block *= _consecutive_integrals(b[first + lo : first + lo + block.size + 1].copy(), alpha)
         else:
             terms = c[active]
             del c
             terms **= q
-            terms *= _segment_integrals(b[:-1][active], b[1:][active], alpha)
+            done = 0
+            for lo in range(0, active.size, BLOCK_CELLS):
+                on = active[lo : lo + BLOCK_CELLS]
+                ends = b[lo + 1 : lo + 1 + on.size][on]
+                terms[done : done + ends.size] *= _segment_integrals(b[lo : lo + on.size][on], ends, alpha)
+                done += ends.size
         total = float(np.sum(terms))
     if tail and s.total_integral > 0:
         # I^q M^alpha as (I / M^(1 - inv_pbar))^q: on a tiny M, M^alpha alone overflows
@@ -291,8 +307,9 @@ def lorentz_norm(s: StepProfile, r: float, q: float) -> float:
     q_inf = math.isinf(q)
     if r_inf and q_inf:
         raise ValueError("r and q cannot both be infinite")
-    if (not r_inf and r < 1) or (not q_inf and q < 1):
-        raise ValueError("r and q must be >= 1")
+    for name, value in (("r", r), ("q", q)):
+        if not value >= 1:  # a NaN fails too
+            raise ValueError(f"{name} must be >= 1")
 
     b = s.breakpoints
     if not r_inf and q_inf:
@@ -315,9 +332,9 @@ def dform_derivative(s: StepProfile, p: float, t):
     Vectorized in t; a scalar t gives a float.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
+    if not np.all(t_arr > 0):  # a NaN fails too
         raise ValueError("t must be positive")
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1")
     sp = powered_profile(s, p)
     fpp_avg = maximal_average(sp, t_arr)

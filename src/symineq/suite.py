@@ -159,15 +159,10 @@ def run_suite(config: SuiteConfig, corpus=None) -> list[CheckReport]:
         for index, name, kwargs in sweeps:
             rows[index].append(_guarded(name, "-", lambda: check_binomial_bounds(**kwargs)))
 
-    # the entries without a p run first, then the groups that share a p, in the
-    # order of each p's first entry, so no power is built twice (building one
-    # p's powered profiles drops the last p's); rows still come out in config
-    # order through the slots.  Lists: a p that a checker rejects may be unhashable.
-    ps = [None]
-    for *_, kw in per_function:
-        if kw.get("p") not in ps:
-            ps.append(kw.get("p"))
-    per_function.sort(key=lambda e: ps.index(e[3].get("p")))
+    # the entries without a p run first, so the chain rule reads the gradient modulus
+    # before the gradient's mass build sorts it where it lies; rows still come out in
+    # config order through the slots
+    per_function.sort(key=lambda e: e[3].get("p") is not None)
 
     def run_functions(claims) -> list:
         """(i, rows) per index i claimed: per entry, the rows of function i and of the pair (i - 1, i).

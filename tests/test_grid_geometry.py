@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import symineq as sq
-from symineq import corpus, inequalities
+from symineq import corpus, inequalities, measure
 from symineq.isoperimetry import disk_mask, mollify_ladder
 from test_stencils import same_bits
 
@@ -223,7 +223,7 @@ def test_binomial_sweep_equals_the_meshgrid_sweep(p, a_max, grid_points):
         assert want["worst_ab_part1"] == [0.0, 0.0]
     # 300 rows are swept in several blocks, the last one short
     if grid_points == 300:
-        block = inequalities.SWEEP_BLOCK_CELLS // grid_points
+        block = measure.BLOCK_CELLS // grid_points
         assert 1 < block < grid_points and grid_points % block
 
 
@@ -232,7 +232,7 @@ def test_binomial_sweep_memory_is_bounded_by_its_block():
     report, peak = _traced_peak(lambda: sq.check_binomial_bounds(2.5, grid_points=1600))
     assert report.passed
     # about 13 float arrays of one block, its mask and its two index arrays
-    assert peak < 24 * 8 * inequalities.SWEEP_BLOCK_CELLS, peak / 2**20
+    assert peak < 24 * 8 * measure.BLOCK_CELLS, peak / 2**20
 
 
 @pytest.mark.parametrize("r", [1.5, 2.0, 3.7, 4.7])

@@ -100,6 +100,29 @@ class TestMassFunction:
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=name)
 
+    @given(
+        tied_values,
+        st.floats(1e-3, 1.0).map(lambda h: h**3).filter(lambda m: not is_dyadic(m)),
+        st.one_of(st.integers(0, 1000), st.integers(2**40, 2**50)),
+    )
+    @settings(max_examples=300)
+    def test_derived_masses_are_the_run_length_masses(self, values, mass, zeros):
+        """A scalar mass stores no per-atom masses: they come from the breakpoints, each run length times m.
+
+        The cell measure is non-dyadic, so each breakpoint is a rounded
+        product; rint(breakpoint / m) still recovers the exact count, with
+        counted zeros of up to 2**50 cells in the zero atom's run.
+        """
+        mf = MassFunction(values, mass, zeros=zeros)
+        assert mf._masses is None
+        counts, _ = run_lengths(values)
+        if 0.0 in np.abs(values):
+            counts[-1] += zeros  # the zero atom's run takes the counted zeros
+        elif zeros:
+            counts = np.append(counts, zeros)  # they are the zero atom
+        assert mf.masses.tobytes() == (counts * mass).tobytes()
+        assert mf.atoms == list(zip(mf.values.tolist(), (counts * mass).tolist()))
+
     @pytest.mark.parametrize("values", [[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [-0.0, 1.0]])
     @pytest.mark.parametrize("uniform", [True, False], ids=["scalar", "array"])
     def test_zero_atom_is_positive_zero(self, values, uniform):

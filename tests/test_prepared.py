@@ -65,10 +65,10 @@ class TestPreparedFunction:
         assert pf.mass("euclidean_central") is not pf.mass("metric_max")
         for mode in (None, "metric_max"):
             profile, powered = pf.profile(mode), pf.powered(2.0, mode)
-            assert pf.powered(2.0, mode) is powered
-            assert np.array_equal(powered.levels, sq.powered_profile(profile, 2.0).levels)
-            assert np.array_equal(powered.breakpoints, profile.breakpoints)
-        assert pf.powered(2.0) is not pf.powered(2.0, "metric_max")
+            want = sq.powered_profile(profile, 2.0)
+            assert powered.levels.tobytes() == want.levels.tobytes()
+            assert powered.breakpoints is profile.breakpoints
+        assert not [key for key in pf._cache if key[0] == "powered"]
         assert prepare(pf) is pf
         assert prepare(cone512).grid is cone512
 
@@ -83,17 +83,32 @@ class TestPreparedFunction:
         assert pf.powered(2.0) is not squared
 
 
-    def test_building_one_powered_profile_drops_the_other_ps(self, cone512):
+    def test_powered_profiles_equal_direct_powers_and_are_not_cached(self, cone512):
         pf = PreparedFunction(cone512)
         profile, grad_profile = pf.profile(), pf.profile("metric_max")
-        squared, grad_squared = pf.powered(2.0), pf.powered(2.0, "metric_max")
-        assert pf.powered(2.0) is squared and pf.powered(2.0, "metric_max") is grad_squared
-        cubed = pf.powered(3.0, "metric_max")
-        assert pf.powered(3.0, "metric_max") is cubed
-        # building p = 3 dropped both of p = 2's powers, and rebuilding p = 2's drops p = 3's
-        assert pf.powered(2.0) is not squared
-        assert pf.powered(3.0, "metric_max") is not cubed
+        for p in (1.0, 1.5, 2.0, 3.0):
+            for mode, base in ((None, profile), ("metric_max", grad_profile)):
+                powered, want = pf.powered(p, mode), sq.powered_profile(base, p)
+                assert powered.levels.tobytes() == want.levels.tobytes()
+                assert powered._cum_integral.tobytes() == want._cum_integral.tobytes()
+                assert powered.breakpoints is base.breakpoints
+                # p = 1 is the profile itself; any other p is built afresh on each call
+                assert (pf.powered(p, mode) is powered) == (p == 1.0)
+        assert not [key for key in pf._cache if key[0] == "powered"]
         assert pf.profile() is profile and pf.profile("metric_max") is grad_profile
+
+    def test_the_gradient_mass_build_consumes_the_modulus(self, cone512):
+        """The modulus is sorted where it lies: the cache drops it, and ``grad`` builds it anew, bit for bit."""
+        pf = PreparedFunction(cone512)
+        for mode in GRADIENT_MODES:
+            grad = pf.grad(mode).copy()
+            mass = pf.mass(mode)
+            assert ("grad", mode) not in pf._cache
+            assert pf.grad(mode).tobytes() == grad.tobytes()
+            assert pf.mass(mode) is mass
+            want = sq.grid_to_mass(sq.metric_gradient_modulus(cone512, mode))
+            for name in ("values", "masses", "breakpoints"):
+                assert getattr(mass, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 @pytest.mark.parametrize("mode", [None, "bogus"])
@@ -430,6 +445,15 @@ def test_default_suite_builds_each_artifact_once(small_corpus, monkeypatch):
         counts["powered"] += 1
         return original_powered(*args, **kwargs)
 
+    cached_powers = []
+    original_cached = PreparedFunction._cached
+
+    def watching_cached(self, key, build):
+        cached_powers.extend(k for k in self._cache if k[0] == "powered")
+        return original_cached(self, key, build)
+
+    monkeypatch.setattr(PreparedFunction, "_cached", watching_cached)
+
     # rebind in every module that imported the function by name
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "symineq":
@@ -443,30 +467,42 @@ def test_default_suite_builds_each_artifact_once(small_corpus, monkeypatch):
     n = len(corpus)
     # f and |grad f| per function, plus the cellwise product per O'Neil pair
     assert counts["mass"] == 2 * n + (n - 1)
-    # |grad f| and |grad f^r| (chain rule) per function
-    assert counts["modulus"] == 2 * n
-    # f* and |grad f|* at each of p = 1, 1.5, 2, 3 per function
-    assert counts["powered"] == 8 * n
+    # |grad f| per function: the chain rule reads it before the gradient's mass build consumes it
+    # (the chain rule's |grad f^r| runs slab by slab inside the check)
+    assert counts["modulus"] == n
+    # f* and |grad f|* once for each of the six p-entries (oscillation_p at four p, derivative_p at two),
+    # each built for the check that reads it and never cached
+    assert counts["powered"] == 12 * n
+    assert cached_powers == []
 
 
-def test_p_free_entries_run_first_and_no_power_is_built_twice(monkeypatch):
-    """A p named twice apart and p-free entries between the p's: the suite reorders the entries.
+def test_p_free_entries_run_first_and_no_power_is_cached(monkeypatch):
+    """A p named twice apart and p-free entries between the p's: the suite runs the p-free entries first.
 
-    The p-free checks run before any power is cached, so the chain rule's
-    box temporaries never stack on one, and each power is built once.
+    So the chain rule reads the cached gradient modulus before the gradient's
+    mass build (for nash_classical's norm) sorts it where it lies: the
+    modulus is built once per function.  Every power is built afresh for
+    the check that reads it and is never cached.
     """
     _one_worker(monkeypatch)
     corpus = sq.generate_corpus(SPECS["2d"])[:3]
-    built, powers_at_p_free = [], []
+    built, order, moduli = [], [], Counter()
     original_powered = gradient.powered_profile
-    # the profiles stay referenced, so their ids name them for the whole pass
-    monkeypatch.setattr(gradient, "powered_profile", lambda s, p: built.append((s, p)) or original_powered(s, p))
-    for name in ("chain_rule", "nash_classical", "sobolev_exp"):
+    monkeypatch.setattr(gradient, "powered_profile", lambda s, p: built.append(p) or original_powered(s, p))
+    original_modulus = gradient._box_modulus
+
+    def counting_modulus(cells, box, grid, mode):
+        moduli[id(grid)] += 1
+        return original_modulus(cells, box, grid, mode)
+
+    monkeypatch.setattr(gradient, "_box_modulus", counting_modulus)
+    for name in ("oscillation_p", "chain_rule", "derivative_p", "nash_classical", "sobolev_exp"):
         original = inequalities.CHECKERS[name]
 
         @functools.wraps(original)  # the suite reads the entry keys from the signature
-        def wrapped(pf, original=original, **kwargs):
-            powers_at_p_free.append([key for key in pf._cache if key[0] == "powered"])
+        def wrapped(pf, original=original, name=name, **kwargs):
+            assert not [key for key in pf._cache if key[0] == "powered"]
+            order.append(name)
             return original(pf, **kwargs)
 
         monkeypatch.setitem(inequalities.CHECKERS, name, wrapped)
@@ -480,11 +516,11 @@ def test_p_free_entries_run_first_and_no_power_is_built_twice(monkeypatch):
     )
     reports = sq.run_suite(SuiteConfig(inequalities=entries), corpus)
     assert not _input_errors(reports), _input_errors(reports)
-    assert powers_at_p_free == [[]] * (3 * len(corpus))
-    keys = [(id(s), p) for s, p in built]
-    assert len(set(keys)) == len(keys)
-    # f* and |grad f|* at p = 2, |grad f|* at p = 1, per function
-    assert {p for _, p in built} == {1.0, 2.0} and len(keys) >= 3 * len(corpus)
+    per_function = ["chain_rule", "nash_classical", "sobolev_exp", "oscillation_p", "derivative_p", "derivative_p"]
+    assert order == per_function * len(corpus)
+    assert sorted(moduli.values()) == [1] * len(corpus)
+    # f* and |grad f|* for each of the three p-entries, per function
+    assert sorted(built) == sorted([2.0, 2.0, 1.0, 1.0, 2.0, 2.0] * len(corpus))
 
 
 def test_default_suite_builds_each_tgrid_artifact_once(small_corpus, monkeypatch):

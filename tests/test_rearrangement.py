@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 import symineq as sq
 from symineq.measure import MassFunction
-from symineq.rearrangement import StepProfile
+from symineq.rearrangement import StepProfile, oscillation_norm
 
 from conftest import random_mass_function
 
@@ -377,3 +377,32 @@ class TestGeometricTgrid:
         assert len(grid) == 4 * 64 + 1
         with pytest.raises(ValueError):
             sq.geometric_tgrid(1.0, 0.5)
+
+
+_NAN = math.nan
+
+
+# every public guard, fed a NaN: each is a negated >= (or >) test, so a NaN fails it
+NAN_CALLS = {
+    "value": (lambda s, m: s.value(_NAN), "t"),
+    "distribution": (lambda s, m: sq.distribution(m, _NAN), "lambda"),
+    "support_measure": (lambda s, m: sq.support_measure(m, _NAN), "threshold"),
+    "layer_cake_excess": (lambda s, m: sq.layer_cake_excess(m, _NAN), "lambda"),
+    "prefix_integral": (lambda s, m: s.prefix_integral(_NAN), "t"),
+    "maximal_average": (lambda s, m: sq.maximal_average(s, _NAN), "t"),
+    "dform_derivative": (lambda s, m: sq.dform_derivative(s, 2, _NAN), "t"),
+    "lp_norm": (lambda s, m: sq.lp_norm(m, _NAN), "p"),
+    "lorentz_norm_r": (lambda s, m: sq.lorentz_norm(s, _NAN, 2), "r"),
+    "lorentz_norm_q": (lambda s, m: sq.lorentz_norm(s, 2, _NAN), "q"),
+    "oscillation_norm_q": (lambda s, m: oscillation_norm(s, _NAN), "q"),
+    "oscillation_norm_inv_pbar": (lambda s, m: oscillation_norm(s, 1, _NAN), "inv_pbar"),
+    "powered_profile": (lambda s, m: sq.powered_profile(s, _NAN), "p"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_CALLS))
+def test_a_nan_argument_raises_a_value_error_that_names_it(name):
+    """A NaN used to read as a value: 0.0, NaN, or inf as if the integral diverged."""
+    call, argument = NAN_CALLS[name]
+    with pytest.raises(ValueError, match=f"^{argument} must "):
+        call(StepProfile([0, 1, 2], [2, 1]), MassFunction([2, 1], 1.0))
